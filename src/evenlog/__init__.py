@@ -10,7 +10,7 @@ configuration does and does not hide.
 
 from .engine import WalEngine
 from .errors import WalError
-from .journal import JournalBackend, NaiveJournalBackend, PlainJournalBackend, recover_journal
+from .journal import JournalBackend, PlainJournalBackend, recover_journal
 from .observe import StorageTrace
 from .records import FLAG_CHECKPOINT, LogRecord, Lsn, decode_record, encode_record
 from .segmentation import padding_overhead, segment_slot
@@ -24,7 +24,6 @@ __all__ = [
     "JournalBackend",
     "LogRecord",
     "Lsn",
-    "NaiveJournalBackend",
     "PlainJournalBackend",
     "Slot",
     "StorageTrace",

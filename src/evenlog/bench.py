@@ -21,7 +21,6 @@ import numpy as np
 
 from .engine import WalEngine
 from .errors import NoData
-from .journal import JournalBackend, recover_journal
 from .observe import StorageTrace
 from .quorum.backend import QuorumBackend
 from .records import encoded_record_size
@@ -98,25 +97,12 @@ def _percentiles(latencies: list[float]) -> tuple[float, float, float]:
 
 def _accounting(engine: WalEngine, record_sizes: list[int], elapsed: float,
                 latencies: list[float], config: dict) -> BenchReport:
-    backend = engine.backend
-    trace: StorageTrace = backend.trace
+    trace: StorageTrace = engine.backend.trace
     actual = sum(
         trace.total_bytes(ch)
         for ch in (StorageTrace.JOURNAL, StorageTrace.METADATA, StorageTrace.REPLICA)
     )
-    fake = 0
-    if isinstance(backend, QuorumBackend):
-        seg = backend.config.segment_size
-        padded = backend.real_segments * seg
-        fake = backend.fake_segments * seg
-        iv_overhead = (backend.real_segments + backend.fake_segments) * 16
-    elif isinstance(backend, JournalBackend):
-        units = trace.write_count(StorageTrace.JOURNAL)
-        padded = units * backend.segment_size
-        iv_overhead = units * 16
-    else:
-        padded = trace.total_bytes(StorageTrace.JOURNAL)
-        iv_overhead = 0
+    padded, fake, iv_overhead = engine.backend.stats()
     baseline = sum(record_sizes)
     p50, p95, p99 = _percentiles(latencies)
     naive_bytes = len(record_sizes) * engine.slot.capacity
@@ -200,15 +186,6 @@ def _padded(payload: bytes) -> bytes:
     return payload + b"\x00" * ((-len(payload)) % 4)
 
 
-def recover_records(backend):
-    """Run the backend's recovery path and return the records."""
-    if isinstance(backend, JournalBackend):
-        return recover_journal(backend.root, backend.key, backend.segment_size)
-    if hasattr(backend, "recover"):
-        return backend.recover()
-    raise TypeError(f"no recovery path for {type(backend).__name__}")
-
-
 def measure_recovery(engine: WalEngine, crash_point: int, payloads) -> RecoveryResult:
     """Write until ``crash_point`` committed bytes, crash, time recovery.
 
@@ -229,13 +206,13 @@ def measure_recovery(engine: WalEngine, crash_point: int, payloads) -> RecoveryR
         committed_bytes += encoded_record_size(len(payload))
 
     backend = engine.backend
-    if isinstance(backend, QuorumBackend):
+    if isinstance(backend, QuorumBackend):  # crash injection is quorum-only
         for group in backend.groups:
             for rid in group[: backend.config.tolerable_failures]:
                 backend.replicas[rid].kill()
 
     t0 = time.perf_counter()
-    records = recover_records(backend)
+    records = backend.recover()
     elapsed = time.perf_counter() - t0
     recovered = [r.payload for r in records if not r.is_checkpoint]
     return RecoveryResult(elapsed, len(recovered), len(committed), recovered == committed)

@@ -32,14 +32,14 @@ from . import bench, leakage, workload
 from .crypto import StaticKeyProvider
 from .engine import WalEngine
 from .errors import WalError
-from .journal import JournalBackend, NaiveJournalBackend, PlainJournalBackend, recover_journal
+from .journal import JournalBackend, PlainJournalBackend, recover_journal
 from .observe import StorageTrace
-from .quorum import QuorumBackend, QuorumConfig, Registry, Replica, SelectionScheme
+from .quorum import QuorumBackend, QuorumConfig, SelectionScheme, build_cluster
 from .slots import FlushPolicy
 
 CONFIG_KEYS = {
     "segment_size", "slot_capacity", "flush_interval_ms", "scheme", "selection",
-    "replicas", "max_write_size", "checkpoint_interval_s", "seed", "output",
+    "replicas", "max_write_size", "seed", "output",
 }
 
 
@@ -95,20 +95,13 @@ def _build_engine(args, config, start_flusher: bool = False) -> WalEngine:
     trace = StorageTrace()
     if scheme == "journal":
         backend = JournalBackend(root, _key_provider().get("default"), segment, trace=trace)
-    elif scheme == "plain":
-        backend = PlainJournalBackend(root, trace=trace)
-    elif scheme == "naive":
-        backend = NaiveJournalBackend(root, capacity, trace=trace)
+    elif scheme in ("plain", "naive"):
+        backend = PlainJournalBackend(root, pad_to=capacity if scheme == "naive" else None, trace=trace)
     elif scheme == "quorum":
         selection = SelectionScheme.parse(_setting(args, config, "selection", "selection", str, "vnos"))
         n_replicas = _setting(args, config, "replicas", "replicas", int, 48)
         mws = _setting(args, config, "max_write_size", "max_write_size", int, 2048)
-        registry = Registry()
-        replicas = {}
-        for rid in range(n_replicas):
-            registry.register(rid, 0)
-            replicas[rid] = Replica(rid)
-        registry.register("client-0", 0)
+        registry, replicas = build_cluster(n_replicas)
         backend = QuorumBackend(
             root, _key_provider().get("default"), replicas, registry,
             config=QuorumConfig(segment_size=segment, max_write_size=mws),
@@ -259,12 +252,7 @@ def cmd_gen(args, config) -> int:
 
 def cmd_demo_quorum(args, config) -> int:
     selection = SelectionScheme.parse(args.selection)
-    n_replicas = 12
-    registry = Registry()
-    replicas = {rid: Replica(rid) for rid in range(n_replicas)}
-    for rid in replicas:
-        registry.register(rid, 0)
-    registry.register("client-0", 0)
+    registry, replicas = build_cluster(12)
     trace = StorageTrace()
     root = args.dir or tempfile.mkdtemp(prefix="evenlog-demo-")
     cfg = QuorumConfig(segment_size=128, max_write_size=512)

@@ -51,42 +51,24 @@ class ReplicaKey:
             raise ValueError(f"key must be {KEY_SIZE} bytes, got {len(self.secret)}")
 
 
-@dataclass(frozen=True)
-class StoredUnit:
-    iv: bytes
-    ciphertext: bytes
-
-    def to_bytes(self) -> bytes:
-        return self.iv + self.ciphertext
-
-    @classmethod
-    def from_bytes(cls, data: bytes, segment_size: int) -> "StoredUnit":
-        if len(data) != IV_SIZE + segment_size:
-            raise ValueError(f"stored unit must be {IV_SIZE + segment_size} bytes, got {len(data)}")
-        return cls(bytes(data[:IV_SIZE]), bytes(data[IV_SIZE:]))
-
-    def __len__(self) -> int:
-        return len(self.iv) + len(self.ciphertext)
-
-
 def _check_block_aligned(data: bytes) -> None:
     if not data or len(data) % 16 != 0:
         raise ValueError(f"plaintext length {len(data)} is not a positive multiple of 16")
 
 
-def encrypt_segment(key: ReplicaKey, plaintext: bytes) -> StoredUnit:
-    """Encrypt one segment under a fresh random IV."""
+def encrypt_segment(key: ReplicaKey, plaintext: bytes) -> bytes:
+    """Encrypt one segment under a fresh random IV into one stored unit."""
     _check_block_aligned(plaintext)
     iv = os.urandom(IV_SIZE)
     enc = Cipher(algorithms.AES(key.secret), modes.CBC(iv)).encryptor()
-    return StoredUnit(iv, enc.update(plaintext) + enc.finalize())
+    return iv + enc.update(plaintext) + enc.finalize()
 
 
-def decrypt_segment(key: ReplicaKey, unit: StoredUnit) -> bytes:
+def decrypt_segment(key: ReplicaKey, unit: bytes) -> bytes:
     """Decrypt one stored unit. Wrong keys yield garbage, not an error;
     integrity comes from the digest check."""
-    dec = Cipher(algorithms.AES(key.secret), modes.CBC(unit.iv)).decryptor()
-    return dec.update(unit.ciphertext) + dec.finalize()
+    dec = Cipher(algorithms.AES(key.secret), modes.CBC(unit[:IV_SIZE])).decryptor()
+    return dec.update(unit[IV_SIZE:]) + dec.finalize()
 
 
 def encrypt_stream(key: ReplicaKey, padded: bytes, segment_size: int) -> bytes:
@@ -129,12 +111,12 @@ def decrypt_stream(key: ReplicaKey, units: bytes, segment_size: int) -> bytes:
     return np.frombuffer(plain, dtype=np.uint8).reshape(count, unit)[:, IV_SIZE:].tobytes()
 
 
-def split_units(units: bytes, segment_size: int) -> list[StoredUnit]:
-    """Slice concatenated stored-unit bytes into StoredUnit values."""
+def split_units(units: bytes, segment_size: int) -> list[bytes]:
+    """Slice concatenated stored-unit bytes into one bytes value per unit."""
     unit = IV_SIZE + segment_size
     if len(units) % unit != 0:
         raise ValueError("input is not a whole number of stored units")
-    return [StoredUnit.from_bytes(units[i : i + unit], segment_size) for i in range(0, len(units), unit)]
+    return [units[i : i + unit] for i in range(0, len(units), unit)]
 
 
 def digest_segment(plaintext: bytes) -> bytes:

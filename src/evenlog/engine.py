@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from .journal import CheckpointMarker, JournalBackend
+import struct
+
+from .journal import CheckpointMarker
 from .records import FLAG_CHECKPOINT, encode_record
-from .slots import AppendResult, FlushPolicy, FlushReceipt, PeriodicFlusher, Slot
+from .slots import AppendResult, DurabilityBackend, FlushPolicy, FlushReceipt, PeriodicFlusher, Slot
 
 
 class WalEngine:
@@ -16,8 +18,8 @@ class WalEngine:
     deferred to the next timer tick or full-sync write.
     """
 
-    def __init__(self, backend, slot_capacity: int = 128 * 1024, policy: FlushPolicy | None = None,
-                 start_flusher: bool = False):
+    def __init__(self, backend: DurabilityBackend, slot_capacity: int = 128 * 1024,
+                 policy: FlushPolicy | None = None, start_flusher: bool = False):
         self.backend = backend
         self.slot = Slot(slot_capacity)
         self.policy = policy or FlushPolicy()
@@ -34,18 +36,14 @@ class WalEngine:
 
     def checkpoint(self) -> CheckpointMarker:
         """Flush everything, emit a flagged checkpoint record through the
-        normal slot path, then commit the sidecar and rotate files."""
-        backend = self.backend
-        if not isinstance(backend, JournalBackend):
-            raise TypeError("checkpoints require a JournalBackend")
-        ckpt_id = backend.last_checkpoint_id + 1
-        self.append(backend.checkpoint_record_payload(ckpt_id), flags=FLAG_CHECKPOINT, full_sync=True)
-        return backend.commit_checkpoint(ckpt_id)
+        normal slot path, then have the backend start its next epoch."""
+        ckpt_id = self.backend.last_checkpoint_id + 1
+        self.append(struct.pack("<Q", ckpt_id), flags=FLAG_CHECKPOINT, full_sync=True)  # u64 id, FORMAT.md
+        return self.backend.checkpoint(ckpt_id)
 
     def close(self) -> None:
         if self._flusher is not None:
             self._flusher.stop()
             self._flusher = None
         self.flush()
-        if hasattr(self.backend, "close"):
-            self.backend.close()
+        self.backend.close()

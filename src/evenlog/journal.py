@@ -4,19 +4,21 @@
 into fixed-size segments, each encrypted into a stored unit of exactly
 S + 16 bytes, so the storage layer sees a single write size no matter
 what the workload does. ``PlainJournalBackend`` is the unprotected
-baseline that writes slot bytes as-is; it exists for byte accounting,
-recovery-time comparison, and demonstrating the size leak the segmented
-engine removes.
+baseline that writes slot bytes as-is, or zero-padded to ``pad_to``
+bytes; it exists for byte accounting, recovery-time comparison, and
+demonstrating the size leak the segmented engine removes.
 
-Journal files are named ``journal.<fid>`` (zero-padded decimal). The
-checkpoint sidecar ``CHECKPOINT`` holds 20 bytes, little-endian:
+Files are named ``<prefix>.<fid>`` (fid as 10 decimal digits, see
+``list_epoch_fids``). The checkpoint sidecar ``CHECKPOINT`` holds 20
+bytes, little-endian:
 
     [ckpt_id u64][fid u32][offset u64]
 
-A checkpoint appends a flagged record through the normal slot path,
-creates the next journal file, then commits by atomically replacing the
-sidecar (write-temp-then-rename). A crash anywhere before the rename
-leaves the previous checkpoint in force.
+``WalEngine.checkpoint`` flushes a flagged record through the normal
+slot path; ``JournalBackend.checkpoint`` then creates the next journal
+file and commits by atomically replacing the sidecar (write-temp-then-
+rename). A crash anywhere before the rename leaves the previous
+checkpoint in force.
 """
 
 from __future__ import annotations
@@ -31,23 +33,29 @@ from .errors import DurabilityError
 from .observe import StorageTrace
 from .records import LogRecord, Lsn, scan_padded_stream
 from .segmentation import check_segment_size, pad_to_segments
+from .slots import BackendStats
 
 SIDECAR_NAME = "CHECKPOINT"
 _SIDECAR = struct.Struct("<QIQ")
-_FILE_RE = re.compile(r"journal\.(\d{10})$")
+
+
+def epoch_filename(prefix: str, fid: int) -> str:
+    return f"{prefix}.{fid:010d}"
+
+
+def list_epoch_fids(root: Path, prefix: str) -> list[int]:
+    """Sorted fids of the ``<prefix>.<10-digit fid>`` files in ``root``.
+    Any other name, such as a temp file or a backup copy, is ignored."""
+    name = re.compile(rf"{re.escape(prefix)}\.(\d{{10}})")
+    return sorted(int(m.group(1)) for entry in root.iterdir() if (m := name.fullmatch(entry.name)))
 
 
 def journal_filename(fid: int) -> str:
-    return f"journal.{fid:010d}"
+    return epoch_filename("journal", fid)
 
 
 def list_journal_fids(root: Path) -> list[int]:
-    fids = []
-    for entry in root.iterdir():
-        m = _FILE_RE.match(entry.name)
-        if m:
-            fids.append(int(m.group(1)))
-    return sorted(fids)
+    return list_epoch_fids(root, "journal")
 
 
 def read_sidecar(root: Path) -> tuple[int, int, int] | None:
@@ -123,14 +131,14 @@ class JournalBackend:
     def current_file_id(self) -> int:
         return self._fid
 
-    @property
-    def append_offset(self) -> int:
-        return self._offset
-
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
+
+    def stats(self) -> BackendStats:
+        units = self.trace.write_count(StorageTrace.JOURNAL)
+        return BackendStats(units * self.segment_size, 0, units * crypto.IV_SIZE)
 
     def _sync_file(self) -> None:
         self._fh.flush()
@@ -143,13 +151,6 @@ class JournalBackend:
         """Segment, encrypt and append one slot flush; synced on return."""
         padded = pad_to_segments(slot_bytes, self.segment_size)
         return self._append_units(crypto.encrypt_stream(self.key, padded, self.segment_size))
-
-    def append_segments(self, segments: list[bytes]) -> Lsn:
-        """Append pre-split segments (each exactly S bytes), in order."""
-        for seg in segments:
-            if len(seg) != self.segment_size:
-                raise ValueError(f"segment of {len(seg)} bytes, expected {self.segment_size}")
-        return self._append_units(crypto.encrypt_stream(self.key, b"".join(segments), self.segment_size))
 
     def _append_units(self, units: bytes) -> Lsn:
         lsn = Lsn(self._fid, self._offset)
@@ -170,16 +171,13 @@ class JournalBackend:
         self._offset += len(units)
         return lsn
 
-    # -- checkpoints and garbage collection ------------------------------
+    # -- checkpoints, recovery and garbage collection -------------------------
 
     @property
     def last_checkpoint_id(self) -> int:
         return self._ckpt_id
 
-    def checkpoint_record_payload(self, ckpt_id: int) -> bytes:
-        return struct.pack("<Q", ckpt_id)
-
-    def commit_checkpoint(self, ckpt_id: int) -> CheckpointMarker:
+    def checkpoint(self, ckpt_id: int) -> CheckpointMarker:
         """Rotate to a fresh file and atomically commit the sidecar.
 
         The caller must already have flushed the checkpoint record (see
@@ -209,6 +207,9 @@ class JournalBackend:
         if self.sync:
             _fsync_dir(self.root)
         self.trace.record(StorageTrace.METADATA, _SIDECAR.size)
+
+    def recover(self) -> list[LogRecord]:
+        return recover_journal(self.root, self.key, self.segment_size)
 
     def gc(self) -> int:
         """Delete journal files older than the checkpoint. Idempotent."""
@@ -257,70 +258,40 @@ def recover_journal(root: str | Path, key: crypto.ReplicaKey, segment_size: int)
     return scan_padded_stream(plaintext_stream(root, key, segment_size))
 
 
-class NaiveJournalBackend:
-    """The rejected mitigation: pad every flush to the full slot size.
+class PlainJournalBackend:
+    """Unsegmented baseline: slot flushes land on disk byte-for-byte.
 
-    Size-uniform like the segmented backend, but the write amplification
-    is the slot capacity over the mean flush size — two orders of
-    magnitude for small sequential writes.
+    With ``pad_to=None`` the trace shows one variable-sized write per
+    flush, exactly the side channel the segmented backend closes. With
+    ``pad_to`` at the slot capacity it is the rejected mitigation: one
+    write size, but two orders of magnitude of write amplification for
+    small sequential writes. A checkpoint starts the next file; recovery
+    reads the newest one.
     """
 
-    def __init__(self, root: str | Path, slot_capacity: int = 128 * 1024,
+    def __init__(self, root: str | Path, pad_to: int | None = None,
                  trace: StorageTrace | None = None, sync: bool = True):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.slot_capacity = slot_capacity
+        self.pad_to = pad_to
         self.trace = trace if trace is not None else StorageTrace()
         self.sync = sync
-        self._fh = open(self.root / journal_filename(0), "ab")
+        existing = list_journal_fids(self.root)
+        self._fid = existing[-1] if existing else 0
+        self._fh = open(self.root / journal_filename(self._fid), "ab")
 
     @property
     def current_file_id(self) -> int:
-        return 0
+        return self._fid
+
+    last_checkpoint_id = current_file_id  # file n starts at checkpoint n
 
     def persist_slot(self, slot_bytes: bytes) -> Lsn:
-        if len(slot_bytes) > self.slot_capacity:
-            raise DurabilityError(f"flush of {len(slot_bytes)} bytes exceeds the slot size")
-        lsn = Lsn(0, self._fh.tell())
-        padded = slot_bytes + b"\x00" * (self.slot_capacity - len(slot_bytes))
-        try:
-            self._fh.write(padded)
-            self._fh.flush()
-            if self.sync:
-                os.fdatasync(self._fh.fileno())
-        except OSError as exc:
-            raise DurabilityError(str(exc)) from exc
-        self.trace.record(StorageTrace.JOURNAL, len(padded))
-        return lsn
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def recover(self) -> list[LogRecord]:
-        return scan_padded_stream((self.root / journal_filename(0)).read_bytes())
-
-
-class PlainJournalBackend:
-    """Unprotected baseline: slot flushes land on disk byte-for-byte.
-
-    The storage trace shows one variable-sized write per flush, which is
-    exactly the side channel the segmented backend closes.
-    """
-
-    def __init__(self, root: str | Path, trace: StorageTrace | None = None, sync: bool = True):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.trace = trace if trace is not None else StorageTrace()
-        self.sync = sync
-        self._path = self.root / journal_filename(0)
-        self._fh = open(self._path, "ab")
-
-    @property
-    def current_file_id(self) -> int:
-        return 0
-
-    def persist_slot(self, slot_bytes: bytes) -> Lsn:
-        lsn = Lsn(0, self._fh.tell())
+        if self.pad_to is not None:
+            if len(slot_bytes) > self.pad_to:
+                raise DurabilityError(f"flush of {len(slot_bytes)} bytes exceeds the slot size")
+            slot_bytes += b"\x00" * (self.pad_to - len(slot_bytes))
+        lsn = Lsn(self._fid, self._fh.tell())
         try:
             self._fh.write(slot_bytes)
             self._fh.flush()
@@ -331,8 +302,19 @@ class PlainJournalBackend:
         self.trace.record(StorageTrace.JOURNAL, len(slot_bytes))
         return lsn
 
+    def checkpoint(self, ckpt_id: int) -> CheckpointMarker:
+        self._fh.close()
+        self._fid += 1
+        self._fh = open(self.root / journal_filename(self._fid), "ab")
+        if self.sync:
+            _fsync_dir(self.root)
+        return CheckpointMarker(ckpt_id, Lsn(self._fid, 0))
+
     def close(self) -> None:
         self._fh.close()
 
     def recover(self) -> list[LogRecord]:
-        return scan_padded_stream(self._path.read_bytes())
+        return scan_padded_stream((self.root / journal_filename(self._fid)).read_bytes())
+
+    def stats(self) -> BackendStats:
+        return BackendStats(self.trace.total_bytes(StorageTrace.JOURNAL), 0, 0)

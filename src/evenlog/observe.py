@@ -8,7 +8,7 @@ trace, so byte counts are exact rather than sampled.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 
 
 class StorageTrace:
@@ -19,10 +19,10 @@ class StorageTrace:
     REPLICA = "replica"
 
     def __init__(self):
-        self._sizes: dict[str, Counter] = {}
+        self._sizes: defaultdict[str, Counter] = defaultdict(Counter)
 
     def record(self, channel: str, size: int, count: int = 1) -> None:
-        self._sizes.setdefault(channel, Counter())[size] += count
+        self._sizes[channel][size] += count
 
     def sizes(self, channel: str) -> Counter:
         """Multiset of observed write sizes on a channel."""

@@ -4,7 +4,7 @@ triplet metadata, and recovery assembly, simulated on a logical clock."""
 from .backend import QuorumBackend, QuorumConfig
 from .metadata import MetadataArray, MetadataEntry, SENTINEL
 from .registry import Registry
-from .replica import Replica, SegmentId
+from .replica import Replica, SegmentId, build_cluster
 from .selection import Placement, SelectionScheme, form_quorums, select_quorums
 
 __all__ = [
@@ -18,6 +18,7 @@ __all__ = [
     "SENTINEL",
     "SegmentId",
     "SelectionScheme",
+    "build_cluster",
     "form_quorums",
     "select_quorums",
 ]

@@ -23,26 +23,20 @@ from typing import Mapping
 
 from .. import crypto
 from ..errors import CommitTimeout, DurabilityError, IntegrityFailure, SegmentNotFound, UnrecoverableSegment
+from ..journal import CheckpointMarker, epoch_filename, list_epoch_fids
 from ..observe import StorageTrace
-from ..records import LogRecord, scan_padded_stream
+from ..records import LogRecord, Lsn, scan_padded_stream
 from ..segmentation import check_segment_size, segment_slot
+from ..slots import BackendStats
 from .metadata import MetadataArray, serialized_size
 from .registry import Registry
 from .replica import Replica, SegmentId
 from .selection import GROUP_SIZE, SelectionScheme, form_quorums, select_quorums
-
-_META_RE = "metadata.{fid:010d}"
+from .transport import store_frame_size
 
 
 def metadata_filename(fid: int) -> str:
-    return _META_RE.format(fid=fid)
-
-
-def store_message_size(segment_size: int) -> int:
-    """Bytes a replica sees per segment send (matches the socket frame)."""
-    from .transport import store_frame_size
-
-    return store_frame_size(segment_size)
+    return epoch_filename("metadata", fid)
 
 
 class LogicalClock:
@@ -56,9 +50,7 @@ class LogicalClock:
 
 @dataclass
 class QuorumConfig:
-    replicas_per_group: int = GROUP_SIZE  # V
     write_quorum: int = 2                 # acks required per real segment
-    read_quorum: int = 1                  # replicas consulted per segment on recovery
     tolerable_failures: int = 1           # failures per group the commit survives
     segment_size: int = 128
     max_write_size: int = 1024            # bounds segments per write: K = MS / S
@@ -72,9 +64,7 @@ class QuorumConfig:
         check_segment_size(self.segment_size)
         if self.write_quorum <= self.tolerable_failures:
             raise ValueError("write quorum must exceed tolerable failures")
-        if not (1 <= self.read_quorum <= self.replicas_per_group):
-            raise ValueError("read quorum out of range")
-        if self.write_quorum > self.replicas_per_group:
+        if self.write_quorum > GROUP_SIZE:
             raise ValueError("write quorum exceeds group size")
         if self.max_write_size % self.segment_size != 0:
             raise ValueError("max write size must be a multiple of the segment size")
@@ -91,35 +81,6 @@ class CommitReceipt:
     commit_latency: float
 
 
-class InProcessChannel:
-    """Direct call path to a simulated replica."""
-
-    def __init__(self, replica: Replica):
-        self.replica = replica
-
-    @property
-    def alive(self) -> bool:
-        return self.replica.alive
-
-    def store(self, sid: SegmentId, unit: crypto.StoredUnit, digest: bytes, now: float = 0) -> bool:
-        return self.replica.store(sid, unit, digest, now)
-
-    def read(self, sid: SegmentId) -> crypto.StoredUnit:
-        return self.replica.read(sid)
-
-
-@dataclass
-class _Delivery:
-    latency: float
-    order: int
-    sid: SegmentId
-    segment_index: int
-    replica_id: int
-    fake: bool
-    unit: crypto.StoredUnit
-    digest: bytes
-
-
 class QuorumBackend:
     """Durability backend persisting slots to quorums of replicas."""
 
@@ -134,7 +95,7 @@ class QuorumBackend:
         seed: int = 0,
         trace: StorageTrace | None = None,
         clock: LogicalClock | None = None,
-        channels: Mapping[int, object] | None = None,
+        channels: Mapping[int, object] | None = None,  # default: the replicas, called in process
         client_id: str = "client-0",
         sync: bool = True,
     ):
@@ -151,18 +112,14 @@ class QuorumBackend:
         self.sync = sync
         self._rng = random.Random(seed)
         self._last_commit_latency = 0.0
-        self._channels = dict(channels) if channels is not None else {
-            rid: InProcessChannel(rep) for rid, rep in self.replicas.items()
-        }
+        self._channels = dict(channels) if channels is not None else self.replicas
 
         # quorum groups are fixed for the life of this backend; per-write
         # selection draws from this candidate list
         active = registry.list_active(self.clock.now) - {client_id}
         self.groups = form_quorums(active, self._rng)
 
-        existing = sorted(
-            int(p.name.split(".")[1]) for p in self.root.iterdir() if p.name.startswith("metadata.")
-        )
+        existing = list_epoch_fids(self.root, "metadata")
         self._fid = existing[-1] if existing else 0
         self._ssn = 0
         self._array_blob_size = crypto.IV_SIZE + serialized_size(self.config.k_max)
@@ -203,6 +160,11 @@ class QuorumBackend:
             self._fh.close()
             self._fh = None
 
+    def stats(self) -> BackendStats:
+        seg = self.config.segment_size
+        units = self.real_segments + self.fake_segments
+        return BackendStats(self.real_segments * seg, self.fake_segments * seg, units * crypto.IV_SIZE)
+
     # -- persistence ---------------------------------------------------------
 
     def persist_slot(self, slot_bytes: bytes) -> CommitReceipt:
@@ -229,7 +191,7 @@ class QuorumBackend:
 
         self._deliver(array, placements, units, digests, ssn, n_real)
 
-        blob = crypto.encrypt_segment(self.key, array.to_bytes()).to_bytes()
+        blob = crypto.encrypt_segment(self.key, array.to_bytes())
         try:
             self._fh.write(blob)
             self._fh.flush()
@@ -249,28 +211,26 @@ class QuorumBackend:
         segments update the metadata array until every real segment is
         committed; fake-segment responses are never waited on."""
         cfg = self.config
+        # (latency, send order, segment position, replica): the unique order settles ties
         deliveries = []
         for pos, placement in enumerate(placements):
-            sid = SegmentId(self._fid, ssn, pos)
             for replica_id in placement.quorum:
-                deliveries.append(_Delivery(
-                    self._rng.random(), len(deliveries), sid, pos, replica_id,
-                    placement.fake, units[pos], digests[pos],
-                ))
-        deliveries.sort(key=lambda d: (d.latency, d.order))
+                deliveries.append((self._rng.random(), len(deliveries), pos, replica_id))
+        deliveries.sort()
+        sids = [SegmentId(self._fid, ssn, pos) for pos in range(len(placements))]
 
-        msg_size = store_message_size(cfg.segment_size)
+        msg_size = store_frame_size(cfg.segment_size)
         pending = set(range(n_real))
         committed_at = None
-        for d in deliveries:
+        for latency, _, pos, replica_id in deliveries:
             self.trace.record(StorageTrace.REPLICA, msg_size)
-            acked = self._channels[d.replica_id].store(d.sid, d.unit, d.digest, self.clock.now)
-            if acked and not d.fake and committed_at is None:
-                entry = array.update(d.segment_index, d.replica_id)
+            acked = self._channels[replica_id].store(sids[pos], units[pos], digests[pos], self.clock.now)
+            if acked and pos < n_real and committed_at is None:  # placements past n_real are fake
+                entry = array.update(pos, replica_id)
                 if entry.committed(cfg.write_quorum):
-                    pending.discard(d.segment_index)
+                    pending.discard(pos)
                     if not pending:
-                        committed_at = d.latency
+                        committed_at = latency
         if pending:
             raise CommitTimeout(
                 f"segments {sorted(pending)} of slot {ssn} never reached {cfg.write_quorum} acks"
@@ -279,18 +239,18 @@ class QuorumBackend:
 
     # -- checkpointing / gc ---------------------------------------------------
 
-    def checkpoint(self) -> int:
+    last_checkpoint_id = current_file_id  # epoch n starts at checkpoint n
+
+    def checkpoint(self, ckpt_id: int) -> CheckpointMarker:
         """Start a fresh metadata epoch; earlier epochs become garbage."""
         self._open_metadata(self._fid + 1)
-        return self._fid
+        return CheckpointMarker(ckpt_id, Lsn(self._fid, 0))
 
     def sweep_old_epochs(self) -> int:
-        removed = 0
-        for p in self.root.iterdir():
-            if p.name.startswith("metadata.") and int(p.name.split(".")[1]) < self._fid:
-                p.unlink()
-                removed += 1
-        return removed
+        old = [fid for fid in list_epoch_fids(self.root, "metadata") if fid < self._fid]
+        for fid in old:
+            (self.root / metadata_filename(fid)).unlink()
+        return len(old)
 
     def run_replica_gc(self, t: float | None = None) -> int:
         """Each replica drops segments older than one checkpoint interval,
@@ -314,10 +274,6 @@ class QuorumBackend:
     def recover(self) -> list[LogRecord]:
         return scan_padded_stream(self.recover_assemble())
 
-    @property
-    def append_offset(self) -> int:
-        return self._ssn * self._array_blob_size
-
 
 def assemble_stream(
     metadata_path: str | Path,
@@ -340,8 +296,7 @@ def assemble_stream(
 
     parts: list[bytes] = []
     for off in range(0, len(data), blob_size):
-        unit = crypto.StoredUnit.from_bytes(data[off : off + blob_size], serialized_size(config.k_max))
-        array = MetadataArray.from_bytes(crypto.decrypt_segment(key, unit), config.k_max)
+        array = MetadataArray.from_bytes(crypto.decrypt_segment(key, data[off : off + blob_size]), config.k_max)
         for sn, entry in enumerate(array.entries):
             if not entry.committed(config.write_quorum):
                 continue  # blank (fake/padding) or never-committed entry

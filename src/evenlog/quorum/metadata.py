@@ -92,9 +92,6 @@ class MetadataArray:
         entry.replica_ids[element] = replica_id
         return entry
 
-    def committed_indices(self, write_quorum: int = 2) -> list[int]:
-        return [i for i, e in enumerate(self.entries) if e.committed(write_quorum)]
-
     def to_bytes(self) -> bytes:
         parts = [_SSN.pack(self.ssn)]
         for entry in self.entries:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from ..crypto import StoredUnit
+from ..crypto import IV_SIZE
 from ..errors import SegmentNotFound
 from .registry import Registry
 
@@ -39,7 +39,7 @@ class SegmentId:
 
 @dataclass
 class _Held:
-    unit: StoredUnit
+    unit: bytes
     digest: bytes
     stored_at: float
 
@@ -60,7 +60,7 @@ class Replica:
     def __len__(self) -> int:
         return len(self._store)
 
-    def store(self, sid: SegmentId, unit: StoredUnit, digest: bytes, now: float = 0) -> bool:
+    def store(self, sid: SegmentId, unit: bytes, digest: bytes, now: float = 0) -> bool:
         """Hold a segment; returns the acknowledgement. Dead replicas
         return nothing (the sender times out instead)."""
         if not self.alive:
@@ -69,7 +69,7 @@ class Replica:
             self._store[sid] = _Held(unit, digest, now)
         return True
 
-    def read(self, sid: SegmentId) -> StoredUnit:
+    def read(self, sid: SegmentId) -> bytes:
         if not self.alive:
             raise SegmentNotFound(f"replica {self.replica_id} is down")
         try:
@@ -83,9 +83,9 @@ class Replica:
     def corrupt(self, sid: SegmentId, flip_byte: int = 0) -> None:
         """Flip one ciphertext byte in a held unit (fault injection)."""
         held = self._store[sid]
-        ct = bytearray(held.unit.ciphertext)
-        ct[flip_byte] ^= 0xFF
-        held.unit = StoredUnit(held.unit.iv, bytes(ct))
+        unit = bytearray(held.unit)
+        unit[IV_SIZE + flip_byte] ^= 0xFF
+        held.unit = bytes(unit)
 
     def kill(self) -> None:
         self.alive = False
@@ -103,3 +103,13 @@ class Replica:
         for sid in stale:
             del self._store[sid]
         return len(stale)
+
+
+def build_cluster(n_replicas: int, client_id: str = "client-0", t: float = 0):
+    """Registry plus n live replicas and the client, all freshly registered."""
+    registry = Registry()
+    replicas = {rid: Replica(rid) for rid in range(n_replicas)}
+    for rid in replicas:
+        registry.register(rid, t)
+    registry.register(client_id, t)
+    return registry, replicas

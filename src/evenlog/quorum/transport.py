@@ -25,7 +25,7 @@ import socketserver
 import struct
 import threading
 
-from ..crypto import DIGEST_SIZE, IV_SIZE, StoredUnit
+from ..crypto import DIGEST_SIZE, IV_SIZE
 from ..errors import SegmentNotFound
 from .replica import Replica, SegmentId, SID_SIZE
 
@@ -40,6 +40,12 @@ MSG_READ_MISSING = 0x05
 
 def store_frame_size(segment_size: int) -> int:
     return _LEN.size + 1 + SID_SIZE + DIGEST_SIZE + IV_SIZE + segment_size
+
+
+def _check_unit(unit: bytes, segment_size: int) -> bytes:
+    if len(unit) != IV_SIZE + segment_size:
+        raise ConnectionError(f"stored unit of {len(unit)} bytes, expected {IV_SIZE + segment_size}")
+    return unit
 
 
 def encode_frame(msg_type: int, body: bytes) -> bytes:
@@ -73,7 +79,7 @@ class _ReplicaRequestHandler(socketserver.BaseRequestHandler):
                 if msg_type == MSG_STORE:
                     sid = SegmentId.unpack(body[:SID_SIZE])
                     digest = body[SID_SIZE : SID_SIZE + DIGEST_SIZE]
-                    unit = StoredUnit.from_bytes(body[SID_SIZE + DIGEST_SIZE :], segment_size)
+                    unit = _check_unit(body[SID_SIZE + DIGEST_SIZE :], segment_size)
                     if replica.store(sid, unit, digest):
                         self.request.sendall(encode_frame(MSG_STORE_ACK, sid.pack()))
                     # dead replica: no response, the sender times out
@@ -84,7 +90,7 @@ class _ReplicaRequestHandler(socketserver.BaseRequestHandler):
                     except SegmentNotFound:
                         self.request.sendall(encode_frame(MSG_READ_MISSING, sid.pack()))
                     else:
-                        self.request.sendall(encode_frame(MSG_READ_DATA, sid.pack() + unit.to_bytes()))
+                        self.request.sendall(encode_frame(MSG_READ_DATA, sid.pack() + unit))
                 else:
                     raise ConnectionError(f"unknown frame type {msg_type:#x}")
         finally:
@@ -125,8 +131,8 @@ class SocketChannel:
         self._lock = threading.Lock()
         self.alive = True
 
-    def store(self, sid: SegmentId, unit: StoredUnit, digest: bytes, now: float = 0) -> bool:
-        body = sid.pack() + digest + unit.to_bytes()
+    def store(self, sid: SegmentId, unit: bytes, digest: bytes, now: float = 0) -> bool:
+        body = sid.pack() + digest + unit
         with self._lock:
             try:
                 self._sock.sendall(encode_frame(MSG_STORE, body))
@@ -135,12 +141,12 @@ class SocketChannel:
                 return False
         return msg_type == MSG_STORE_ACK and reply == sid.pack()
 
-    def read(self, sid: SegmentId) -> StoredUnit:
+    def read(self, sid: SegmentId) -> bytes:
         with self._lock:
             self._sock.sendall(encode_frame(MSG_READ, sid.pack()))
             msg_type, reply = read_frame(self._rfile)
         if msg_type == MSG_READ_DATA and reply[:SID_SIZE] == sid.pack():
-            return StoredUnit.from_bytes(reply[SID_SIZE:], self.segment_size)
+            return _check_unit(reply[SID_SIZE:], self.segment_size)
         raise SegmentNotFound(f"segment {sid} not available over socket")
 
     def close(self) -> None:

@@ -10,22 +10,47 @@ when the periodic flusher fires.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
-from typing import NamedTuple, Protocol
+from typing import TYPE_CHECKING, NamedTuple, Protocol
 
-from .records import Lsn
+from .records import LogRecord, Lsn
+
+if TYPE_CHECKING:
+    from .journal import CheckpointMarker
 
 DEFAULT_SLOT_CAPACITY = 128 * 1024
 
 
+class BackendStats(NamedTuple):
+    """Stored bytes by kind: plaintext after padding, fake segments, and
+    the per-unit IV framing around both."""
+
+    padded_bytes: int
+    fake_bytes: int
+    framing_bytes: int
+
+
 class DurabilityBackend(Protocol):
-    """Anything that can persist one slot flush as a unit."""
+    """The contract of every backend. ``persist_slot`` makes one slot flush
+    durable as a unit; ``checkpoint`` starts a new epoch once the caller
+    has flushed the flagged checkpoint record; ``recover`` returns the
+    records written since the last checkpoint."""
 
     @property
     def current_file_id(self) -> int: ...
 
-    def persist_slot(self, slot_bytes: bytes) -> None: ...
+    @property
+    def last_checkpoint_id(self) -> int: ...
+
+    def persist_slot(self, slot_bytes: bytes) -> object: ...
+
+    def recover(self) -> list[LogRecord]: ...
+
+    def checkpoint(self, ckpt_id: int) -> CheckpointMarker: ...
+
+    def close(self) -> None: ...
+
+    def stats(self) -> BackendStats: ...
 
 
 @dataclass
@@ -58,7 +83,6 @@ class Slot:
         self._ssn = 0  # sequence number of the next flush
         self._stream_offset = 0  # total record bytes ever appended
         self._lock = threading.RLock()
-        self.created_at = time.monotonic()
 
     @property
     def ssn(self) -> int:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from evenlog.crypto import StaticKeyProvider
-from evenlog.quorum import Registry, Replica
+from evenlog.quorum import build_cluster  # noqa: F401  (re-exported for the test modules)
 
 MASTER = b"unit-test-master-secret-32-bytes"
 
@@ -22,12 +22,3 @@ def key():
 def rng():
     return random.Random(1234)
 
-
-def build_cluster(n_replicas: int, client_id: str = "client-0", t: float = 0):
-    """Registry plus n live replicas, all freshly registered."""
-    registry = Registry()
-    replicas = {rid: Replica(rid) for rid in range(n_replicas)}
-    for rid in replicas:
-        registry.register(rid, t)
-    registry.register(client_id, t)
-    return registry, replicas

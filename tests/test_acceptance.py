@@ -29,7 +29,7 @@ from evenlog import leakage as lk
 from evenlog.crypto import StaticKeyProvider
 from evenlog.engine import WalEngine
 from evenlog.errors import IntegrityFailure
-from evenlog.journal import JournalBackend, NaiveJournalBackend, PlainJournalBackend, journal_filename, recover_journal
+from evenlog.journal import JournalBackend, PlainJournalBackend, journal_filename, recover_journal
 from evenlog.observe import StorageTrace
 from evenlog.quorum import (
     QuorumBackend,
@@ -177,7 +177,7 @@ def test_criterion_4_space_accounting(tmp_path):
 
     # naive baseline: exactly ops x slot capacity
     capacity = 8192
-    backend = NaiveJournalBackend(tmp_path / "naive", capacity, trace=StorageTrace())
+    backend = PlainJournalBackend(tmp_path / "naive", pad_to=capacity, trace=StorageTrace())
     from evenlog.slots import FlushPolicy
 
     engine = WalEngine(backend, slot_capacity=capacity, policy=FlushPolicy(interval_ms=None))

@@ -7,7 +7,7 @@ import pytest
 from evenlog import bench
 from evenlog.engine import WalEngine
 from evenlog.errors import NoData
-from evenlog.journal import JournalBackend, NaiveJournalBackend, PlainJournalBackend
+from evenlog.journal import JournalBackend, PlainJournalBackend
 from evenlog.observe import StorageTrace
 from evenlog.quorum import QuorumBackend, QuorumConfig, SelectionScheme
 from evenlog.slots import FlushPolicy
@@ -82,7 +82,7 @@ class TestRunSequential:
 
     def test_naive_mode_bytes_exact(self, tmp_path):
         capacity = 8192
-        backend = NaiveJournalBackend(tmp_path, capacity, trace=StorageTrace())
+        backend = PlainJournalBackend(tmp_path, pad_to=capacity, trace=StorageTrace())
         engine = WalEngine(backend, slot_capacity=capacity, policy=FlushPolicy(interval_ms=None))
         spec = WorkloadSpec.parse("uniform", 15, seed=2)
         report = bench.run_sequential(spec, engine)

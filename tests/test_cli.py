@@ -150,6 +150,13 @@ class TestConfigFile:
                                "--scheme", "fnos", "--prior", "1")
         assert code == 1 and "wibble" in err
 
+    def test_checkpoint_interval_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "old.conf"
+        cfg.write_text("checkpoint_interval_s = 60\n")
+        code, _, err = run_cli(capsys, "--config", str(cfg), "leak", "posterior",
+                               "--scheme", "fnos", "--prior", "1")
+        assert code == 1 and "unknown key" in err
+
 
 def test_demo_quorum_runs_clean(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "demo", "quorum", "--selection", "fnos",

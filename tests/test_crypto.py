@@ -19,7 +19,7 @@ class TestSegmentRoundtrip:
         seg = os.urandom(128)
         a = crypto.encrypt_segment(key, seg)
         b = crypto.encrypt_segment(key, seg)
-        assert a.iv != b.iv and a.ciphertext != b.ciphertext
+        assert a[:16] != b[:16] and a[16:] != b[16:]
 
     def test_stored_unit_size_is_s_plus_16(self, key):
         for _ in range(1000):
@@ -29,7 +29,7 @@ class TestSegmentRoundtrip:
     def test_no_expansion_for_other_sizes(self, key):
         for size in (32, 64, 512, 4096):
             unit = crypto.encrypt_segment(key, os.urandom(size))
-            assert len(unit.ciphertext) == size
+            assert len(unit) == 16 + size
 
     def test_unaligned_plaintext_rejected(self, key):
         with pytest.raises(ValueError):
@@ -53,18 +53,19 @@ class TestStreamBatch:
     def test_batch_units_decrypt_individually(self, key):
         padded = os.urandom(64 * 5)
         units = crypto.split_units(crypto.encrypt_stream(key, padded, 64), 64)
-        assert [crypto.decrypt_segment(key, u) for u in units] == [
-            padded[i * 64 : (i + 1) * 64] for i in range(5)
-        ]
+        assert len(units) == 5
+        for i, unit in enumerate(units):
+            assert type(unit) is bytes and len(unit) == 64 + 16
+            assert crypto.decrypt_segment(key, unit) == padded[i * 64 : (i + 1) * 64]
 
     def test_individual_units_decrypt_as_stream(self, key):
         segs = [os.urandom(128) for _ in range(4)]
-        blob = b"".join(crypto.encrypt_segment(key, s).to_bytes() for s in segs)
+        blob = b"".join(crypto.encrypt_segment(key, s) for s in segs)
         assert crypto.decrypt_stream(key, blob, 128) == b"".join(segs)
 
     def test_batch_ivs_are_distinct(self, key):
         units = crypto.split_units(crypto.encrypt_stream(key, os.urandom(128 * 50), 128), 128)
-        assert len({u.iv for u in units}) == 50
+        assert len({u[:16] for u in units}) == 50
 
     def test_empty_stream(self, key):
         assert crypto.encrypt_stream(key, b"", 128) == b""

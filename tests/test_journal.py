@@ -2,15 +2,15 @@
 
 import os
 import random
+import struct
 
 import pytest
 
 from evenlog import crypto
 from evenlog.engine import WalEngine
-from evenlog.errors import RecoveryCorruption
+from evenlog.errors import DurabilityError, InvalidSegmentSize, RecoveryCorruption
 from evenlog.journal import (
     JournalBackend,
-    NaiveJournalBackend,
     PlainJournalBackend,
     journal_filename,
     list_journal_fids,
@@ -33,28 +33,29 @@ def make_engine(backend):
 
 
 class TestAppendSegments:
+    """``persist_slot`` appends one stored unit per segment of the flush."""
+
     def test_three_segments_grow_file_by_three_units(self, tmp_path, key):
         backend = make_backend(tmp_path, key)
         path = tmp_path / journal_filename(backend.current_file_id)
-        backend.append_segments([os.urandom(128) for _ in range(3)])
+        backend.persist_slot(os.urandom(3 * 128))
         assert path.stat().st_size == 3 * (128 + 16)
 
     def test_empty_list_no_size_change(self, tmp_path, key):
         backend = make_backend(tmp_path, key)
-        backend.append_segments([])
+        backend.persist_slot(b"")
         assert (tmp_path / journal_filename(backend.current_file_id)).stat().st_size == 0
 
     def test_consecutive_appends_strictly_ordered_by_offset(self, tmp_path, key):
         backend = make_backend(tmp_path, key)
-        first = backend.append_segments([os.urandom(128)])
-        second = backend.append_segments([os.urandom(128)])
+        first = backend.persist_slot(os.urandom(128))
+        second = backend.persist_slot(os.urandom(128))
         assert first.file_id == second.file_id
         assert second.offset == first.offset + 144
 
     def test_wrong_segment_size_rejected(self, tmp_path, key):
-        backend = make_backend(tmp_path, key)
-        with pytest.raises(ValueError):
-            backend.append_segments([os.urandom(100)])
+        with pytest.raises(InvalidSegmentSize):
+            make_backend(tmp_path, key, segment_size=100)
 
     def test_fixed_size_trace(self, tmp_path, key):
         trace = StorageTrace()
@@ -205,7 +206,7 @@ class TestCheckpoint:
 
         # drive the second checkpoint's steps manually and crash between them
         ckpt_id = backend.last_checkpoint_id + 1
-        engine.append(backend.checkpoint_record_payload(ckpt_id), flags=1, full_sync=True)
+        engine.append(struct.pack("<Q", ckpt_id), flags=1, full_sync=True)
         backend._create_file(backend.current_file_id + 1)
         # crash here: sidecar never renamed; new engine must see checkpoint 1
         assert read_sidecar(tmp_path)[0] == 1
@@ -260,10 +261,16 @@ class TestBaselines:
 
     def test_naive_backend_pads_to_slot_size(self, tmp_path):
         trace = StorageTrace()
-        backend = NaiveJournalBackend(tmp_path, slot_capacity=4096, trace=trace)
+        backend = PlainJournalBackend(tmp_path, pad_to=4096, trace=trace)
         engine = WalEngine(backend, slot_capacity=4096, policy=FlushPolicy(interval_ms=None))
         payloads = [os.urandom(n) for n in (100, 500)]
         for p in payloads:
             engine.append(p, full_sync=True)
         assert trace.sizes(StorageTrace.JOURNAL) == {4096: 2}
         assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
+
+    def test_padded_backend_rejects_flush_over_pad_size(self, tmp_path):
+        backend = PlainJournalBackend(tmp_path, pad_to=4096, trace=StorageTrace())
+        with pytest.raises(DurabilityError):
+            backend.persist_slot(b"\x01" * 4100)
+        assert backend.trace.write_count(StorageTrace.JOURNAL) == 0

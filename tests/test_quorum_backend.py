@@ -43,20 +43,16 @@ class TestReplica:
     def test_store_then_read(self):
         rep = Replica(1)
         sid = SegmentId(0, 0, 0)
-        from evenlog.crypto import StoredUnit
-
-        unit = StoredUnit(os.urandom(16), os.urandom(128))
+        unit = os.urandom(16 + 128)
         assert rep.store(sid, unit, b"\x00" * 32)
         assert rep.read(sid) == unit
 
     def test_store_is_idempotent(self):
         rep = Replica(1)
         sid = SegmentId(0, 0, 0)
-        from evenlog.crypto import StoredUnit
-
-        first = StoredUnit(os.urandom(16), os.urandom(128))
+        first = os.urandom(16 + 128)
         rep.store(sid, first, b"\x00" * 32)
-        rep.store(sid, StoredUnit(os.urandom(16), os.urandom(128)), b"\x00" * 32)
+        rep.store(sid, os.urandom(16 + 128), b"\x00" * 32)
         assert len(rep) == 1 and rep.read(sid) == first
 
     def test_read_unknown_sid(self):
@@ -66,9 +62,7 @@ class TestReplica:
     def test_dead_replica_does_not_ack(self):
         rep = Replica(1)
         rep.kill()
-        from evenlog.crypto import StoredUnit
-
-        assert not rep.store(SegmentId(0, 0, 0), StoredUnit(b"\x00" * 16, b"\x00" * 128), b"\x00" * 32)
+        assert not rep.store(SegmentId(0, 0, 0), b"\x00" * (16 + 128), b"\x00" * 32)
 
 
 class TestPersist:
@@ -235,11 +229,28 @@ class TestCheckpointGc:
         backend = make_backend(tmp_path, key)
         backend.persist_slot(b"\x05" * 100)
         old = backend.metadata_path
-        new_fid = backend.checkpoint()
-        assert new_fid == backend.current_file_id == 1
+        marker = backend.checkpoint(1)
+        assert marker.lsn.file_id == backend.current_file_id == backend.last_checkpoint_id == 1
         backend.persist_slot(b"\x06" * 100)
         assert backend.metadata_path != old
         assert backend.sweep_old_epochs() == 1
+
+    def test_stray_metadata_tmp_is_ignored(self, tmp_path, key):
+        (tmp_path / "metadata.tmp").write_bytes(b"")
+        assert make_backend(tmp_path, key).current_file_id == 0
+
+    def test_backup_file_is_not_an_epoch(self, tmp_path, key):
+        (tmp_path / "metadata.0000000005.bak").write_bytes(b"")
+        assert make_backend(tmp_path, key).current_file_id == 0
+
+    def test_sweep_keeps_backup_of_old_epoch(self, tmp_path, key):
+        backend = make_backend(tmp_path, key)
+        backend.persist_slot(b"\x05" * 100)
+        backup = tmp_path / "metadata.0000000000.bak"
+        backup.write_bytes(backend.metadata_path.read_bytes())
+        backend.checkpoint(1)
+        assert backend.sweep_old_epochs() == 1
+        assert backup.exists() and not (tmp_path / "metadata.0000000000").exists()
 
     def test_replica_gc_drops_old_segments_while_client_alive(self, tmp_path, key):
         backend = make_backend(tmp_path, key)
@@ -284,8 +295,6 @@ class TestConfig:
     def test_invariants(self):
         with pytest.raises(ValueError):
             QuorumConfig(write_quorum=1, tolerable_failures=1).validate()
-        with pytest.raises(ValueError):
-            QuorumConfig(read_quorum=0).validate()
         with pytest.raises(ValueError):
             QuorumConfig(segment_size=128, max_write_size=100).validate()
         with pytest.raises(ValueError):

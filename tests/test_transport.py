@@ -4,7 +4,6 @@ import os
 
 import pytest
 
-from evenlog.crypto import StoredUnit
 from evenlog.engine import WalEngine
 from evenlog.errors import SegmentNotFound
 from evenlog.quorum import QuorumBackend, QuorumConfig, Replica, SegmentId, SelectionScheme
@@ -61,7 +60,7 @@ class TestLoopback:
         replica, address = served_replica
         channel = SocketChannel(address, segment_size=128)
         sid = SegmentId(1, 2, 3)
-        unit = StoredUnit(os.urandom(16), os.urandom(128))
+        unit = os.urandom(16 + 128)
         assert channel.store(sid, unit, os.urandom(32))
         assert channel.read(sid) == unit
         assert replica.read(sid) == unit
@@ -78,7 +77,7 @@ class TestLoopback:
         replica, address = served_replica
         channel = SocketChannel(address, segment_size=128, timeout=0.3)
         replica.kill()
-        assert not channel.store(SegmentId(0, 0, 0), StoredUnit(b"\x00" * 16, b"\x00" * 128), b"\x00" * 32)
+        assert not channel.store(SegmentId(0, 0, 0), b"\x00" * (16 + 128), b"\x00" * 32)
         channel.close()
 
 
