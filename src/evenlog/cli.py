@@ -32,7 +32,7 @@ from . import bench, leakage, workload
 from .crypto import StaticKeyProvider
 from .engine import WalEngine
 from .errors import WalError
-from .journal import JournalBackend, PlainJournalBackend, recover_journal
+from .journal import JournalBackend, PlainJournalBackend, recover_journal, recover_plain
 from .observe import StorageTrace
 from .quorum import QuorumBackend, QuorumConfig, SelectionScheme, build_cluster
 from .slots import FlushPolicy
@@ -154,7 +154,7 @@ def cmd_bench(args, config) -> int:
 def cmd_recover(args, config) -> int:
     segment = _setting(args, config, "segment", "segment_size", int, 128)
     if args.scheme == "plain":
-        records = PlainJournalBackend(args.dir).recover()
+        records = recover_plain(args.dir)
     else:
         records = recover_journal(args.dir, _key_provider().get("default"), segment)
     payload = {

@@ -12,14 +12,29 @@ Integrity is not provided by the cipher: callers compare SHA-256 digests
 of the plaintext (see ``digest_segment``), which keeps verification
 independent of whoever stored the ciphertext.
 
-The batch helpers encrypt a whole run of segments with a single cipher
-call by prepending one fresh random block per segment; the ciphertext of
-that block is the unit's IV. Each unit remains independently decryptable
-with plain CBC, and the IV is uniformly random (it is AES output of a
-block the adversary never sees), so batch output is indistinguishable
-from per-unit encryption. It exists because per-call cipher overhead is
-two orders of magnitude above the cost of the 128-byte segments we feed
-it.
+Each ``ReplicaKey`` owns one AES-256-CBC encryptor and one decryptor,
+built with the key and used for the key's whole life, each behind its
+own lock. Building a cipher context costs two orders of magnitude more
+than encrypting a 128-byte segment, so no helper builds one per call.
+
+A unit is encrypted by feeding one fresh random block followed by the
+segment through the long-lived encryptor; the ciphertext of that block
+is the unit's IV. The encryptor chains off the last ciphertext block it
+produced, which is on disk, but the IV is E(r xor c_prev) for a random r
+the adversary never sees, so it is uniform and unpredictable exactly as
+a freshly drawn IV would be. Each unit stays independently decryptable
+with plain CBC under its own IV.
+
+Decryption feeds block-aligned runs of whole units through the
+long-lived decryptor and drops each unit's first 16 output bytes: a
+unit's first ciphertext block is decrypted with its own IV as the
+chaining block, whatever came before it.
+
+Invariant: a context never holds a partial block, because every later
+call would then be shifted. Every input is checked to be whole blocks
+(whole units) before it reaches a context; a rejected input raises
+``ValueError`` and leaves the context untouched. Contexts are never
+finalized.
 """
 
 from __future__ import annotations
@@ -27,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,16 +55,40 @@ KEY_SIZE = 32
 DIGEST_SIZE = 32
 
 
+class _Context:
+    """One long-lived CBC context. cryptography does not document its
+    contexts as thread-safe, so every update holds the lock."""
+
+    __slots__ = ("_ctx", "_lock")
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+        self._lock = threading.Lock()
+
+    def update(self, data: bytes) -> bytes:
+        with self._lock:
+            return self._ctx.update(data)
+
+
 @dataclass(frozen=True)
 class ReplicaKey:
-    """256-bit symmetric key. Never persisted by anything in this package."""
+    """256-bit symmetric key and its CBC contexts. Never persisted by
+    anything in this package."""
 
     key_id: str
     secret: bytes = field(repr=False)
+    _enc: _Context = field(init=False, repr=False, compare=False)
+    _dec: _Context = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.secret) != KEY_SIZE:
             raise ValueError(f"key must be {KEY_SIZE} bytes, got {len(self.secret)}")
+        aes = algorithms.AES(self.secret)
+        # the starting chaining blocks are never seen: every unit's IV is
+        # the ciphertext of a fresh random block, and decryption drops
+        # each unit's first output block
+        object.__setattr__(self, "_enc", _Context(Cipher(aes, modes.CBC(os.urandom(IV_SIZE))).encryptor()))
+        object.__setattr__(self, "_dec", _Context(Cipher(aes, modes.CBC(bytes(IV_SIZE))).decryptor()))
 
 
 def _check_block_aligned(data: bytes) -> None:
@@ -56,19 +96,23 @@ def _check_block_aligned(data: bytes) -> None:
         raise ValueError(f"plaintext length {len(data)} is not a positive multiple of 16")
 
 
+def _check_segment_size(segment_size: int) -> None:
+    if segment_size <= 0 or segment_size % 16 != 0:
+        raise ValueError(f"segment size {segment_size} is not a positive multiple of 16")
+
+
 def encrypt_segment(key: ReplicaKey, plaintext: bytes) -> bytes:
-    """Encrypt one segment under a fresh random IV into one stored unit."""
+    """Encrypt one segment into one stored unit with a fresh IV."""
     _check_block_aligned(plaintext)
-    iv = os.urandom(IV_SIZE)
-    enc = Cipher(algorithms.AES(key.secret), modes.CBC(iv)).encryptor()
-    return iv + enc.update(plaintext) + enc.finalize()
+    return key._enc.update(os.urandom(IV_SIZE) + plaintext)
 
 
 def decrypt_segment(key: ReplicaKey, unit: bytes) -> bytes:
     """Decrypt one stored unit. Wrong keys yield garbage, not an error;
     integrity comes from the digest check."""
-    dec = Cipher(algorithms.AES(key.secret), modes.CBC(unit[:IV_SIZE])).decryptor()
-    return dec.update(unit[IV_SIZE:]) + dec.finalize()
+    if len(unit) < 2 * IV_SIZE or len(unit) % 16 != 0:
+        raise ValueError(f"stored unit length {len(unit)} is not an IV plus whole blocks")
+    return key._dec.update(unit)[IV_SIZE:]
 
 
 def encrypt_stream(key: ReplicaKey, padded: bytes, segment_size: int) -> bytes:
@@ -78,8 +122,7 @@ def encrypt_stream(key: ReplicaKey, padded: bytes, segment_size: int) -> bytes:
     ``segmentation.pad_to_segments``). Output length is
     (len(padded)/S) * (S + 16).
     """
-    if segment_size % 16 != 0:
-        raise ValueError("segment size must be a multiple of 16")
+    _check_segment_size(segment_size)
     if len(padded) % segment_size != 0:
         raise ValueError("input is not a whole number of segments")
     count = len(padded) // segment_size
@@ -91,22 +134,18 @@ def encrypt_stream(key: ReplicaKey, padded: bytes, segment_size: int) -> bytes:
     buf = np.empty((count, unit), dtype=np.uint8)
     buf[:, :IV_SIZE] = np.frombuffer(os.urandom(IV_SIZE * count), dtype=np.uint8).reshape(count, IV_SIZE)
     buf[:, IV_SIZE:] = np.frombuffer(padded, dtype=np.uint8).reshape(count, segment_size)
-    enc = Cipher(algorithms.AES(key.secret), modes.CBC(os.urandom(IV_SIZE))).encryptor()
-    return enc.update(buf.tobytes()) + enc.finalize()
+    return key._enc.update(buf.tobytes())
 
 
 def decrypt_stream(key: ReplicaKey, units: bytes, segment_size: int) -> bytes:
     """Decrypt concatenated stored units back to the padded segment run."""
+    _check_segment_size(segment_size)
     unit = IV_SIZE + segment_size
     if len(units) % unit != 0:
         raise ValueError("input is not a whole number of stored units")
     if not units:
         return b""
-    # one CBC pass over the whole run: each unit's ciphertext is chained
-    # off its own IV, which immediately precedes it in the stream, so
-    # every block except the per-unit IV slot decrypts correctly
-    dec = Cipher(algorithms.AES(key.secret), modes.CBC(bytes(IV_SIZE))).decryptor()
-    plain = dec.update(units) + dec.finalize()
+    plain = key._dec.update(units)
     count = len(units) // unit
     return np.frombuffer(plain, dtype=np.uint8).reshape(count, unit)[:, IV_SIZE:].tobytes()
 

@@ -35,6 +35,10 @@ class DurabilityError(WalError):
     """A backend failed to persist data; the write is not committed."""
 
 
+class StorageNotFound(WalError):
+    """The directory a backend or recovery reads does not exist."""
+
+
 class RecoveryCorruption(WalError):
     """Recovery hit a non-zero word that cannot be a record header."""
 

@@ -29,7 +29,7 @@ import struct
 from pathlib import Path
 
 from . import crypto
-from .errors import DurabilityError
+from .errors import DurabilityError, StorageNotFound
 from .observe import StorageTrace
 from .records import LogRecord, Lsn, scan_padded_stream
 from .segmentation import check_segment_size, pad_to_segments
@@ -46,8 +46,12 @@ def epoch_filename(prefix: str, fid: int) -> str:
 def list_epoch_fids(root: Path, prefix: str) -> list[int]:
     """Sorted fids of the ``<prefix>.<10-digit fid>`` files in ``root``.
     Any other name, such as a temp file or a backup copy, is ignored."""
-    name = re.compile(rf"{re.escape(prefix)}\.(\d{{10}})")
-    return sorted(int(m.group(1)) for entry in root.iterdir() if (m := name.fullmatch(entry.name)))
+    try:
+        names = os.listdir(root)
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise StorageNotFound(f"{root} is not a directory") from exc
+    pattern = re.compile(rf"{re.escape(prefix)}\.(\d{{10}})")
+    return sorted(int(m.group(1)) for name in names if (m := pattern.fullmatch(name)))
 
 
 def journal_filename(fid: int) -> str:
@@ -258,6 +262,16 @@ def recover_journal(root: str | Path, key: crypto.ReplicaKey, segment_size: int)
     return scan_padded_stream(plaintext_stream(root, key, segment_size))
 
 
+def recover_plain(root: str | Path) -> list[LogRecord]:
+    """Scan the newest plain journal file (see ``PlainJournalBackend``).
+    Reads only: a directory with no journal file recovers nothing."""
+    root = Path(root)
+    fids = list_journal_fids(root)
+    if not fids:
+        return []
+    return scan_padded_stream((root / journal_filename(fids[-1])).read_bytes())
+
+
 class PlainJournalBackend:
     """Unsegmented baseline: slot flushes land on disk byte-for-byte.
 
@@ -314,7 +328,7 @@ class PlainJournalBackend:
         self._fh.close()
 
     def recover(self) -> list[LogRecord]:
-        return scan_padded_stream((self.root / journal_filename(self._fid)).read_bytes())
+        return recover_plain(self.root)
 
     def stats(self) -> BackendStats:
         return BackendStats(self.trace.total_bytes(StorageTrace.JOURNAL), 0, 0)

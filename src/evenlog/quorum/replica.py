@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..crypto import IV_SIZE
 from ..errors import SegmentNotFound
@@ -22,15 +23,14 @@ _SID = struct.Struct("<IIII")
 SID_SIZE = _SID.size
 
 
-@dataclass(frozen=True, order=True)
-class SegmentId:
+class SegmentId(NamedTuple):
     fid: int
     ssn: int
     sn: int
     reserved: int = 0
 
     def pack(self) -> bytes:
-        return _SID.pack(self.fid, self.ssn, self.sn, self.reserved)
+        return _SID.pack(*self)
 
     @classmethod
     def unpack(cls, data: bytes) -> "SegmentId":

@@ -92,6 +92,37 @@ class TestRecover:
         assert code == 0
         assert json.loads(out)["records"] == 7
 
+    @pytest.mark.parametrize("scheme", ["journal", "plain"])
+    def test_missing_dir_is_operational_error(self, capsys, tmp_path, monkeypatch, scheme):
+        monkeypatch.setenv("EVENLOG_KEY", MASTER.hex())
+        missing = tmp_path / "missing"
+        code, out, err = run_cli(capsys, "recover", "--scheme", scheme, "--dir", str(missing))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("scheme", ["journal", "plain"])
+    def test_recover_leaves_tree_unchanged(self, capsys, tmp_path, monkeypatch, scheme):
+        monkeypatch.setenv("EVENLOG_KEY", MASTER.hex())
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        full = tmp_path / "full"
+        code, _, _ = run_cli(
+            capsys, "bench", "seq", "--scheme", scheme, "--dist", "constant:80", "--ops", "5",
+            "--dir", str(full),
+        )
+        assert code == 0
+
+        def tree():
+            return sorted((str(p.relative_to(tmp_path)), p.stat().st_size, p.stat().st_mtime_ns)
+                          for p in tmp_path.rglob("*"))
+
+        before = tree()
+        for root, records in ((empty, 0), (full, 5)):
+            code, out, _ = run_cli(capsys, "recover", "--scheme", scheme, "--dir", str(root), "--out", "json")
+            assert code == 0 and json.loads(out)["records"] == records
+        assert tree() == before
+
 
 class TestAttackPipeline:
     def test_gen_train_eval_roundtrip(self, capsys, tmp_path):

@@ -1,8 +1,11 @@
 """Segment encryption, digests, and key supply."""
 
 import os
+import sys
+import threading
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from evenlog import crypto
 from evenlog.errors import KeyNotFound
@@ -76,6 +79,70 @@ class TestStreamBatch:
             crypto.encrypt_stream(key, os.urandom(100), 128)
         with pytest.raises(ValueError):
             crypto.decrypt_stream(key, os.urandom(145), 128)
+
+
+class TestSharedContexts:
+    """Each key keeps one encryptor and one decryptor for its whole life."""
+
+    def test_misaligned_unit_rejected_and_context_intact(self, key):
+        seg = os.urandom(128)
+        unit = crypto.encrypt_segment(key, seg)
+        with pytest.raises(ValueError):
+            crypto.decrypt_segment(key, unit + b"x")
+        with pytest.raises(ValueError):
+            crypto.decrypt_segment(key, unit[:16])
+        assert crypto.decrypt_segment(key, unit) == seg
+
+    def test_misaligned_segment_size_rejected(self, key):
+        seg = os.urandom(128)
+        unit = crypto.encrypt_segment(key, seg)
+        with pytest.raises(ValueError):
+            crypto.decrypt_stream(key, os.urandom(116 * 3), 100)
+        with pytest.raises(ValueError):
+            crypto.decrypt_stream(key, os.urandom(200), 100)
+        assert crypto.decrypt_segment(key, unit) == seg
+
+    def test_iv_is_not_previous_ciphertext_block(self, key):
+        for _ in range(100):
+            a = crypto.encrypt_segment(key, os.urandom(128))
+            b = crypto.encrypt_segment(key, os.urandom(128))
+            assert b[:16] != a[-16:]
+
+    def test_unit_decrypts_with_one_shot_cipher(self, key):
+        seg = os.urandom(128)
+        unit = crypto.encrypt_segment(key, seg)
+        dec = Cipher(algorithms.AES(key.secret), modes.CBC(unit[:16])).decryptor()
+        assert dec.update(unit[16:]) + dec.finalize() == seg
+
+    def test_one_shot_unit_decrypts(self, key):
+        seg, iv = os.urandom(128), os.urandom(16)
+        enc = Cipher(algorithms.AES(key.secret), modes.CBC(iv)).encryptor()
+        unit = iv + enc.update(seg) + enc.finalize()
+        assert crypto.decrypt_segment(key, unit) == seg
+        assert crypto.decrypt_stream(key, unit + unit, 128) == seg + seg
+
+    def test_concurrent_roundtrips_on_one_key(self, key):
+        failures = []
+
+        def roundtrips():
+            for _ in range(500):
+                padded = os.urandom(64 * 3)
+                units = crypto.split_units(crypto.encrypt_stream(key, padded, 64), 64)
+                if b"".join(crypto.decrypt_segment(key, u) for u in units) != padded:
+                    failures.append(padded)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=roundtrips) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
 
 
 class TestDigest:
