@@ -159,7 +159,7 @@ def cmd_recover(args, config) -> int:
         records = recover_journal(args.dir, _key_provider().get("default"), segment)
     payload = {
         "records": len(records),
-        "bytes": sum(r.header.length for r in records),
+        "bytes": sum(r.length for r in records),
         "checkpoints": sum(1 for r in records if r.is_checkpoint),
     }
     _emit(args, config, payload, [f"{k}  {v}" for k, v in payload.items()])

@@ -316,6 +316,8 @@ def _fetch_verified(sid, entry, key, channels, segment_size) -> bytes:
         except SegmentNotFound:
             continue
         saw_data = True
+        if len(unit) != crypto.IV_SIZE + segment_size:
+            continue  # a bad copy, like one that fails its digest
         plaintext = crypto.decrypt_segment(key, unit)
         if crypto.digest_segment(plaintext) == entry.digest:
             return plaintext

@@ -13,16 +13,18 @@ distinguish records from padding.
 
 from __future__ import annotations
 
+import re
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import CorruptRecord, MalformedHeader, RecordTooLarge, RecoveryCorruption, TruncatedRecord
 
 HEADER_SIZE = 16
 _HEADER = struct.Struct("<IIII")
 _U32_MAX = 0xFFFFFFFF
+# zero padding between records: whole 4-byte words, possibly none
+_ZERO_WORDS = re.compile(rb"(?:\x00\x00\x00\x00)*")
 
 # flags bitfield
 FLAG_CHECKPOINT = 0x1
@@ -51,46 +53,28 @@ def encoded_record_size(payload_len: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class RecordHeader:
-    length: int
-    checksum: int
-    flags: int
-    reserved: int = 0
+class LogRecord(NamedTuple):
+    """One decoded record. ``payload`` stays zero-padded to a multiple of
+    4, as stored, so ``length`` (header plus payload) is derived: it
+    equals the header's length field."""
 
-
-@dataclass(frozen=True)
-class LogRecord:
-    header: RecordHeader
     payload: bytes
+    flags: int = 0
 
     @property
-    def flags(self) -> int:
-        return self.header.flags
+    def length(self) -> int:
+        return HEADER_SIZE + len(self.payload)
 
     @property
     def is_checkpoint(self) -> bool:
-        return bool(self.header.flags & FLAG_CHECKPOINT)
+        return bool(self.flags & FLAG_CHECKPOINT)
 
 
-class Lsn(tuple):
+class Lsn(NamedTuple):
     """Log sequence number: (file_id, byte offset in the record stream)."""
 
-    __slots__ = ()
-
-    def __new__(cls, file_id: int, offset: int):
-        return super().__new__(cls, (file_id, offset))
-
-    @property
-    def file_id(self) -> int:
-        return self[0]
-
-    @property
-    def offset(self) -> int:
-        return self[1]
-
-    def __repr__(self) -> str:
-        return f"Lsn(file_id={self[0]}, offset={self[1]})"
+    file_id: int
+    offset: int
 
 
 def encode_record(payload: bytes, flags: int = 0) -> bytes:
@@ -109,7 +93,7 @@ def decode_record(buf, offset: int = 0) -> tuple[LogRecord, int]:
     """
     if len(buf) - offset < HEADER_SIZE:
         raise TruncatedRecord(f"{len(buf) - offset} bytes left, header needs {HEADER_SIZE}")
-    length, crc, flags, reserved = _HEADER.unpack_from(buf, offset)
+    length, crc, flags, _ = _HEADER.unpack_from(buf, offset)
     if length < HEADER_SIZE or length % 4 != 0:
         raise MalformedHeader(f"record length {length} at offset {offset}")
     if len(buf) - offset < length:
@@ -117,7 +101,7 @@ def decode_record(buf, offset: int = 0) -> tuple[LogRecord, int]:
     payload = bytes(buf[offset + HEADER_SIZE : offset + length])
     if checksum(payload) != crc:
         raise CorruptRecord(f"checksum mismatch at offset {offset}")
-    return LogRecord(RecordHeader(length, crc, flags, reserved), payload), offset + length
+    return LogRecord(payload, flags), offset + length
 
 
 def iter_records(buf) -> Iterator[LogRecord]:
@@ -138,23 +122,33 @@ def scan_padded_stream(buf) -> list[LogRecord]:
     the stream, or whose checksum fails, is treated as a torn tail:
     scanning stops at the last good record. A non-zero word that cannot
     be a header is corruption, not padding, and raises.
+
+    Padding is skipped by one regex match per gap: it matches whole zero
+    words only, so it stops on a word boundary, and runs in C on the
+    buffer without copying it. The record checks are ``decode_record``'s.
     """
     records: list[LogRecord] = []
+    skip_zeros = _ZERO_WORDS.match
+    unpack = _HEADER.unpack_from
+    crc32 = zlib.crc32
     offset = 0
     n = len(buf)
-    while offset + 4 <= n:
-        word = buf[offset : offset + 4]
-        if word == b"\x00\x00\x00\x00":
-            offset += 4
-            continue
-        length = int.from_bytes(word, "little")
+    while True:
+        offset = skip_zeros(buf, offset).end()
+        if n - offset >= HEADER_SIZE:
+            length, crc, flags, _ = unpack(buf, offset)
+        elif n - offset >= 4:
+            length = int.from_bytes(buf[offset : offset + 4], "little")  # a torn header
+        else:
+            break
         if length < HEADER_SIZE or length % 4 != 0:
             raise RecoveryCorruption(f"implausible record length {length}", offset)
-        if offset + length > n:
+        end = offset + length
+        if end > n:
             break  # torn tail
-        try:
-            record, offset = decode_record(buf, offset)
-        except CorruptRecord:
+        payload = bytes(buf[offset + HEADER_SIZE : end])
+        if crc32(payload) != crc:
             break  # torn tail
-        records.append(record)
+        records.append(LogRecord(payload, flags))
+        offset = end
     return records

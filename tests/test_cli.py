@@ -1,10 +1,14 @@
 """Command-line interface: outputs, exit codes, config file handling."""
 
 import json
+import struct
 
 import pytest
 
 from evenlog.cli import main
+from evenlog.engine import WalEngine
+from evenlog.journal import JournalBackend
+from evenlog.records import FLAG_CHECKPOINT, encoded_record_size
 
 from .conftest import MASTER
 
@@ -91,6 +95,23 @@ class TestRecover:
         code, out, _ = run_cli(capsys, "recover", "--dir", str(tmp_path), "--out", "json")
         assert code == 0
         assert json.loads(out)["records"] == 7
+
+    def test_recover_reports_bytes_and_checkpoints(self, capsys, tmp_path, monkeypatch, key):
+        monkeypatch.setenv("EVENLOG_KEY", MASTER.hex())
+        payloads = [b"a", b"bb" * 50, b"c" * 129]
+        checkpoint = struct.pack("<Q", 1)
+        engine = WalEngine(JournalBackend(tmp_path, key, sync=False))
+        for p in payloads:
+            engine.append(p)
+        engine.append(checkpoint, flags=FLAG_CHECKPOINT)
+        engine.close()
+        code, out, _ = run_cli(capsys, "recover", "--dir", str(tmp_path), "--out", "json")
+        assert code == 0
+        assert json.loads(out) == {
+            "records": 4,
+            "bytes": sum(encoded_record_size(len(p)) for p in payloads + [checkpoint]),
+            "checkpoints": 1,
+        }
 
     @pytest.mark.parametrize("scheme", ["journal", "plain"])
     def test_missing_dir_is_operational_error(self, capsys, tmp_path, monkeypatch, scheme):

@@ -203,6 +203,35 @@ class TestRecovery:
         backend.replicas[holders[0]].corrupt(sid)
         assert [r.payload for r in backend.recover()] == [pad4(payloads[0])]
 
+    @staticmethod
+    def truncate_copy(replica, sid):
+        held = replica._store[sid]
+        held.unit = held.unit[:-1]
+
+    def test_short_first_copy_falls_back_to_next(self, tmp_path, key):
+        backend, payloads = self.commit_some(tmp_path, key)
+        sid = SegmentId(backend.current_file_id, 0, 0)
+        reads = []
+        for rep in backend.replicas.values():
+            def read(s, rep=rep, real=rep.read):
+                reads.append((rep.replica_id, s))
+                return real(s)
+            rep.read = read
+        backend.recover()
+        first = next(rid for rid, s in reads if s == sid)
+        self.truncate_copy(backend.replicas[first], sid)
+        assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
+
+    def test_every_copy_short_raises_integrity(self, tmp_path, key):
+        backend, _ = self.commit_some(tmp_path, key, n_slots=1)
+        sid = SegmentId(backend.current_file_id, 0, 0)
+        holders = [rep for rep in backend.replicas.values() if rep.has(sid)]
+        assert len(holders) >= 2
+        for rep in holders:
+            self.truncate_copy(rep, sid)
+        with pytest.raises(IntegrityFailure):
+            backend.recover()
+
     def test_all_recorded_replicas_dead_is_unrecoverable(self, tmp_path, key):
         backend, _ = self.commit_some(tmp_path, key, n_slots=1)
         sid = SegmentId(backend.current_file_id, 0, 0)

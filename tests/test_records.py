@@ -1,5 +1,6 @@
 """Record codec and stream scanners."""
 
+import random
 import struct
 
 import pytest
@@ -22,6 +23,7 @@ from evenlog.records import (
     iter_records,
     scan_padded_stream,
 )
+from evenlog.journal import PlainJournalBackend, recover_plain
 
 from .conftest import pad4
 
@@ -157,3 +159,73 @@ class TestScanPaddedStream:
     def test_sub_word_tail_ignored(self):
         stream = encode_record(b"done") + b"\x00\x00"
         assert len(scan_padded_stream(stream)) == 1
+
+    def test_slot_sized_zero_run_between_records(self, tmp_path):
+        slot = 128 * 1024
+        backend = PlainJournalBackend(tmp_path, pad_to=slot, sync=False)
+        backend.persist_slot(encode_record(b"first"))
+        backend.persist_slot(encode_record(b"second", FLAG_CHECKPOINT))
+        backend.close()
+        assert recover_plain(tmp_path) == [(pad4(b"first"), 0), (pad4(b"second"), FLAG_CHECKPOINT)]
+
+
+def reference_scan(buf):
+    """The padded-stream scanner written out word by word, kept as the
+    oracle: skip one all-zero word at a time, raise on an implausible
+    length, stop at a record that runs past the end or fails its CRC."""
+    records, offset = [], 0
+    while offset + 4 <= len(buf):
+        word = bytes(buf[offset : offset + 4])
+        if word == b"\x00" * 4:
+            offset += 4
+            continue
+        length = int.from_bytes(word, "little")
+        if length < HEADER_SIZE or length % 4 != 0:
+            raise RecoveryCorruption(f"implausible record length {length}", offset)
+        if offset + length > len(buf):
+            break
+        try:
+            record, offset = decode_record(buf, offset)
+        except CorruptRecord:
+            break
+        records.append((record.payload, record.flags))
+    return records
+
+
+@st.composite
+def padded_streams(draw):
+    """Records (some 256 B multiples long, so their first byte is zero)
+    with zero-word gaps of 0-31 words or over 4 KiB, a 0-3 byte tail, and
+    at most one truncation, bit flip or inserted garbage word."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    parts = []
+    for _ in range(draw(st.integers(0, 6))):
+        parts.append(b"\x00" * 4 * draw(st.one_of(st.integers(0, 31), st.integers(1025, 1100))))
+        size = draw(st.one_of(st.integers(1, 300), st.sampled_from([240, 496, 1008, 65520])))
+        parts.append(encode_record(rng.randbytes(size), draw(st.sampled_from([0, FLAG_CHECKPOINT]))))
+    parts.append(rng.randbytes(draw(st.integers(0, 3))))
+    buf = bytearray(b"".join(parts))
+    fault = draw(st.sampled_from(["none", "truncate", "flip", "garbage"]))
+    if buf and fault == "truncate":
+        del buf[draw(st.integers(0, len(buf) - 1)):]
+    elif buf and fault == "flip":
+        buf[draw(st.integers(0, len(buf) - 1))] ^= 1 << draw(st.integers(0, 7))
+    elif fault == "garbage":
+        at = 4 * draw(st.integers(0, len(buf) // 4))
+        buf[at:at] = rng.randbytes(4)
+    return bytes(buf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=padded_streams(), kind=st.sampled_from([bytes, bytearray, memoryview]))
+def test_scan_matches_word_by_word_reference(stream, kind):
+    try:
+        expected = reference_scan(stream)
+    except RecoveryCorruption as exc:
+        with pytest.raises(RecoveryCorruption) as exc_info:
+            scan_padded_stream(kind(stream))
+        assert (str(exc_info.value), exc_info.value.offset) == (str(exc), exc.offset)
+        return
+    records = scan_padded_stream(kind(stream))
+    assert records == expected
+    assert all(type(r.payload) is bytes for r in records)
