@@ -15,7 +15,6 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -68,25 +67,6 @@ class BenchReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    CSV_FIELDS = (
-        "ops", "throughput_ops", "p50_us", "p95_us", "p99_us",
-        "bytes_written_actual", "bytes_padded", "bytes_written_baseline",
-        "iv_overhead_bytes", "bytes_fake", "relative_cost", "naive_bytes",
-        "naive_cost", "recovery_time_ms", "recovered_records",
-    )
-
-    def to_csv_row(self) -> list:
-        return [getattr(self, f) for f in self.CSV_FIELDS]
-
-    @classmethod
-    def write_csv(cls, path: str | Path, reports: list["BenchReport"]) -> None:
-        import csv
-
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(cls.CSV_FIELDS)
-            writer.writerows(r.to_csv_row() for r in reports)
 
 
 def _percentiles(latencies: list[float]) -> tuple[float, float, float]:
@@ -216,11 +196,3 @@ def measure_recovery(engine: WalEngine, crash_point: int, payloads) -> RecoveryR
     elapsed = time.perf_counter() - t0
     recovered = [r.payload for r in records if not r.is_checkpoint]
     return RecoveryResult(elapsed, len(recovered), len(committed), recovered == committed)
-
-
-def write_tsv(path: str | Path, header: list[str], rows) -> None:
-    """Plot-friendly TSV (column header line, then tab-separated rows)."""
-    with open(path, "w") as f:
-        f.write("\t".join(header) + "\n")
-        for row in rows:
-            f.write("\t".join(str(x) for x in row) + "\n")

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import struct
 
-from .journal import CheckpointMarker
 from .records import FLAG_CHECKPOINT, encode_record
-from .slots import AppendResult, DurabilityBackend, FlushPolicy, FlushReceipt, PeriodicFlusher, Slot
+from .slots import (
+    AppendResult, CheckpointMarker, DurabilityBackend, FlushPolicy, FlushReceipt, PeriodicFlusher, Slot,
+)
 
 
 class WalEngine:

@@ -18,7 +18,9 @@ bytes, little-endian:
 slot path; ``JournalBackend.checkpoint`` then creates the next journal
 file and commits by atomically replacing the sidecar (write-temp-then-
 rename). A crash anywhere before the rename leaves the previous
-checkpoint in force.
+checkpoint in force. Only after the rename does the checkpoint delete
+the files below the sidecar fid; recovery never reads them, so one
+that survives a crash is harmless and the next checkpoint deletes it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import DurabilityError, StorageNotFound
 from .observe import StorageTrace
 from .records import LogRecord, Lsn, scan_padded_stream
 from .segmentation import check_segment_size, pad_to_segments
-from .slots import BackendStats
+from .slots import BackendStats, CheckpointMarker
 
 SIDECAR_NAME = "CHECKPOINT"
 _SIDECAR = struct.Struct("<QIQ")
@@ -73,7 +75,8 @@ def read_sidecar(root: Path) -> tuple[int, int, int] | None:
     return _SIDECAR.unpack(data)
 
 
-def _fsync_dir(root: Path) -> None:
+def fsync_dir(root: Path) -> None:
+    """Make the directory's entries (created, renamed files) durable."""
     fd = os.open(root, os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -81,13 +84,13 @@ def _fsync_dir(root: Path) -> None:
         os.close(fd)
 
 
-class CheckpointMarker:
-    def __init__(self, ckpt_id: int, lsn: Lsn):
-        self.ckpt_id = ckpt_id
-        self.lsn = lsn
-
-    def __repr__(self):
-        return f"CheckpointMarker(ckpt_id={self.ckpt_id}, lsn={self.lsn})"
+def delete_epochs_before(root: Path, prefix: str, fid: int) -> None:
+    """Unlink every ``<prefix>.<fid>`` file below ``fid``. The caller has
+    already made epoch ``fid`` durable, so recovery no longer reads them."""
+    for old in list_epoch_fids(root, prefix):
+        if old >= fid:
+            break
+        (root / epoch_filename(prefix, old)).unlink()
 
 
 class JournalBackend:
@@ -175,14 +178,15 @@ class JournalBackend:
         self._offset += len(units)
         return lsn
 
-    # -- checkpoints, recovery and garbage collection -------------------------
+    # -- checkpoints (the one place files are deleted) and recovery ----------
 
     @property
     def last_checkpoint_id(self) -> int:
         return self._ckpt_id
 
     def checkpoint(self, ckpt_id: int) -> CheckpointMarker:
-        """Rotate to a fresh file and atomically commit the sidecar.
+        """Rotate to a fresh file, atomically commit the sidecar, then
+        delete the files below it.
 
         The caller must already have flushed the checkpoint record (see
         ``WalEngine.checkpoint``). The next file is created before the
@@ -193,12 +197,13 @@ class JournalBackend:
         self._write_sidecar(ckpt_id, next_fid, 0)
         self._open_file(next_fid)
         self._ckpt_id = ckpt_id
+        delete_epochs_before(self.root, "journal", next_fid)
         return CheckpointMarker(ckpt_id, Lsn(next_fid, 0))
 
     def _create_file(self, fid: int) -> None:
         (self.root / journal_filename(fid)).touch()
         if self.sync:
-            _fsync_dir(self.root)
+            fsync_dir(self.root)
 
     def _write_sidecar(self, ckpt_id: int, fid: int, offset: int) -> None:
         tmp = self.root / (SIDECAR_NAME + ".tmp")
@@ -209,27 +214,11 @@ class JournalBackend:
                 os.fsync(f.fileno())
         os.replace(tmp, self.root / SIDECAR_NAME)
         if self.sync:
-            _fsync_dir(self.root)
+            fsync_dir(self.root)
         self.trace.record(StorageTrace.METADATA, _SIDECAR.size)
 
     def recover(self) -> list[LogRecord]:
         return recover_journal(self.root, self.key, self.segment_size)
-
-    def gc(self) -> int:
-        """Delete journal files older than the checkpoint. Idempotent."""
-        sidecar = read_sidecar(self.root)
-        if sidecar is None:
-            return 0
-        _, ckpt_fid, _ = sidecar
-        deleted = 0
-        for fid in list_journal_fids(self.root):
-            if fid < ckpt_fid and fid != self._fid:
-                try:
-                    (self.root / journal_filename(fid)).unlink()
-                    deleted += 1
-                except FileNotFoundError:
-                    pass
-        return deleted
 
 
 def plaintext_stream(root: str | Path, key: crypto.ReplicaKey, segment_size: int) -> bytes:
@@ -279,8 +268,8 @@ class PlainJournalBackend:
     flush, exactly the side channel the segmented backend closes. With
     ``pad_to`` at the slot capacity it is the rejected mitigation: one
     write size, but two orders of magnitude of write amplification for
-    small sequential writes. A checkpoint starts the next file; recovery
-    reads the newest one.
+    small sequential writes. A checkpoint starts the next file and
+    deletes the older ones; recovery reads the newest one.
     """
 
     def __init__(self, root: str | Path, pad_to: int | None = None,
@@ -321,7 +310,8 @@ class PlainJournalBackend:
         self._fid += 1
         self._fh = open(self.root / journal_filename(self._fid), "ab")
         if self.sync:
-            _fsync_dir(self.root)
+            fsync_dir(self.root)
+        delete_epochs_before(self.root, "journal", self._fid)
         return CheckpointMarker(ckpt_id, Lsn(self._fid, 0))
 
     def close(self) -> None:

@@ -1,5 +1,5 @@
 """Quorum-replicated durability: cooperative replicas, selection schemes,
-triplet metadata, and recovery assembly, simulated on a logical clock."""
+triplet metadata, and recovery assembly, simulated in process."""
 
 from .backend import QuorumBackend, QuorumConfig
 from .metadata import MetadataArray, MetadataEntry, SENTINEL

@@ -10,7 +10,10 @@ appended to the metadata file and synced before the commit is reported.
 
 Replicas and the network are simulated in process: deliveries are
 ordered by seeded pseudo-random latencies, so a run is reproducible
-given its seed. Time is a logical clock advanced only by the driver.
+given its seed.
+
+A checkpoint starts the next metadata epoch and, once that is durable,
+deletes the older epochs and has the replicas drop their segments.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ from typing import Mapping
 
 from .. import crypto
 from ..errors import CommitTimeout, DurabilityError, IntegrityFailure, SegmentNotFound, UnrecoverableSegment
-from ..journal import CheckpointMarker, epoch_filename, list_epoch_fids
+from ..journal import delete_epochs_before, epoch_filename, fsync_dir, list_epoch_fids
 from ..observe import StorageTrace
 from ..records import LogRecord, Lsn, scan_padded_stream
 from ..segmentation import check_segment_size, segment_slot
-from ..slots import BackendStats
+from ..slots import BackendStats, CheckpointMarker
 from .metadata import MetadataArray, serialized_size
 from .registry import Registry
 from .replica import Replica, SegmentId
@@ -39,22 +42,12 @@ def metadata_filename(fid: int) -> str:
     return epoch_filename("metadata", fid)
 
 
-class LogicalClock:
-    def __init__(self, now: float = 0.0):
-        self.now = now
-
-    def advance(self, dt: float) -> float:
-        self.now += dt
-        return self.now
-
-
 @dataclass
 class QuorumConfig:
     write_quorum: int = 2                 # acks required per real segment
     tolerable_failures: int = 1           # failures per group the commit survives
     segment_size: int = 128
     max_write_size: int = 1024            # bounds segments per write: K = MS / S
-    checkpoint_interval: float = 60.0     # logical seconds between checkpoints
 
     @property
     def k_max(self) -> int:
@@ -94,7 +87,6 @@ class QuorumBackend:
         scheme: SelectionScheme = SelectionScheme.VNOS,
         seed: int = 0,
         trace: StorageTrace | None = None,
-        clock: LogicalClock | None = None,
         channels: Mapping[int, object] | None = None,  # default: the replicas, called in process
         client_id: str = "client-0",
         sync: bool = True,
@@ -107,16 +99,15 @@ class QuorumBackend:
         self.config = (config or QuorumConfig(segment_size=128)).validate()
         self.scheme = scheme
         self.trace = trace if trace is not None else StorageTrace()
-        self.clock = clock or LogicalClock()
         self.client_id = client_id
         self.sync = sync
         self._rng = random.Random(seed)
-        self._last_commit_latency = 0.0
         self._channels = dict(channels) if channels is not None else self.replicas
 
         # quorum groups are fixed for the life of this backend; per-write
-        # selection draws from this candidate list
-        active = registry.list_active(self.clock.now) - {client_id}
+        # selection draws from this candidate list. Members register at
+        # logical time 0.
+        active = registry.list_active(0.0) - {client_id}
         self.groups = form_quorums(active, self._rng)
 
         existing = list_epoch_fids(self.root, "metadata")
@@ -189,7 +180,7 @@ class QuorumBackend:
         for i in range(n_real):
             array.assign(i, placements[i].quorum, digests[i])
 
-        self._deliver(array, placements, units, digests, ssn, n_real)
+        commit_latency = self._deliver(array, placements, units, digests, ssn, n_real)
 
         blob = crypto.encrypt_segment(self.key, array.to_bytes())
         try:
@@ -203,13 +194,14 @@ class QuorumBackend:
         self._ssn += 1
         self.real_segments += n_real
         self.fake_segments += len(fakes)
-        return CommitReceipt(ssn, n_real, len(fakes), self._last_commit_latency)
+        return CommitReceipt(ssn, n_real, len(fakes), commit_latency)
 
-    def _deliver(self, array, placements, units, digests, ssn, n_real) -> None:
+    def _deliver(self, array, placements, units, digests, ssn, n_real) -> float:
         """Simulated concurrent replication: one send per (segment, replica),
         delivered in seeded-latency order. Acknowledgements for real
         segments update the metadata array until every real segment is
-        committed; fake-segment responses are never waited on."""
+        committed; fake-segment responses are never waited on. Returns
+        the latency at which the last real segment committed."""
         cfg = self.config
         # (latency, send order, segment position, replica): the unique order settles ties
         deliveries = []
@@ -224,7 +216,7 @@ class QuorumBackend:
         committed_at = None
         for latency, _, pos, replica_id in deliveries:
             self.trace.record(StorageTrace.REPLICA, msg_size)
-            acked = self._channels[replica_id].store(sids[pos], units[pos], digests[pos], self.clock.now)
+            acked = self._channels[replica_id].store(sids[pos], units[pos], digests[pos])
             if acked and pos < n_real and committed_at is None:  # placements past n_real are fake
                 entry = array.update(pos, replica_id)
                 if entry.committed(cfg.write_quorum):
@@ -235,32 +227,28 @@ class QuorumBackend:
             raise CommitTimeout(
                 f"segments {sorted(pending)} of slot {ssn} never reached {cfg.write_quorum} acks"
             )
-        self._last_commit_latency = committed_at if committed_at is not None else 0.0
+        return committed_at if committed_at is not None else 0.0
 
-    # -- checkpointing / gc ---------------------------------------------------
+    # -- checkpointing: the one place anything is deleted ---------------------
 
     last_checkpoint_id = current_file_id  # epoch n starts at checkpoint n
 
     def checkpoint(self, ckpt_id: int) -> CheckpointMarker:
-        """Start a fresh metadata epoch; earlier epochs become garbage."""
+        """Start a fresh metadata epoch, make it durable, then delete the
+        older epochs and have every replica drop the segments below it.
+
+        A dead replica ignores the drop, as it ignores a store; once
+        revived, the next checkpoint collects its old segments. A client
+        that never checkpoints keeps all of its segments. A segment id
+        carries no client id, so this assumes one client per replica set.
+        """
         self._open_metadata(self._fid + 1)
+        if self.sync:
+            fsync_dir(self.root)  # the new epoch must outlive a crash before the old one goes
+        delete_epochs_before(self.root, "metadata", self._fid)
+        for replica in self.replicas.values():
+            replica.drop_before(self._fid)
         return CheckpointMarker(ckpt_id, Lsn(self._fid, 0))
-
-    def sweep_old_epochs(self) -> int:
-        old = [fid for fid in list_epoch_fids(self.root, "metadata") if fid < self._fid]
-        for fid in old:
-            (self.root / metadata_filename(fid)).unlink()
-        return len(old)
-
-    def run_replica_gc(self, t: float | None = None) -> int:
-        """Each replica drops segments older than one checkpoint interval,
-        unless the owning client has gone quiet (its segments are kept
-        for recovery)."""
-        now = self.clock.now if t is None else t
-        return sum(
-            rep.gc(now, self.registry, self.client_id, self.config.checkpoint_interval)
-            for rep in self.replicas.values()
-        )
 
     # -- recovery --------------------------------------------------------------
 

@@ -1,16 +1,14 @@
 """Replica registry with lease-style liveness, on a logical clock.
 
-Members renew their lease by heartbeating every 30 logical seconds; a
-member that has not been heard from for more than 90 logical seconds is
-taken out of the active set. Time never advances on its own: the
-simulation driver passes logical timestamps in.
+Members renew their lease by heartbeating; a member that has not been
+heard from for more than 90 logical seconds is taken out of the active
+set. Time never advances on its own: callers pass logical timestamps in.
 """
 
 from __future__ import annotations
 
 from ..errors import Unregistered
 
-HEARTBEAT_INTERVAL = 30
 EVICTION_HORIZON = 90
 
 

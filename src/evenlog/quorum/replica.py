@@ -12,7 +12,6 @@ segment's position in the slot.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..crypto import IV_SIZE
@@ -37,43 +36,37 @@ class SegmentId(NamedTuple):
         return cls(*_SID.unpack(data))
 
 
-@dataclass
-class _Held:
-    unit: bytes
-    digest: bytes
-    stored_at: float
-
-
 class Replica:
     """One peer in the cooperative service.
 
     ``alive`` models process liveness: a dead replica neither stores nor
     serves, and the transport layer sees no response from it. Stores are
-    idempotent per segment id.
+    idempotent per segment id; a segment is dropped only when its
+    client's checkpoint passes its epoch (``drop_before``).
     """
 
     def __init__(self, replica_id: int):
         self.replica_id = replica_id
         self.alive = True
-        self._store: dict[SegmentId, _Held] = {}
+        self._store: dict[SegmentId, tuple[bytes, bytes]] = {}  # sid -> (unit, digest)
 
     def __len__(self) -> int:
         return len(self._store)
 
-    def store(self, sid: SegmentId, unit: bytes, digest: bytes, now: float = 0) -> bool:
+    def store(self, sid: SegmentId, unit: bytes, digest: bytes) -> bool:
         """Hold a segment; returns the acknowledgement. Dead replicas
         return nothing (the sender times out instead)."""
         if not self.alive:
             return False
         if sid not in self._store:
-            self._store[sid] = _Held(unit, digest, now)
+            self._store[sid] = (unit, digest)
         return True
 
     def read(self, sid: SegmentId) -> bytes:
         if not self.alive:
             raise SegmentNotFound(f"replica {self.replica_id} is down")
         try:
-            return self._store[sid].unit
+            return self._store[sid][0]
         except KeyError:
             raise SegmentNotFound(f"replica {self.replica_id} has no segment {sid}") from None
 
@@ -82,10 +75,10 @@ class Replica:
 
     def corrupt(self, sid: SegmentId, flip_byte: int = 0) -> None:
         """Flip one ciphertext byte in a held unit (fault injection)."""
-        held = self._store[sid]
-        unit = bytearray(held.unit)
+        unit, digest = self._store[sid]
+        unit = bytearray(unit)
         unit[IV_SIZE + flip_byte] ^= 0xFF
-        held.unit = bytes(unit)
+        self._store[sid] = (bytes(unit), digest)
 
     def kill(self) -> None:
         self.alive = False
@@ -93,23 +86,20 @@ class Replica:
     def revive(self) -> None:
         self.alive = True
 
-    def gc(self, t: float, registry: Registry, owner_id, interval: float = 60) -> int:
-        """Drop segments older than one checkpoint interval, but only
-        while the owning client is still alive in the registry; a dead
-        client's segments are kept for its recovery."""
-        if not self.alive or not registry.is_active(owner_id, t):
-            return 0
-        stale = [sid for sid, held in self._store.items() if t - held.stored_at >= interval]
-        for sid in stale:
-            del self._store[sid]
-        return len(stale)
+    def drop_before(self, fid: int) -> None:
+        """Drop every segment of a metadata epoch below ``fid``, once the
+        client's checkpoint has made epoch ``fid`` durable. A dead replica
+        ignores this, as it ignores ``store``."""
+        if self.alive:
+            self._store = {sid: held for sid, held in self._store.items() if sid.fid >= fid}
 
 
-def build_cluster(n_replicas: int, client_id: str = "client-0", t: float = 0):
-    """Registry plus n live replicas and the client, all freshly registered."""
+def build_cluster(n_replicas: int, client_id: str = "client-0"):
+    """Registry plus n live replicas and the client, all registered at
+    logical time 0."""
     registry = Registry()
     replicas = {rid: Replica(rid) for rid in range(n_replicas)}
     for rid in replicas:
-        registry.register(rid, t)
-    registry.register(client_id, t)
+        registry.register(rid, 0)
+    registry.register(client_id, 0)
     return registry, replicas

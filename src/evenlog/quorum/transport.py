@@ -131,7 +131,7 @@ class SocketChannel:
         self._lock = threading.Lock()
         self.alive = True
 
-    def store(self, sid: SegmentId, unit: bytes, digest: bytes, now: float = 0) -> bool:
+    def store(self, sid: SegmentId, unit: bytes, digest: bytes) -> bool:
         body = sid.pack() + digest + unit
         with self._lock:
             try:

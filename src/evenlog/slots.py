@@ -11,12 +11,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Protocol
+from typing import NamedTuple, Protocol
 
 from .records import LogRecord, Lsn
-
-if TYPE_CHECKING:
-    from .journal import CheckpointMarker
 
 DEFAULT_SLOT_CAPACITY = 128 * 1024
 
@@ -30,11 +27,21 @@ class BackendStats(NamedTuple):
     framing_bytes: int
 
 
+class CheckpointMarker(NamedTuple):
+    """What ``checkpoint`` returns: the id and where the new epoch starts."""
+
+    ckpt_id: int
+    lsn: Lsn
+
+
 class DurabilityBackend(Protocol):
     """The contract of every backend. ``persist_slot`` makes one slot flush
     durable as a unit; ``checkpoint`` starts a new epoch once the caller
-    has flushed the flagged checkpoint record; ``recover`` returns the
-    records written since the last checkpoint."""
+    has flushed the flagged checkpoint record, and once that epoch is
+    durable deletes everything written before it; ``recover`` returns
+    the records written since the last checkpoint. Deletions happen only
+    at a checkpoint, so they reveal the checkpoint cadence, never a
+    record size."""
 
     @property
     def current_file_id(self) -> int: ...

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from evenlog.crypto import StaticKeyProvider
-from evenlog.quorum import build_cluster  # noqa: F401  (re-exported for the test modules)
+from evenlog.journal import JournalBackend
+from evenlog.quorum import QuorumBackend, build_cluster  # noqa: F401  (re-exported for the test modules)
 
 MASTER = b"unit-test-master-secret-32-bytes"
 
@@ -11,6 +12,19 @@ MASTER = b"unit-test-master-secret-32-bytes"
 def pad4(data: bytes) -> bytes:
     """Payloads come back from recovery padded to a multiple of 4."""
     return data + b"\x00" * ((-len(data)) % 4)
+
+
+def reopen(backend, seed: int = 0):
+    """Crash and restart: drop ``backend`` and build a new one of the same
+    kind on the same directory (and, for quorum, the same replicas and
+    registry). Every flush has already reached the files, so closing the
+    old handles writes nothing that a crash would have lost."""
+    backend.close()
+    if isinstance(backend, JournalBackend):
+        return JournalBackend(backend.root, backend.key, backend.segment_size, sync=backend.sync)
+    return QuorumBackend(backend.root, backend.key, backend.replicas, backend.registry,
+                         config=backend.config, scheme=backend.scheme, seed=seed,
+                         client_id=backend.client_id, sync=backend.sync)
 
 
 @pytest.fixture

@@ -183,25 +183,3 @@ def test_report_json_roundtrip(tmp_path, key):
     parsed = json.loads(report.to_json())
     assert parsed["ops"] == 5
     assert parsed["bytes_padded"] == report.bytes_padded
-
-
-def test_write_tsv(tmp_path):
-    path = tmp_path / "curve.tsv"
-    bench.write_tsv(path, ["s", "cost"], [(32, 1.1), (128, 1.3)])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "s\tcost" and lines[1] == "32\t1.1"
-
-
-def test_report_csv_roundtrip(tmp_path, key):
-    engine = journal_engine(tmp_path, key)
-    report = bench.run_sequential(WorkloadSpec.parse("constant:80", 5, seed=8), engine)
-    engine.close()
-    path = tmp_path / "reports.csv"
-    bench.BenchReport.write_csv(path, [report])
-    import csv
-
-    with open(path) as f:
-        rows = list(csv.DictReader(f))
-    assert len(rows) == 1
-    assert int(rows[0]["ops"]) == 5
-    assert int(rows[0]["bytes_padded"]) == report.bytes_padded

@@ -1,0 +1,113 @@
+"""Checkpoint-driven collection as a property over operation sequences.
+
+For any mix of appends (full-sync or buffered), checkpoints and
+crash-restarts, recovery returns exactly the records made durable since
+the last checkpoint. Right after a checkpoint the backend holds nothing
+older than the new epoch: no journal file below the sidecar fid, one
+metadata epoch, and no segment below it on a live replica.
+"""
+
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evenlog.crypto import StaticKeyProvider
+from evenlog.engine import WalEngine
+from evenlog.journal import JournalBackend, list_epoch_fids, list_journal_fids, read_sidecar
+from evenlog.quorum import QuorumBackend, QuorumConfig, SelectionScheme
+from evenlog.records import encoded_record_size
+from evenlog.slots import FlushPolicy
+
+from .conftest import MASTER, build_cluster, pad4, reopen
+
+KEY = StaticKeyProvider(MASTER).get("default")
+SLOT = 1024  # equal to the quorum's max write size, so every flush fits one write
+REPLICAS = 24  # 8 groups: enough for fixed-count selection with K = 1024 / 128
+
+APPEND = st.tuples(st.just("append"), st.integers(1, 600), st.booleans())
+STEP = st.one_of(APPEND, st.just(("checkpoint",)), st.just(("crash",)))
+# toggles the first member of one group: at most one replica per group is down
+TOGGLE = st.tuples(st.just("toggle"), st.integers(0, REPLICAS // 3 - 1))
+
+
+class Model:
+    """What the slot has made durable since the last checkpoint."""
+
+    def __init__(self):
+        self.durable, self.buffered, self.buffered_bytes = [], [], 0
+
+    def append(self, payload: bytes, full_sync: bool) -> None:
+        size = encoded_record_size(len(payload))
+        if self.buffered_bytes + size > SLOT:
+            self.flush()
+        self.buffered.append(payload)
+        self.buffered_bytes += size
+        if full_sync:
+            self.flush()
+
+    def flush(self) -> None:
+        self.durable += self.buffered
+        self.buffered, self.buffered_bytes = [], 0
+
+    def crash(self) -> None:
+        self.buffered, self.buffered_bytes = [], 0
+
+
+def engine_on(backend) -> WalEngine:
+    return WalEngine(backend, SLOT, policy=FlushPolicy(interval_ms=None))
+
+
+def assert_collected(backend) -> None:
+    root = backend.root
+    if isinstance(backend, JournalBackend):
+        assert list_journal_fids(root) == [read_sidecar(root)[1]]
+        return
+    assert list_epoch_fids(root, "metadata") == [backend.current_file_id]
+    for replica in backend.replicas.values():
+        if replica.alive:
+            assert all(sid.fid >= backend.current_file_id for sid in replica._store)
+
+
+def run(backend, steps) -> None:
+    engine, model = engine_on(backend), Model()
+    for i, step in enumerate(steps):
+        if step[0] == "append":
+            payload = (i.to_bytes(4, "little") * 150)[: step[1]]
+            engine.append(payload, full_sync=step[2])
+            model.append(payload, step[2])
+        elif step[0] == "checkpoint":
+            engine.checkpoint()
+            model.flush()
+            model.durable = []
+            assert_collected(engine.backend)
+        elif step[0] == "crash":
+            engine = engine_on(reopen(engine.backend))
+            model.crash()
+        else:
+            replica = engine.backend.replicas[engine.backend.groups[step[1]][0]]
+            if replica.alive:
+                replica.kill()
+            else:
+                replica.revive()
+        recovered = [r.payload for r in engine.backend.recover() if not r.is_checkpoint]
+        assert recovered == [pad4(p) for p in model.durable], f"after step {i}: {step}"
+    engine.backend.close()
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(STEP, max_size=20))
+def test_journal_recovers_durable_records_and_keeps_one_epoch(steps):
+    with tempfile.TemporaryDirectory() as root:
+        run(JournalBackend(root, KEY, 128, sync=False), steps)
+
+
+@pytest.mark.parametrize("scheme", [SelectionScheme.VNOS, SelectionScheme.FNOS])
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(st.one_of(STEP, TOGGLE), max_size=20))
+def test_quorum_recovers_durable_records_and_keeps_one_epoch(scheme, steps):
+    registry, replicas = build_cluster(REPLICAS)
+    config = QuorumConfig(segment_size=128, max_write_size=SLOT)
+    with tempfile.TemporaryDirectory() as root:
+        run(QuorumBackend(root, KEY, replicas, registry, config=config, scheme=scheme, sync=False), steps)

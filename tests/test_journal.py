@@ -1,4 +1,4 @@
-"""Journal backend: appends, checkpoints, GC, and crash recovery."""
+"""Journal backend: appends, checkpoints (which delete old files), and crash recovery."""
 
 import os
 import random
@@ -21,7 +21,7 @@ from evenlog.observe import StorageTrace
 from evenlog.records import encode_record, iter_records
 from evenlog.slots import FlushPolicy
 
-from .conftest import pad4
+from .conftest import pad4, reopen
 
 
 def make_backend(tmp_path, key, segment_size=128, **kw):
@@ -180,13 +180,20 @@ class TestCheckpoint:
         backend = make_backend(tmp_path, key)
         engine = make_engine(backend)
         engine.append(b"data" * 8, full_sync=True)
-        old_fid = backend.current_file_id
+        old_path = tmp_path / journal_filename(backend.current_file_id)
+        seen = []
+
+        def checkpoint(ckpt_id, real=backend.checkpoint):
+            # the checkpoint deletes the old file, so read it on entry
+            seen.append(old_path.read_bytes())
+            return real(ckpt_id)
+
+        backend.checkpoint = checkpoint
         engine.checkpoint()
         # the pre-checkpoint epoch holds the flagged record
         from evenlog.records import scan_padded_stream
 
-        data = (tmp_path / journal_filename(old_fid)).read_bytes()
-        records = scan_padded_stream(crypto.decrypt_stream(key, data, 128))
+        records = scan_padded_stream(crypto.decrypt_stream(key, seen[0], 128))
         assert records[-1].is_checkpoint
 
     def test_two_checkpoints_increment_id(self, tmp_path, key):
@@ -224,29 +231,48 @@ class TestCheckpoint:
         assert engine2.checkpoint().ckpt_id == 2
 
 
-class TestGc:
-    def test_single_active_file_nothing_deleted(self, tmp_path, key):
-        backend = make_backend(tmp_path, key)
-        make_engine(backend).append(b"only" * 10, full_sync=True)
-        assert backend.gc() == 0
+class TestCheckpointCollects:
+    """The checkpoint is the one place journal files are deleted."""
 
-    def test_gc_deletes_files_before_checkpoint(self, tmp_path, key):
-        backend = make_backend(tmp_path, key)
-        engine = make_engine(backend)
+    def test_checkpoint_deletes_files_below_sidecar(self, tmp_path, key):
+        engine = make_engine(make_backend(tmp_path, key))
         engine.append(b"one" * 10, full_sync=True)
         engine.checkpoint()
+        assert list_journal_fids(tmp_path) == [read_sidecar(tmp_path)[1]]
         engine.append(b"two" * 10, full_sync=True)
         engine.checkpoint()
-        ckpt_fid = read_sidecar(tmp_path)[1]
-        deleted = backend.gc()
-        assert deleted >= 1
-        assert all(fid >= ckpt_fid for fid in list_journal_fids(tmp_path))
-        assert backend.gc() == 0  # idempotent
+        assert list_journal_fids(tmp_path) == [read_sidecar(tmp_path)[1]] == [2]
 
-    def test_gc_without_sidecar_is_noop(self, tmp_path, key):
+    def test_no_checkpoint_deletes_nothing(self, tmp_path, key):
         backend = make_backend(tmp_path, key)
-        make_engine(backend).append(b"z" * 10, full_sync=True)
-        assert backend.gc() == 0
+        payloads = [b"a" * 10, b"b" * 10, b"c" * 10]
+        for p in payloads:
+            make_engine(backend).append(p, full_sync=True)
+            backend = reopen(backend)  # each restart starts a fresh file
+        assert list_journal_fids(tmp_path) == [0, 1, 2, 3]
+        assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
+
+    def test_restart_then_checkpoint_deletes_files_in_between(self, tmp_path, key):
+        engine = make_engine(make_backend(tmp_path, key))
+        engine.append(b"old" * 10, full_sync=True)
+        engine.checkpoint()
+        engine.append(b"kept" * 10, full_sync=True)
+        backend = reopen(reopen(engine.backend))
+        assert list_journal_fids(tmp_path) == [1, 2, 3]
+        engine = make_engine(backend)
+        engine.append(b"new" * 10, full_sync=True)
+        assert [r.payload for r in backend.recover()] == [pad4(b"kept" * 10), pad4(b"new" * 10)]
+        engine.checkpoint()
+        assert list_journal_fids(tmp_path) == [4]
+        assert backend.recover() == []
+
+    def test_plain_checkpoint_keeps_only_the_newest_file(self, tmp_path):
+        engine = make_engine(PlainJournalBackend(tmp_path))
+        engine.append(b"old" * 10, full_sync=True)
+        engine.checkpoint()
+        engine.append(b"new" * 10, full_sync=True)
+        assert list_journal_fids(tmp_path) == [1]
+        assert [r.payload for r in engine.backend.recover()] == [pad4(b"new" * 10)]
 
 
 class TestBaselines:

@@ -1,6 +1,8 @@
-"""End-to-end quorum backend: commit, fault tolerance, recovery, GC."""
+"""End-to-end quorum backend: commit, fault tolerance, recovery, and
+the checkpoint that collects old epochs."""
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -9,11 +11,12 @@ from evenlog.engine import WalEngine
 from evenlog.errors import CommitTimeout, IntegrityFailure, SegmentNotFound, UnrecoverableSegment
 from evenlog.observe import StorageTrace
 from evenlog.quorum import QuorumBackend, QuorumConfig, Replica, SegmentId, SelectionScheme
+from evenlog.quorum import backend as quorum_backend
 from evenlog.quorum.metadata import serialized_size
 from evenlog.quorum.transport import store_frame_size
 from evenlog.slots import FlushPolicy
 
-from .conftest import build_cluster, pad4
+from .conftest import build_cluster, pad4, reopen
 
 
 def make_backend(tmp_path, key, n_replicas=15, scheme=SelectionScheme.VNOS,
@@ -63,6 +66,18 @@ class TestReplica:
         rep = Replica(1)
         rep.kill()
         assert not rep.store(SegmentId(0, 0, 0), b"\x00" * (16 + 128), b"\x00" * 32)
+
+    def test_drop_before_keeps_later_epochs_and_skips_dead(self):
+        rep = Replica(1)
+        for fid in (0, 1, 2):
+            rep.store(SegmentId(fid, 0, 0), os.urandom(16 + 128), b"\x00" * 32)
+        rep.kill()
+        rep.drop_before(2)
+        rep.revive()
+        assert len(rep) == 3
+        rep.drop_before(1)
+        assert not rep.has(SegmentId(0, 0, 0))
+        assert rep.has(SegmentId(1, 0, 0)) and rep.has(SegmentId(2, 0, 0))
 
 
 class TestPersist:
@@ -205,8 +220,8 @@ class TestRecovery:
 
     @staticmethod
     def truncate_copy(replica, sid):
-        held = replica._store[sid]
-        held.unit = held.unit[:-1]
+        unit, digest = replica._store[sid]
+        replica._store[sid] = (unit[:-1], digest)
 
     def test_short_first_copy_falls_back_to_next(self, tmp_path, key):
         backend, payloads = self.commit_some(tmp_path, key)
@@ -243,14 +258,13 @@ class TestRecovery:
 
     def test_restart_reads_same_metadata_file(self, tmp_path, key):
         backend, payloads = self.commit_some(tmp_path, key)
-        backend.close()
-        registry, _ = build_cluster(0)
-        for rid, rep in backend.replicas.items():
-            registry.register(rid, 0)
-        registry.register("client-0", 0)
-        reborn = QuorumBackend(tmp_path, key, backend.replicas, registry,
-                               config=backend.config, scheme=backend.scheme, seed=9)
+        reborn = reopen(backend, seed=9)
         assert [r.payload for r in reborn.recover()] == [pad4(p) for p in payloads]
+
+
+def held_fids(backend) -> set[int]:
+    """The epochs of the segments that live replicas hold."""
+    return {sid.fid for rep in backend.replicas.values() if rep.alive for sid in rep._store}
 
 
 class TestCheckpointGc:
@@ -260,9 +274,9 @@ class TestCheckpointGc:
         old = backend.metadata_path
         marker = backend.checkpoint(1)
         assert marker.lsn.file_id == backend.current_file_id == backend.last_checkpoint_id == 1
+        assert not old.exists()
         backend.persist_slot(b"\x06" * 100)
-        assert backend.metadata_path != old
-        assert backend.sweep_old_epochs() == 1
+        assert sorted(tmp_path.iterdir()) == [backend.metadata_path]
 
     def test_stray_metadata_tmp_is_ignored(self, tmp_path, key):
         (tmp_path / "metadata.tmp").write_bytes(b"")
@@ -273,51 +287,61 @@ class TestCheckpointGc:
         assert make_backend(tmp_path, key).current_file_id == 0
 
     def test_sweep_keeps_backup_of_old_epoch(self, tmp_path, key):
+        (tmp_path / "metadata.tmp").write_bytes(b"")
         backend = make_backend(tmp_path, key)
         backend.persist_slot(b"\x05" * 100)
         backup = tmp_path / "metadata.0000000000.bak"
         backup.write_bytes(backend.metadata_path.read_bytes())
         backend.checkpoint(1)
-        assert backend.sweep_old_epochs() == 1
-        assert backup.exists() and not (tmp_path / "metadata.0000000000").exists()
+        assert backup.exists() and (tmp_path / "metadata.tmp").exists()
+        assert not (tmp_path / "metadata.0000000000").exists()
 
-    def test_replica_gc_drops_old_segments_while_client_alive(self, tmp_path, key):
-        backend = make_backend(tmp_path, key)
-        backend.persist_slot(b"\x08" * 300)
+    @pytest.mark.parametrize("t", [61, 10**6])
+    def test_no_checkpoint_drops_nothing_however_far_registry_time_moves(self, tmp_path, key, t):
+        backend = make_backend(tmp_path, key, n_replicas=18, scheme=SelectionScheme.FNOS)
+        engine = make_engine(backend)
+        payloads = [os.urandom(30 + 37 * i) for i in range(5)]
+        for p in payloads:
+            engine.append(p, full_sync=True)
         held = sum(len(rep) for rep in backend.replicas.values())
-        assert held > 0
-        backend.clock.advance(backend.config.checkpoint_interval + 1)
-        backend.registry.heartbeat("client-0", backend.clock.now)
-        assert backend.run_replica_gc() == held
-        assert sum(len(rep) for rep in backend.replicas.values()) == 0
+        # the client is live at t, where the age-based collector dropped everything
+        backend.registry.heartbeat("client-0", t)
+        backend = reopen(backend)
+        assert sum(len(rep) for rep in backend.replicas.values()) == held
+        assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
 
-    def test_replica_gc_keeps_segments_for_dead_client(self, tmp_path, key):
+    def test_checkpoint_drops_segments_below_new_epoch(self, tmp_path, key):
         backend = make_backend(tmp_path, key)
-        backend.persist_slot(b"\x09" * 300)
-        backend.clock.advance(backend.config.checkpoint_interval + 100)
-        # client never heartbeats: evicted from the registry, segments kept
-        assert backend.run_replica_gc() == 0
-        assert sum(len(rep) for rep in backend.replicas.values()) > 0
+        engine = make_engine(backend)
+        engine.append(b"\x08" * 300, full_sync=True)
+        down = next(rep for rep in backend.replicas.values() if len(rep))
+        down.kill()
+        engine.checkpoint()
+        assert held_fids(backend) == set()
+        engine.append(b"\x09" * 300, full_sync=True)
+        assert held_fids(backend) == {1}
+        down.revive()
+        assert {sid.fid for sid in down._store} == {0}  # it missed the drop while dead
+        engine.checkpoint()
+        assert held_fids(backend) == set() and len(down) == 0
 
-    def test_replica_gc_spares_fresh_segments(self, tmp_path, key):
-        backend = make_backend(tmp_path, key)
-        backend.persist_slot(b"\x0a" * 300)
-        backend.clock.advance(5)
-        backend.registry.heartbeat("client-0", backend.clock.now)
-        assert backend.run_replica_gc() == 0
+    @pytest.mark.parametrize("sync", [True, False])
+    def test_directory_fsync_precedes_every_deletion(self, tmp_path, key, monkeypatch, sync):
+        backend = make_backend(tmp_path, key, sync=sync)
+        backend.persist_slot(b"\x0b" * 300)
+        events = []
+        monkeypatch.setattr(quorum_backend, "fsync_dir", lambda root: events.append("fsync"))
 
-    @pytest.mark.parametrize("interval", [30, 60])
-    def test_checkpoint_interval_is_a_knob(self, tmp_path, key, interval):
-        registry, replicas = build_cluster(9)
-        cfg = QuorumConfig(segment_size=128, max_write_size=512, checkpoint_interval=interval)
-        backend = QuorumBackend(tmp_path, key, replicas, registry, config=cfg, seed=0)
-        backend.persist_slot(b"\x0b" * 100)
-        backend.clock.advance(interval - 1)
-        backend.registry.heartbeat("client-0", backend.clock.now)
-        assert backend.run_replica_gc() == 0  # younger than one interval
-        backend.clock.advance(2)
-        backend.registry.heartbeat("client-0", backend.clock.now)
-        assert backend.run_replica_gc() > 0
+        def unlink(path, real=Path.unlink):
+            events.append("unlink")
+            real(path)
+
+        monkeypatch.setattr(Path, "unlink", unlink)
+        for rep in backend.replicas.values():
+            monkeypatch.setattr(rep, "drop_before", lambda fid: events.append("drop"))
+        backend.checkpoint(1)
+        drops = ["drop"] * len(backend.replicas)
+        assert events == (["fsync"] if sync else []) + ["unlink"] + drops
 
 
 class TestConfig:
