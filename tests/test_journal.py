@@ -243,15 +243,6 @@ class TestCheckpointCollects:
         engine.checkpoint()
         assert list_journal_fids(tmp_path) == [read_sidecar(tmp_path)[1]] == [2]
 
-    def test_no_checkpoint_deletes_nothing(self, tmp_path, key):
-        backend = make_backend(tmp_path, key)
-        payloads = [b"a" * 10, b"b" * 10, b"c" * 10]
-        for p in payloads:
-            make_engine(backend).append(p, full_sync=True)
-            backend = reopen(backend)  # each restart starts a fresh file
-        assert list_journal_fids(tmp_path) == [0, 1, 2, 3]
-        assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
-
     def test_restart_then_checkpoint_deletes_files_in_between(self, tmp_path, key):
         engine = make_engine(make_backend(tmp_path, key))
         engine.append(b"old" * 10, full_sync=True)
@@ -273,6 +264,26 @@ class TestCheckpointCollects:
         engine.append(b"new" * 10, full_sync=True)
         assert list_journal_fids(tmp_path) == [1]
         assert [r.payload for r in engine.backend.recover()] == [pad4(b"new" * 10)]
+
+
+class TestGc:
+    """Without a checkpoint nothing is collected."""
+
+    def test_single_active_file_nothing_deleted(self, tmp_path, key):
+        backend = make_backend(tmp_path, key)
+        make_engine(backend).append(b"only" * 10, full_sync=True)
+        assert list_journal_fids(tmp_path) == [0]
+        assert [r.payload for r in backend.recover()] == [pad4(b"only" * 10)]
+
+    def test_gc_without_sidecar_is_noop(self, tmp_path, key):
+        backend = make_backend(tmp_path, key)
+        payloads = [b"a" * 10, b"b" * 10, b"c" * 10]
+        for p in payloads:
+            make_engine(backend).append(p, full_sync=True)
+            backend = reopen(backend)  # each restart starts a fresh file
+        assert read_sidecar(tmp_path) is None
+        assert list_journal_fids(tmp_path) == [0, 1, 2, 3]
+        assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
 
 
 class TestBaselines:

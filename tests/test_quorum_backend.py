@@ -296,19 +296,32 @@ class TestCheckpointGc:
         assert backup.exists() and (tmp_path / "metadata.tmp").exists()
         assert not (tmp_path / "metadata.0000000000").exists()
 
-    @pytest.mark.parametrize("t", [61, 10**6])
-    def test_no_checkpoint_drops_nothing_however_far_registry_time_moves(self, tmp_path, key, t):
+    @staticmethod
+    def commit_then_move_registry_time(tmp_path, key, member, t):
+        """Commit five records with no checkpoint, heartbeat ``member`` at
+        registry time ``t``, restart, and check every segment and record
+        is still there."""
         backend = make_backend(tmp_path, key, n_replicas=18, scheme=SelectionScheme.FNOS)
         engine = make_engine(backend)
         payloads = [os.urandom(30 + 37 * i) for i in range(5)]
         for p in payloads:
             engine.append(p, full_sync=True)
         held = sum(len(rep) for rep in backend.replicas.values())
-        # the client is live at t, where the age-based collector dropped everything
-        backend.registry.heartbeat("client-0", t)
+        backend.registry.heartbeat(member, t)
         backend = reopen(backend)
         assert sum(len(rep) for rep in backend.replicas.values()) == held
         assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
+        return backend
+
+    def test_replica_gc_keeps_segments_for_dead_client(self, tmp_path, key):
+        # only a replica heartbeats: the client is evicted, its segments stay
+        backend = self.commit_then_move_registry_time(tmp_path, key, 0, 10**6)
+        assert not backend.registry.is_active("client-0", 10**6)
+
+    def test_replica_gc_spares_fresh_segments(self, tmp_path, key):
+        # the client is live at 61 s, where the age-based collector dropped everything
+        backend = self.commit_then_move_registry_time(tmp_path, key, "client-0", 61)
+        assert backend.registry.is_active("client-0", 61)
 
     def test_checkpoint_drops_segments_below_new_epoch(self, tmp_path, key):
         backend = make_backend(tmp_path, key)
