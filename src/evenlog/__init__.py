@@ -14,13 +14,12 @@ from .journal import JournalBackend, PlainJournalBackend, recover_journal
 from .observe import StorageTrace
 from .records import FLAG_CHECKPOINT, LogRecord, Lsn, decode_record, encode_record
 from .segmentation import padding_overhead, segment_slot
-from .slots import FlushPolicy, Slot
+from .slots import Slot
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FLAG_CHECKPOINT",
-    "FlushPolicy",
     "JournalBackend",
     "LogRecord",
     "Lsn",

@@ -1,4 +1,4 @@
-"""Benchmark drivers and the space/latency/recovery metrics.
+"""Benchmark drivers and the space and latency metrics.
 
 Byte accounting is exact: it is read back from the storage observation
 trace, never sampled. Relative cost isolates padding — it is the padded
@@ -21,7 +21,6 @@ import numpy as np
 from .engine import WalEngine
 from .errors import NoData
 from .observe import StorageTrace
-from .quorum.backend import QuorumBackend
 from .records import encoded_record_size
 from .workload import WorkloadSpec, generate
 
@@ -149,50 +148,3 @@ def run_concurrent(spec: WorkloadSpec, engine: WalEngine, workers: int = 4) -> B
     config = {"mode": "concurrent", "workers": workers, "spec": spec.__dict__,
               "backend": type(engine.backend).__name__}
     return _accounting(engine, record_sizes, elapsed, merged, config)
-
-
-# --- recovery -----------------------------------------------------------------
-
-
-@dataclass
-class RecoveryResult:
-    recovery_time_s: float
-    recovered_records: int
-    committed_records: int
-    matches_committed: bool
-
-
-def _padded(payload: bytes) -> bytes:
-    return payload + b"\x00" * ((-len(payload)) % 4)
-
-
-def measure_recovery(engine: WalEngine, crash_point: int, payloads) -> RecoveryResult:
-    """Write until ``crash_point`` committed bytes, crash, time recovery.
-
-    Every append is full-sync, so the committed prefix is everything
-    appended; the crash drops volatile state (and, for the quorum
-    backend, kills the tolerated number of replicas per group).
-    """
-    committed: list[bytes] = []
-    committed_bytes = 0
-    it = iter(payloads)
-    while committed_bytes < crash_point:
-        try:
-            payload = next(it)
-        except StopIteration:
-            break
-        engine.append(payload, full_sync=True)
-        committed.append(_padded(payload))
-        committed_bytes += encoded_record_size(len(payload))
-
-    backend = engine.backend
-    if isinstance(backend, QuorumBackend):  # crash injection is quorum-only
-        for group in backend.groups:
-            for rid in group[: backend.config.tolerable_failures]:
-                backend.replicas[rid].kill()
-
-    t0 = time.perf_counter()
-    records = backend.recover()
-    elapsed = time.perf_counter() - t0
-    recovered = [r.payload for r in records if not r.is_checkpoint]
-    return RecoveryResult(elapsed, len(recovered), len(committed), recovered == committed)

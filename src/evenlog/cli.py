@@ -35,7 +35,6 @@ from .errors import WalError
 from .journal import JournalBackend, PlainJournalBackend, recover_journal, recover_plain
 from .observe import StorageTrace
 from .quorum import QuorumBackend, QuorumConfig, SelectionScheme, build_cluster
-from .slots import FlushPolicy
 
 CONFIG_KEYS = {
     "segment_size", "slot_capacity", "flush_interval_ms", "scheme", "selection",
@@ -86,7 +85,7 @@ def _parse_prior(text: str) -> list[float]:
         raise WalError(f"bad prior {text!r}: expected comma-separated numbers") from None
 
 
-def _build_engine(args, config, start_flusher: bool = False) -> WalEngine:
+def _build_engine(args, config) -> WalEngine:
     scheme = _setting(args, config, "scheme", "scheme", str, "journal")
     segment = _setting(args, config, "segment", "segment_size", int, 128)
     capacity = _setting(args, config, "capacity", "slot_capacity", int, 128 * 1024)
@@ -109,8 +108,10 @@ def _build_engine(args, config, start_flusher: bool = False) -> WalEngine:
         )
     else:
         raise WalError(f"unknown scheme {scheme!r}")
-    interval = _setting(args, config, "flush_interval_ms", "flush_interval_ms", float, 100.0)
-    return WalEngine(backend, capacity, FlushPolicy(interval_ms=interval), start_flusher=start_flusher)
+    interval = None  # only the buffered mode has a periodic flusher
+    if args.mode == "conc":
+        interval = _setting(args, config, "flush_interval_ms", "flush_interval_ms", float, 100.0)
+    return WalEngine(backend, capacity, interval)
 
 
 def _emit(args, config, payload: dict, text_lines: list[str]) -> None:
@@ -127,7 +128,7 @@ def _emit(args, config, payload: dict, text_lines: list[str]) -> None:
 
 def cmd_bench(args, config) -> int:
     spec = workload.WorkloadSpec.parse(args.dist, args.ops, _setting(args, config, "seed", "seed", int, 0))
-    engine = _build_engine(args, config, start_flusher=(args.mode == "conc"))
+    engine = _build_engine(args, config)
     try:
         if args.mode == "seq":
             report = bench.run_sequential(spec, engine)
@@ -258,7 +259,7 @@ def cmd_demo_quorum(args, config) -> int:
     cfg = QuorumConfig(segment_size=128, max_write_size=512)
     backend = QuorumBackend(root, _key_provider().get("default"), replicas, registry,
                             config=cfg, scheme=selection, seed=7, trace=trace)
-    engine = WalEngine(backend, policy=FlushPolicy(interval_ms=None))
+    engine = WalEngine(backend)
 
     print(f"{len(replicas)} replicas -> {len(backend.groups)} quorum groups of 3 "
           f"({selection.value} selection, S={cfg.segment_size}, K={cfg.k_max})")

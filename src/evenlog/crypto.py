@@ -163,15 +163,9 @@ def digest_segment(plaintext: bytes) -> bytes:
     return hashlib.sha256(plaintext).digest()
 
 
-class KeyProvider:
-    """Hands out replica keys by id (stand-in for an external KMS)."""
-
-    def get(self, key_id: str) -> ReplicaKey:
-        raise NotImplementedError
-
-
-class StaticKeyProvider(KeyProvider):
-    """Derives per-id keys from one master secret.
+class StaticKeyProvider:
+    """Hands out replica keys by id, derived from one master secret
+    (a stand-in for an external KMS).
 
     The same master secret yields the same keys, which is how a restart
     recovers its key: keep the secret outside the storage this engine

@@ -5,35 +5,32 @@ from __future__ import annotations
 import struct
 
 from .records import FLAG_CHECKPOINT, encode_record
-from .slots import (
-    AppendResult, CheckpointMarker, DurabilityBackend, FlushPolicy, FlushReceipt, PeriodicFlusher, Slot,
-)
+from .slots import DEFAULT_SLOT_CAPACITY, AppendResult, CheckpointMarker, DurabilityBackend, PeriodicFlusher, Slot
 
 
 class WalEngine:
     """One writer endpoint: append payloads, flush, checkpoint.
 
     Thread-safe for concurrent appenders; the slot serializes appends and
-    flushes internally. The periodic flusher (when the policy has an
-    interval) mirrors the buffered-write mode where durability is
+    flushes internally. A periodic flusher runs iff ``flush_interval_ms``
+    is given; it mirrors the buffered-write mode where durability is
     deferred to the next timer tick or full-sync write.
     """
 
-    def __init__(self, backend: DurabilityBackend, slot_capacity: int = 128 * 1024,
-                 policy: FlushPolicy | None = None, start_flusher: bool = False):
+    def __init__(self, backend: DurabilityBackend, slot_capacity: int = DEFAULT_SLOT_CAPACITY,
+                 flush_interval_ms: float | None = None):
         self.backend = backend
         self.slot = Slot(slot_capacity)
-        self.policy = policy or FlushPolicy()
         self._flusher = None
-        if start_flusher and self.policy.interval_ms is not None:
-            self._flusher = PeriodicFlusher(self.flush, self.policy.interval_ms)
+        if flush_interval_ms is not None:
+            self._flusher = PeriodicFlusher(self.flush, flush_interval_ms)
             self._flusher.start()
 
     def append(self, payload: bytes, flags: int = 0, full_sync: bool = False) -> AppendResult:
         return self.slot.append(encode_record(payload, flags), self.backend, full_sync)
 
-    def flush(self) -> FlushReceipt:
-        return self.slot.flush(self.backend)
+    def flush(self) -> None:
+        self.slot.flush(self.backend)
 
     def checkpoint(self) -> CheckpointMarker:
         """Flush everything, emit a flagged checkpoint record through the

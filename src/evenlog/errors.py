@@ -59,10 +59,6 @@ class IntegrityFailure(WalError):
 
 # --- quorum simulation ---
 
-class Unregistered(WalError):
-    """Heartbeat from a replica that never registered."""
-
-
 class InsufficientReplicas(WalError):
     """Not enough active replicas to form a single quorum group."""
 

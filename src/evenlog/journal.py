@@ -221,8 +221,8 @@ class JournalBackend:
         return recover_journal(self.root, self.key, self.segment_size)
 
 
-def plaintext_stream(root: str | Path, key: crypto.ReplicaKey, segment_size: int) -> bytes:
-    """Decrypt the journal from the last checkpoint into one byte stream.
+def plaintext_stream(root: str | Path, key: crypto.ReplicaKey, segment_size: int) -> list[bytes]:
+    """Decrypt the journal from the last checkpoint, one plaintext per file.
 
     Files are read in fid order starting at the sidecar position (start
     of the stream when no checkpoint exists). A torn trailing partial
@@ -242,13 +242,17 @@ def plaintext_stream(root: str | Path, key: crypto.ReplicaKey, segment_size: int
             data = data[start_off:]
         data = data[: len(data) - len(data) % unit]
         parts.append(crypto.decrypt_stream(key, data, segment_size))
-    return b"".join(parts)
+    return parts
 
 
 def recover_journal(root: str | Path, key: crypto.ReplicaKey, segment_size: int) -> list[LogRecord]:
     """Replay the journal: decrypt from the last checkpoint, then scan
-    records, skipping zero-word padding; stops cleanly at a torn tail."""
-    return scan_padded_stream(plaintext_stream(root, key, segment_size))
+    records, skipping zero-word padding. Each file is scanned on its own,
+    since a flush never spans files, so a torn tail ends only its file."""
+    records: list[LogRecord] = []
+    for part in plaintext_stream(root, key, segment_size):
+        records += scan_padded_stream(part)
+    return records
 
 
 def recover_plain(root: str | Path) -> list[LogRecord]:

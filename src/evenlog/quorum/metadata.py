@@ -52,10 +52,6 @@ class MetadataEntry:
     def committed(self, write_quorum: int = 2) -> bool:
         return self.ack_count >= write_quorum
 
-    @property
-    def is_blank(self) -> bool:
-        return self.ack_count == 0
-
     def acked_replicas(self) -> list[int]:
         return [r for r in self.replica_ids if r != SENTINEL]
 

@@ -1,4 +1,4 @@
-"""In-memory slot buffer and flush policy.
+"""In-memory slot buffer and its periodic flusher.
 
 Records are concatenated into a bounded slot (128 KiB by default,
 matching the WiredTiger configuration this models) and handed to a
@@ -10,7 +10,6 @@ when the periodic flusher fires.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import NamedTuple, Protocol
 
 from .records import LogRecord, Lsn
@@ -60,21 +59,9 @@ class DurabilityBackend(Protocol):
     def stats(self) -> BackendStats: ...
 
 
-@dataclass
-class FlushPolicy:
-    """interval_ms is the periodic flush cadence; None disables the timer."""
-
-    interval_ms: float | None = 100.0
-
-
 class AppendResult(NamedTuple):
     lsn: Lsn
     flushed: bool  # True iff this record is durable on return
-
-
-class FlushReceipt(NamedTuple):
-    ssn: int
-    byte_count: int
 
 
 class Slot:
@@ -123,16 +110,13 @@ class Slot:
                 return AppendResult(lsn, True)
             return AppendResult(lsn, False)
 
-    def flush(self, backend: DurabilityBackend) -> FlushReceipt:
+    def flush(self, backend: DurabilityBackend) -> None:
         """Hand the buffered bytes to the backend; empty buffers are a no-op.
 
         On backend failure the buffer is left untouched.
         """
         with self._lock:
-            ssn = self._ssn
-            count = len(self._buf)
             self._flush_locked(backend)
-            return FlushReceipt(ssn, count)
 
     def _flush_locked(self, backend: DurabilityBackend) -> None:
         if not self._buf:
@@ -143,7 +127,7 @@ class Slot:
 
 
 class PeriodicFlusher:
-    """Background thread driving ``flush`` at the policy interval."""
+    """Background thread driving ``flush`` every ``interval_ms``."""
 
     def __init__(self, flush, interval_ms: float):
         self._flush = flush

@@ -94,12 +94,6 @@ def generate(spec: WorkloadSpec) -> list[bytes]:
     return [pool[: int(n)] for n in sizes]
 
 
-def single_query_set(seed: int = 0) -> list[bytes]:
-    """The three micro-benchmark inserts: small, medium, large."""
-    rng = np.random.default_rng(seed)
-    return [rng.bytes(n) for n in (128, 512, 1024)]
-
-
 # --- planted attack corpora ------------------------------------------------------
 
 

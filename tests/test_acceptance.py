@@ -61,9 +61,7 @@ def fast_dir():
 def journal_engine(root, segment_size=128, sync=True, capacity=128 * 1024):
     trace = StorageTrace()
     backend = JournalBackend(root, KEY, segment_size, trace=trace, sync=sync)
-    from evenlog.slots import FlushPolicy
-
-    return WalEngine(backend, slot_capacity=capacity, policy=FlushPolicy(interval_ms=None))
+    return WalEngine(backend, slot_capacity=capacity)
 
 
 def test_criterion_1_fixed_size_guarantee(fast_dir):
@@ -178,9 +176,7 @@ def test_criterion_4_space_accounting(tmp_path):
     # naive baseline: exactly ops x slot capacity
     capacity = 8192
     backend = PlainJournalBackend(tmp_path / "naive", pad_to=capacity, trace=StorageTrace())
-    from evenlog.slots import FlushPolicy
-
-    engine = WalEngine(backend, slot_capacity=capacity, policy=FlushPolicy(interval_ms=None))
+    engine = WalEngine(backend, slot_capacity=capacity)
     naive_report = bench.run_sequential(WorkloadSpec.parse("uniform", 50, seed=0xC4), engine)
     engine.close()
     assert naive_report.bytes_written_actual == 50 * capacity
@@ -398,8 +394,6 @@ class TestCriterion10Shapes:
               f"{['%.0f' % (m * 1e6) for m in medians]} nondecreasing in segment count")
 
     def test_smaller_segments_saturate_no_later(self, fast_dir):
-        from evenlog.slots import FlushPolicy
-
         worker_grid = (1, 4, 16)
 
         def sweep(segment_size, rep):
@@ -407,7 +401,7 @@ class TestCriterion10Shapes:
             for workers in worker_grid:
                 root = fast_dir / f"s{segment_size}w{workers}r{rep}"
                 backend = JournalBackend(root, KEY, segment_size, sync=False)
-                engine = WalEngine(backend, policy=FlushPolicy(interval_ms=5), start_flusher=True)
+                engine = WalEngine(backend, flush_interval_ms=5)
                 report = bench.run_concurrent(WorkloadSpec.parse("uniform", 3000, seed=1),
                                               engine, workers=workers)
                 engine.close()

@@ -1,4 +1,4 @@
-"""Benchmark metrics: byte accounting, relative cost, recovery driver."""
+"""Benchmark metrics: byte accounting, relative cost, the append drivers."""
 
 import os
 
@@ -10,7 +10,6 @@ from evenlog.errors import NoData
 from evenlog.journal import JournalBackend, PlainJournalBackend
 from evenlog.observe import StorageTrace
 from evenlog.quorum import QuorumBackend, QuorumConfig, SelectionScheme
-from evenlog.slots import FlushPolicy
 from evenlog.workload import WorkloadSpec
 
 from .conftest import build_cluster
@@ -40,7 +39,7 @@ class TestCostFormulas:
 
 def journal_engine(tmp_path, key, segment_size=128, **kw):
     backend = JournalBackend(tmp_path, key, segment_size, trace=StorageTrace(), **kw)
-    return WalEngine(backend, policy=FlushPolicy(interval_ms=None))
+    return WalEngine(backend)
 
 
 class TestRunSequential:
@@ -83,7 +82,7 @@ class TestRunSequential:
     def test_naive_mode_bytes_exact(self, tmp_path):
         capacity = 8192
         backend = PlainJournalBackend(tmp_path, pad_to=capacity, trace=StorageTrace())
-        engine = WalEngine(backend, slot_capacity=capacity, policy=FlushPolicy(interval_ms=None))
+        engine = WalEngine(backend, slot_capacity=capacity)
         spec = WorkloadSpec.parse("uniform", 15, seed=2)
         report = bench.run_sequential(spec, engine)
         assert report.bytes_written_actual == 15 * capacity
@@ -91,7 +90,7 @@ class TestRunSequential:
 
     def test_plain_backend_relative_cost_is_one(self, tmp_path):
         backend = PlainJournalBackend(tmp_path, trace=StorageTrace())
-        engine = WalEngine(backend, policy=FlushPolicy(interval_ms=None))
+        engine = WalEngine(backend)
         report = bench.run_sequential(WorkloadSpec.parse("uniform", 20, seed=3), engine)
         assert report.relative_cost == 1.0
         assert report.bytes_written_actual == report.bytes_written_baseline
@@ -135,43 +134,12 @@ class TestQuorumAccounting:
             config=QuorumConfig(segment_size=128, max_write_size=512),
             scheme=SelectionScheme.FNOS, seed=1, trace=StorageTrace(),
         )
-        engine = WalEngine(backend, policy=FlushPolicy(interval_ms=None))
+        engine = WalEngine(backend)
         report = bench.run_sequential(WorkloadSpec.parse("constant:20", 10, seed=6), engine)
         # payload 200 -> record 216 -> 2 real segments, K=4 -> 2 fake
         assert report.bytes_padded == 10 * 2 * 128
         assert report.bytes_fake == 10 * 2 * 128
         engine.close()
-
-
-class TestMeasureRecovery:
-    def test_zero_crash_point_recovers_nothing(self, tmp_path, key):
-        engine = journal_engine(tmp_path, key)
-        result = bench.measure_recovery(engine, 0, [])
-        engine.close()
-        assert result.recovered_records == 0 and result.matches_committed
-
-    def test_recovers_committed_prefix_exactly(self, tmp_path, key):
-        engine = journal_engine(tmp_path, key)
-        payloads = [os.urandom(100 + 13 * i) for i in range(30)]
-        result = bench.measure_recovery(engine, 2000, payloads)
-        engine.close()
-        assert result.committed_records > 0
-        assert result.matches_committed
-        assert result.recovery_time_s >= 0
-
-    def test_quorum_recovery_survives_configured_failures(self, tmp_path, key):
-        registry, replicas = build_cluster(18)
-        backend = QuorumBackend(
-            tmp_path, key, replicas, registry,
-            config=QuorumConfig(segment_size=128, max_write_size=1024),
-            scheme=SelectionScheme.VNOS, seed=2, trace=StorageTrace(),
-        )
-        engine = WalEngine(backend, policy=FlushPolicy(interval_ms=None))
-        payloads = [os.urandom(n) for n in (200, 400, 600, 80)]
-        result = bench.measure_recovery(engine, 10**9, payloads)
-        engine.close()
-        assert result.committed_records == 4
-        assert result.matches_committed
 
 
 def test_report_json_roundtrip(tmp_path, key):

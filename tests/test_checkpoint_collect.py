@@ -18,7 +18,6 @@ from evenlog.engine import WalEngine
 from evenlog.journal import JournalBackend, list_epoch_fids, list_journal_fids, read_sidecar
 from evenlog.quorum import QuorumBackend, QuorumConfig, SelectionScheme
 from evenlog.records import encoded_record_size
-from evenlog.slots import FlushPolicy
 
 from .conftest import MASTER, build_cluster, pad4, reopen
 
@@ -56,7 +55,7 @@ class Model:
 
 
 def engine_on(backend) -> WalEngine:
-    return WalEngine(backend, SLOT, policy=FlushPolicy(interval_ms=None))
+    return WalEngine(backend, SLOT)
 
 
 def assert_collected(backend) -> None:

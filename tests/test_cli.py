@@ -1,11 +1,14 @@
 """Command-line interface: outputs, exit codes, config file handling."""
 
 import json
+import shlex
 import struct
+from pathlib import Path
 
 import pytest
 
-from evenlog.cli import main
+from evenlog import cli
+from evenlog.cli import build_parser, main
 from evenlog.engine import WalEngine
 from evenlog.journal import JournalBackend
 from evenlog.records import FLAG_CHECKPOINT, encoded_record_size
@@ -72,6 +75,20 @@ class TestBench:
         )
         assert code == 0
         assert json.loads(out)["ops"] == 100
+
+    @pytest.mark.parametrize("mode, interval", [("seq", None), ("conc", 20.0)])
+    def test_only_conc_runs_a_periodic_flusher(self, capsys, tmp_path, monkeypatch, mode, interval):
+        seen = []
+
+        class Recording(WalEngine):
+            def __init__(self, backend, slot_capacity, flush_interval_ms):
+                seen.append(flush_interval_ms)
+                super().__init__(backend, slot_capacity, flush_interval_ms)
+
+        monkeypatch.setattr(cli, "WalEngine", Recording)
+        code, _, _ = run_cli(capsys, "bench", mode, "--ops", "20", "--flush-interval-ms", "20",
+                             "--dir", str(tmp_path))
+        assert code == 0 and seen == [interval]
 
     def test_quorum_scheme(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -216,3 +233,20 @@ def test_demo_quorum_runs_clean(capsys, tmp_path):
     assert code == 0
     assert "byte-exact=True" in out
     assert "constant=True" in out
+
+
+def readme_cli_lines() -> list[str]:
+    """The ``evenlog`` lines of README's CLI block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("evenlog ")]
+
+
+def test_readme_has_cli_lines():
+    assert len(readme_cli_lines()) >= 10
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_line_parses(line):
+    """Every README command parses with today's options; a stale flag exits 2."""
+    build_parser().parse_args(shlex.split(line, comments=True)[1:])

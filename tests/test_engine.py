@@ -11,14 +11,13 @@ from evenlog.observe import StorageTrace
 from evenlog.quorum import QuorumBackend, QuorumConfig, SelectionScheme
 from evenlog.quorum.selection import GROUP_SIZE
 from evenlog.quorum.transport import store_frame_size
-from evenlog.slots import FlushPolicy
 
 from .conftest import build_cluster, pad4
 
 
 def test_periodic_flusher_makes_buffered_appends_durable(tmp_path, key):
     backend = JournalBackend(tmp_path, key, 128)
-    engine = WalEngine(backend, policy=FlushPolicy(interval_ms=10), start_flusher=True)
+    engine = WalEngine(backend, flush_interval_ms=10)
     result = engine.append(b"buffered" * 4, full_sync=False)
     assert not result.flushed
     path = tmp_path / journal_filename(backend.current_file_id)
@@ -32,7 +31,7 @@ def test_periodic_flusher_makes_buffered_appends_durable(tmp_path, key):
 
 def test_close_drains_the_slot(tmp_path, key):
     backend = JournalBackend(tmp_path, key, 128)
-    engine = WalEngine(backend, policy=FlushPolicy(interval_ms=None))
+    engine = WalEngine(backend)
     engine.append(b"pending-data", full_sync=False)
     engine.close()
     assert [r.payload for r in recover_journal(tmp_path, key, 128)] == [pad4(b"pending-data")]
@@ -40,7 +39,7 @@ def test_close_drains_the_slot(tmp_path, key):
 
 def test_append_order_equals_lsn_order_equals_recovery_order(tmp_path, key):
     backend = JournalBackend(tmp_path, key, 128)
-    engine = WalEngine(backend, policy=FlushPolicy(interval_ms=None))
+    engine = WalEngine(backend)
     payloads = [bytes([i]) * 48 for i in range(20)]
     lsns = [engine.append(p, full_sync=(i % 3 == 0)).lsn for i, p in enumerate(payloads)]
     engine.close()
@@ -90,7 +89,7 @@ def stored_bytes(backend, trace):
 def test_backend_contract(tmp_path, key, make_backend):
     trace = StorageTrace()
     backend = make_backend(tmp_path, key, trace)
-    engine = WalEngine(backend, slot_capacity=SLOT, policy=FlushPolicy(interval_ms=None))
+    engine = WalEngine(backend, slot_capacity=SLOT)
     for n in (100, 300):
         engine.append(bytes([n % 251]) * n, full_sync=True)
     marker = engine.checkpoint()

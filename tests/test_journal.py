@@ -19,7 +19,6 @@ from evenlog.journal import (
 )
 from evenlog.observe import StorageTrace
 from evenlog.records import encode_record, iter_records
-from evenlog.slots import FlushPolicy
 
 from .conftest import pad4, reopen
 
@@ -29,7 +28,7 @@ def make_backend(tmp_path, key, segment_size=128, **kw):
 
 
 def make_engine(backend):
-    return WalEngine(backend, policy=FlushPolicy(interval_ms=None))
+    return WalEngine(backend)
 
 
 class TestAppendSegments:
@@ -156,6 +155,17 @@ class TestCrashTruncation:
             path.write_bytes(data[: 2 * 144 + extra])
             recovered = recover_journal(tmp_path, key, 128)
             assert [r.payload for r in recovered] == [pad4(payloads[0])]
+
+    @pytest.mark.parametrize("cut", [144, 10], ids=["whole-unit", "partial-unit"])
+    def test_torn_older_file_keeps_later_writes(self, tmp_path, key, cut):
+        a, b, c = b"a" * 40, b"b" * 300, b"c" * 40
+        path = self.build(tmp_path, key, [a, b])  # b is 3 units, the last 3 of 4
+        path.write_bytes(path.read_bytes()[:-cut])
+        engine = make_engine(make_backend(tmp_path, key))  # restart: c goes to file 1
+        assert engine.backend.current_file_id == 1
+        engine.append(c, full_sync=True)
+        engine.close()
+        assert [r.payload for r in recover_journal(tmp_path, key, 128)] == [a, c]
 
 
 class TestCheckpoint:
@@ -299,7 +309,7 @@ class TestBaselines:
     def test_naive_backend_pads_to_slot_size(self, tmp_path):
         trace = StorageTrace()
         backend = PlainJournalBackend(tmp_path, pad_to=4096, trace=trace)
-        engine = WalEngine(backend, slot_capacity=4096, policy=FlushPolicy(interval_ms=None))
+        engine = WalEngine(backend, slot_capacity=4096)
         payloads = [os.urandom(n) for n in (100, 500)]
         for p in payloads:
             engine.append(p, full_sync=True)

@@ -85,7 +85,7 @@ class TestSerialization:
         assert back.ssn == 41
         assert back.entries[0].replica_ids == [SENTINEL, 8, 9]
         assert back.entries[0].digest == digest
-        assert back.entries[1].is_blank and back.entries[2].is_blank
+        assert back.entries[1].ack_count == 0 and back.entries[2].ack_count == 0
 
     def test_blank_entries_stay_sentinel_only(self):
         back = MetadataArray.from_bytes(MetadataArray(ssn=0, k_max=2).to_bytes(), 2)

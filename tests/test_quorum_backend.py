@@ -14,7 +14,6 @@ from evenlog.quorum import QuorumBackend, QuorumConfig, Replica, SegmentId, Sele
 from evenlog.quorum import backend as quorum_backend
 from evenlog.quorum.metadata import serialized_size
 from evenlog.quorum.transport import store_frame_size
-from evenlog.slots import FlushPolicy
 
 from .conftest import build_cluster, pad4, reopen
 
@@ -29,7 +28,7 @@ def make_backend(tmp_path, key, n_replicas=15, scheme=SelectionScheme.VNOS,
 
 
 def make_engine(backend):
-    return WalEngine(backend, policy=FlushPolicy(interval_ms=None))
+    return WalEngine(backend)
 
 
 class TestSegmentId:
@@ -298,30 +297,30 @@ class TestCheckpointGc:
 
     @staticmethod
     def commit_then_move_registry_time(tmp_path, key, member, t):
-        """Commit five records with no checkpoint, heartbeat ``member`` at
-        registry time ``t``, restart, and check every segment and record
-        is still there."""
+        """Commit five records with no checkpoint, renew ``member``'s lease
+        at registry time ``t``, restart, and check every segment and
+        record is still there."""
         backend = make_backend(tmp_path, key, n_replicas=18, scheme=SelectionScheme.FNOS)
         engine = make_engine(backend)
         payloads = [os.urandom(30 + 37 * i) for i in range(5)]
         for p in payloads:
             engine.append(p, full_sync=True)
         held = sum(len(rep) for rep in backend.replicas.values())
-        backend.registry.heartbeat(member, t)
+        backend.registry.register(member, t)
         backend = reopen(backend)
         assert sum(len(rep) for rep in backend.replicas.values()) == held
         assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
         return backend
 
     def test_replica_gc_keeps_segments_for_dead_client(self, tmp_path, key):
-        # only a replica heartbeats: the client is evicted, its segments stay
+        # only a replica renews its lease: the client is evicted, its segments stay
         backend = self.commit_then_move_registry_time(tmp_path, key, 0, 10**6)
-        assert not backend.registry.is_active("client-0", 10**6)
+        assert "client-0" not in backend.registry.list_active(10**6)
 
     def test_replica_gc_spares_fresh_segments(self, tmp_path, key):
         # the client is live at 61 s, where the age-based collector dropped everything
         backend = self.commit_then_move_registry_time(tmp_path, key, "client-0", 61)
-        assert backend.registry.is_active("client-0", 61)
+        assert "client-0" in backend.registry.list_active(61)
 
     def test_checkpoint_drops_segments_below_new_epoch(self, tmp_path, key):
         backend = make_backend(tmp_path, key)

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from evenlog.errors import InsufficientQuorums, InsufficientReplicas, Unregistered
+from evenlog.errors import InsufficientQuorums, InsufficientReplicas
 from evenlog.quorum import Registry, SelectionScheme, form_quorums, select_quorums
 
 
@@ -13,31 +13,24 @@ class TestRegistry:
     def test_registered_replica_is_active(self):
         reg = Registry()
         reg.register("r1", t=0)
-        assert reg.is_active("r1", t=50)
+        reg.register("r2", t=10)
+        assert reg.list_active(t=50) == {"r1", "r2"}
+        assert Registry().list_active(t=0) == set()
 
     def test_eviction_after_horizon(self):
         reg = Registry()
         reg.register("r1", t=0)
-        assert reg.is_active("r1", t=90)
-        assert not reg.is_active("r1", t=91)
+        assert "r1" in reg.list_active(t=90)
         assert "r1" not in reg.list_active(t=91)
 
     def test_heartbeats_keep_membership_alive(self):
+        # a heartbeat is a repeated register: it re-stamps the lease
         reg = Registry()
         reg.register("r1", t=0)
+        reg.register("r2", t=0)
         for t in range(30, 3000, 30):
-            reg.heartbeat("r1", t)
-        assert reg.is_active("r1", t=3000 + 60)
-
-    def test_heartbeat_from_unknown_member(self):
-        with pytest.raises(Unregistered):
-            Registry().heartbeat("ghost", t=1)
-
-    def test_deregister(self):
-        reg = Registry()
-        reg.register("r1", t=0)
-        reg.deregister("r1")
-        assert not reg.is_active("r1", t=0)
+            reg.register("r1", t)
+        assert reg.list_active(t=3000 + 60) == {"r1"}
 
 
 class TestFormQuorums:

@@ -1,12 +1,14 @@
-"""Slot buffering, flush policy, and append concurrency."""
+"""Slot buffering, the periodic flusher, and append concurrency."""
 
 import threading
+import time
 
 import pytest
 
+from evenlog.engine import WalEngine
 from evenlog.errors import DurabilityError
 from evenlog.records import encode_record, iter_records
-from evenlog.slots import FlushPolicy, PeriodicFlusher, Slot
+from evenlog.slots import PeriodicFlusher, Slot
 
 from .conftest import pad4
 
@@ -23,6 +25,9 @@ class MemoryBackend:
         if self.fail:
             raise DurabilityError("injected")
         self.flushes.append(slot_bytes)
+
+    def close(self):
+        pass
 
 
 @pytest.fixture
@@ -74,8 +79,7 @@ class TestAppend:
 class TestFlush:
     def test_empty_flush_is_noop(self, backend):
         slot = Slot()
-        receipt = slot.flush(backend)
-        assert receipt.byte_count == 0
+        slot.flush(backend)
         assert backend.flushes == []
         assert slot.ssn == 0
 
@@ -84,17 +88,17 @@ class TestFlush:
         records = [encode_record(bytes([i]) * 40) for i in range(3)]
         for r in records:
             slot.append(r, backend)
-        receipt = slot.flush(backend)
+        slot.flush(backend)
         assert backend.flushes == [b"".join(records)]
-        assert receipt.byte_count == sum(len(r) for r in records)
 
     def test_ssn_strictly_increasing_across_flushes(self, backend):
         slot = Slot()
         ssns = []
         for _ in range(3):
             slot.append(encode_record(b"x" * 8), backend)
-            ssns.append(slot.flush(backend).ssn)
-        assert ssns == [0, 1, 2]
+            ssns.append(slot.ssn)
+            slot.flush(backend)
+        assert ssns == [0, 1, 2] and slot.ssn == 3
 
     def test_backend_error_leaves_slot_unchanged(self, backend):
         slot = Slot()
@@ -145,8 +149,6 @@ def test_periodic_flusher_drives_flush():
     calls = []
     flusher = PeriodicFlusher(lambda: calls.append(1), interval_ms=5)
     flusher.start()
-    import time
-
     time.sleep(0.1)
     flusher.stop()
     assert len(calls) >= 3
@@ -155,6 +157,11 @@ def test_periodic_flusher_drives_flush():
     assert len(calls) == n  # stopped means stopped
 
 
-def test_flush_policy_default_interval():
-    assert FlushPolicy().interval_ms == 100.0
-    assert FlushPolicy(interval_ms=None).interval_ms is None
+def test_flush_policy_default_interval(backend):
+    # the engine's flush interval defaults to none: no timer drains the slot
+    engine = WalEngine(backend)
+    engine.append(b"buffered")
+    time.sleep(0.05)
+    assert backend.flushes == []
+    engine.close()
+    assert backend.flushes == [encode_record(b"buffered")]

@@ -15,7 +15,6 @@ from evenlog.quorum.transport import (
     encode_frame,
     store_frame_size,
 )
-from evenlog.slots import FlushPolicy
 
 from .conftest import build_cluster, pad4
 
@@ -92,7 +91,7 @@ class TestQuorumOverSockets:
                 config=QuorumConfig(segment_size=128, max_write_size=512),
                 scheme=SelectionScheme.VNOS, seed=2, channels=channels,
             )
-            engine = WalEngine(backend, policy=FlushPolicy(interval_ms=None))
+            engine = WalEngine(backend)
             payloads = [os.urandom(n) for n in (100, 260, 490)]
             for p in payloads:
                 engine.append(p, full_sync=True)

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from evenlog.errors import InvalidSpec
-from evenlog.records import encoded_record_size
 from evenlog.workload import (
     WorkloadSpec,
     attribute_sizes,
     generate,
     payload_sizes,
-    single_query_set,
 )
 
 
@@ -78,13 +76,3 @@ class TestGenerate:
         spec = WorkloadSpec.parse("zipf:2", 300, seed=9)
         assert [len(p) for p in generate(spec)] == payload_sizes(spec).tolist()
 
-
-class TestSingleQuerySet:
-    def test_sizes_are_128_512_1024(self):
-        assert [len(p) for p in single_query_set()] == [128, 512, 1024]
-
-    def test_encoded_sizes_add_header(self):
-        assert [encoded_record_size(len(p)) for p in single_query_set()] == [144, 528, 1040]
-
-    def test_deterministic(self):
-        assert single_query_set(3) == single_query_set(3)
