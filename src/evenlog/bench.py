@@ -57,8 +57,6 @@ class BenchReport:
     relative_cost: float
     naive_bytes: int
     naive_cost: float
-    recovery_time_ms: float | None = None
-    recovered_records: int | None = None
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:

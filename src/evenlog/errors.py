@@ -40,11 +40,19 @@ class StorageNotFound(WalError):
 
 
 class RecoveryCorruption(WalError):
-    """Recovery hit a non-zero word that cannot be a record header."""
+    """Recovery hit a non-zero word that cannot be a record header.
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (stream offset {offset})")
+    ``offset`` counts within the scanned plaintext; ``fid`` names the
+    journal file it lies in, once the recovery walk has attached it."""
+
+    def __init__(self, message: str, offset: int, fid: int | None = None):
+        super().__init__(message)
         self.offset = offset
+        self.fid = fid
+
+    def __str__(self) -> str:
+        where = f"journal file {self.fid}, offset" if self.fid is not None else "stream offset"
+        return f"{self.args[0]} ({where} {self.offset})"
 
 
 # --- crypto ---

@@ -8,19 +8,24 @@ baseline that writes slot bytes as-is, or zero-padded to ``pad_to``
 bytes; it exists for byte accounting, recovery-time comparison, and
 demonstrating the size leak the segmented engine removes.
 
-Files are named ``<prefix>.<fid>`` (fid as 10 decimal digits, see
-``list_epoch_fids``). The checkpoint sidecar ``CHECKPOINT`` holds 20
-bytes, little-endian:
+Both sit on ``JournalFiles``: they differ only in what a flush becomes
+on disk and how a file is read back. Files are named ``<prefix>.<fid>``
+(fid as 10 decimal digits, see ``list_epoch_fids``); a backend instance
+always appends to a fresh file. The checkpoint sidecar ``CHECKPOINT``
+holds 20 bytes, little-endian:
 
     [ckpt_id u64][fid u32][offset u64]
 
 ``WalEngine.checkpoint`` flushes a flagged record through the normal
-slot path; ``JournalBackend.checkpoint`` then creates the next journal
+slot path; ``JournalFiles.checkpoint`` then creates the next journal
 file and commits by atomically replacing the sidecar (write-temp-then-
 rename). A crash anywhere before the rename leaves the previous
 checkpoint in force. Only after the rename does the checkpoint delete
 the files below the sidecar fid; recovery never reads them, so one
 that survives a crash is harmless and the next checkpoint deletes it.
+Recovery reads every file from the sidecar position on and scans each
+on its own. ``durable_append`` is the one write-and-sync path of every
+backend, the quorum metadata file included.
 """
 
 from __future__ import annotations
@@ -29,9 +34,10 @@ import os
 import re
 import struct
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import crypto
-from .errors import DurabilityError, StorageNotFound
+from .errors import DurabilityError, RecoveryCorruption, StorageNotFound
 from .observe import StorageTrace
 from .records import LogRecord, Lsn, scan_padded_stream
 from .segmentation import check_segment_size, pad_to_segments
@@ -93,45 +99,48 @@ def delete_epochs_before(root: Path, prefix: str, fid: int) -> None:
         (root / epoch_filename(prefix, old)).unlink()
 
 
-class JournalBackend:
-    """Append-only journal of encrypted fixed-size stored units.
+def durable_append(fh, data: bytes, unit: int, sync: bool) -> None:
+    """Write ``data`` to ``fh`` as one write per ``unit`` bytes, flush, and
+    sync the file's data when ``sync`` is set. Every backend appends here;
+    an ``OSError`` anywhere on the way becomes ``DurabilityError``."""
+    write = fh.write
+    view = memoryview(data)
+    try:
+        # one write per unit: for the segmented journal this is the
+        # adversary-visible sequence the fixed-size guarantee is about
+        for off in range(0, len(data), unit):
+            write(view[off : off + unit])
+        fh.flush()
+        if sync:
+            os.fdatasync(fh.fileno())
+    except OSError as exc:
+        raise DurabilityError(str(exc)) from exc
 
-    A backend instance always appends to a fresh file (one past the
-    newest on disk), so a torn tail left by a crash is never extended.
+
+class JournalFiles:
+    """The file layer under both journal backends.
+
+    An instance always appends to a fresh file (one past the newest on
+    disk), so a torn tail left by a crash is never extended. Subclasses
+    say what one slot flush becomes on disk and how to read it back.
     """
 
-    def __init__(
-        self,
-        root: str | Path,
-        key: crypto.ReplicaKey,
-        segment_size: int = 128,
-        trace: StorageTrace | None = None,
-        sync: bool = True,
-    ):
+    def __init__(self, root: str | Path, trace: StorageTrace | None, sync: bool):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.key = key
-        self.segment_size = check_segment_size(segment_size)
         self.trace = trace if trace is not None else StorageTrace()
         self.sync = sync
-        self.unit_size = segment_size + crypto.IV_SIZE
-
         existing = list_journal_fids(self.root)
-        self._fid = (existing[-1] + 1) if existing else 0
-        self._fh = None
-        self._offset = 0
         sidecar = read_sidecar(self.root)
         self._ckpt_id = sidecar[0] if sidecar else 0
-        self._open_file(self._fid)
-
-    # -- file plumbing -------------------------------------------------
+        self._fh = None
+        self._open_file((existing[-1] + 1) if existing else 0)
 
     def _open_file(self, fid: int) -> None:
         if self._fh is not None:
             self._fh.close()
         self._fid = fid
-        path = self.root / journal_filename(fid)
-        self._fh = open(path, "ab")
+        self._fh = open(self.root / journal_filename(fid), "ab")
         self._offset = self._fh.tell()
 
     @property
@@ -143,42 +152,17 @@ class JournalBackend:
             self._fh.close()
             self._fh = None
 
-    def stats(self) -> BackendStats:
-        units = self.trace.write_count(StorageTrace.JOURNAL)
-        return BackendStats(units * self.segment_size, 0, units * crypto.IV_SIZE)
-
-    def _sync_file(self) -> None:
-        self._fh.flush()
-        if self.sync:
-            os.fdatasync(self._fh.fileno())
-
-    # -- appends -------------------------------------------------------
-
-    def persist_slot(self, slot_bytes: bytes) -> Lsn:
-        """Segment, encrypt and append one slot flush; synced on return."""
-        padded = pad_to_segments(slot_bytes, self.segment_size)
-        return self._append_units(crypto.encrypt_stream(self.key, padded, self.segment_size))
-
-    def _append_units(self, units: bytes) -> Lsn:
+    def _append(self, data: bytes, unit: int) -> Lsn:
+        """Durably append ``data`` as writes of ``unit`` bytes; an empty
+        flush writes and syncs nothing."""
         lsn = Lsn(self._fid, self._offset)
-        if not units:
-            return lsn
-        count = len(units) // self.unit_size
-        write = self._fh.write
-        view = memoryview(units)
-        try:
-            # one write per stored unit: this is the adversary-visible
-            # sequence the fixed-size guarantee is about
-            for off in range(0, len(units), self.unit_size):
-                write(view[off : off + self.unit_size])
-            self._sync_file()
-        except OSError as exc:
-            raise DurabilityError(str(exc)) from exc
-        self.trace.record(StorageTrace.JOURNAL, self.unit_size, count)
-        self._offset += len(units)
+        if data:
+            durable_append(self._fh, data, unit, self.sync)
+            self.trace.record(StorageTrace.JOURNAL, unit, len(data) // unit)
+            self._offset += len(data)
         return lsn
 
-    # -- checkpoints (the one place files are deleted) and recovery ----------
+    # -- checkpoints: the one place files are deleted ------------------------
 
     @property
     def last_checkpoint_id(self) -> int:
@@ -217,112 +201,114 @@ class JournalBackend:
             fsync_dir(self.root)
         self.trace.record(StorageTrace.METADATA, _SIDECAR.size)
 
+
+class JournalBackend(JournalFiles):
+    """Append-only journal of encrypted fixed-size stored units."""
+
+    def __init__(
+        self,
+        root: str | Path,
+        key: crypto.ReplicaKey,
+        segment_size: int = 128,
+        trace: StorageTrace | None = None,
+        sync: bool = True,
+    ):
+        self.key = key
+        self.segment_size = check_segment_size(segment_size)
+        self.unit_size = segment_size + crypto.IV_SIZE
+        super().__init__(root, trace, sync)
+
+    def stats(self) -> BackendStats:
+        units = self.trace.write_count(StorageTrace.JOURNAL)
+        return BackendStats(units * self.segment_size, 0, units * crypto.IV_SIZE)
+
+    def persist_slot(self, slot_bytes: bytes) -> Lsn:
+        """Segment, encrypt and append one slot flush; synced on return."""
+        padded = pad_to_segments(slot_bytes, self.segment_size)
+        return self._append(crypto.encrypt_stream(self.key, padded, self.segment_size), self.unit_size)
+
     def recover(self) -> list[LogRecord]:
         return recover_journal(self.root, self.key, self.segment_size)
 
 
-def plaintext_stream(root: str | Path, key: crypto.ReplicaKey, segment_size: int) -> list[bytes]:
-    """Decrypt the journal from the last checkpoint, one plaintext per file.
-
-    Files are read in fid order starting at the sidecar position (start
-    of the stream when no checkpoint exists). A torn trailing partial
-    unit is dropped; record-level tearing is handled by the scanner.
-    """
-    root = Path(root)
-    check_segment_size(segment_size)
-    unit = segment_size + crypto.IV_SIZE
-    sidecar = read_sidecar(root)
-    start_fid, start_off = (sidecar[1], sidecar[2]) if sidecar else (0, 0)
-    parts = []
-    for fid in list_journal_fids(root):
-        if fid < start_fid:
-            continue
-        data = (root / journal_filename(fid)).read_bytes()
-        if fid == start_fid:
-            data = data[start_off:]
-        data = data[: len(data) - len(data) % unit]
-        parts.append(crypto.decrypt_stream(key, data, segment_size))
-    return parts
-
-
-def recover_journal(root: str | Path, key: crypto.ReplicaKey, segment_size: int) -> list[LogRecord]:
-    """Replay the journal: decrypt from the last checkpoint, then scan
-    records, skipping zero-word padding. Each file is scanned on its own,
-    since a flush never spans files, so a torn tail ends only its file."""
-    records: list[LogRecord] = []
-    for part in plaintext_stream(root, key, segment_size):
-        records += scan_padded_stream(part)
-    return records
-
-
-def recover_plain(root: str | Path) -> list[LogRecord]:
-    """Scan the newest plain journal file (see ``PlainJournalBackend``).
-    Reads only: a directory with no journal file recovers nothing."""
-    root = Path(root)
-    fids = list_journal_fids(root)
-    if not fids:
-        return []
-    return scan_padded_stream((root / journal_filename(fids[-1])).read_bytes())
-
-
-class PlainJournalBackend:
+class PlainJournalBackend(JournalFiles):
     """Unsegmented baseline: slot flushes land on disk byte-for-byte.
 
     With ``pad_to=None`` the trace shows one variable-sized write per
     flush, exactly the side channel the segmented backend closes. With
     ``pad_to`` at the slot capacity it is the rejected mitigation: one
     write size, but two orders of magnitude of write amplification for
-    small sequential writes. A checkpoint starts the next file and
-    deletes the older ones; recovery reads the newest one.
+    small sequential writes.
     """
 
     def __init__(self, root: str | Path, pad_to: int | None = None,
                  trace: StorageTrace | None = None, sync: bool = True):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self.pad_to = pad_to
-        self.trace = trace if trace is not None else StorageTrace()
-        self.sync = sync
-        existing = list_journal_fids(self.root)
-        self._fid = existing[-1] if existing else 0
-        self._fh = open(self.root / journal_filename(self._fid), "ab")
-
-    @property
-    def current_file_id(self) -> int:
-        return self._fid
-
-    last_checkpoint_id = current_file_id  # file n starts at checkpoint n
+        super().__init__(root, trace, sync)
 
     def persist_slot(self, slot_bytes: bytes) -> Lsn:
         if self.pad_to is not None:
             if len(slot_bytes) > self.pad_to:
                 raise DurabilityError(f"flush of {len(slot_bytes)} bytes exceeds the slot size")
             slot_bytes += b"\x00" * (self.pad_to - len(slot_bytes))
-        lsn = Lsn(self._fid, self._fh.tell())
-        try:
-            self._fh.write(slot_bytes)
-            self._fh.flush()
-            if self.sync:
-                os.fdatasync(self._fh.fileno())
-        except OSError as exc:
-            raise DurabilityError(str(exc)) from exc
-        self.trace.record(StorageTrace.JOURNAL, len(slot_bytes))
-        return lsn
-
-    def checkpoint(self, ckpt_id: int) -> CheckpointMarker:
-        self._fh.close()
-        self._fid += 1
-        self._fh = open(self.root / journal_filename(self._fid), "ab")
-        if self.sync:
-            fsync_dir(self.root)
-        delete_epochs_before(self.root, "journal", self._fid)
-        return CheckpointMarker(ckpt_id, Lsn(self._fid, 0))
-
-    def close(self) -> None:
-        self._fh.close()
+        return self._append(slot_bytes, len(slot_bytes))
 
     def recover(self) -> list[LogRecord]:
         return recover_plain(self.root)
 
     def stats(self) -> BackendStats:
         return BackendStats(self.trace.total_bytes(StorageTrace.JOURNAL), 0, 0)
+
+
+# -- recovery: every file from the sidecar position on, each scanned alone ----
+
+def journal_files(root: str | Path) -> Iterator[tuple[int, bytes]]:
+    """Yield (fid, bytes) of each journal file from the last checkpoint on,
+    in fid order: the sidecar's file from its offset, every later file
+    whole, and every file whole when no checkpoint exists."""
+    root = Path(root)
+    sidecar = read_sidecar(root)
+    start_fid, start_off = (sidecar[1], sidecar[2]) if sidecar else (0, 0)
+    for fid in list_journal_fids(root):
+        if fid < start_fid:
+            continue
+        data = (root / journal_filename(fid)).read_bytes()
+        yield fid, data[start_off:] if fid == start_fid else data
+
+
+def plaintext_stream(root: str | Path, key: crypto.ReplicaKey, segment_size: int) -> list[tuple[int, bytes]]:
+    """Decrypt the journal from the last checkpoint: (fid, plaintext) per
+    file. A torn trailing partial unit is dropped; record-level tearing
+    is handled by the scanner."""
+    check_segment_size(segment_size)
+    unit = segment_size + crypto.IV_SIZE
+    return [
+        (fid, crypto.decrypt_stream(key, data[: len(data) - len(data) % unit], segment_size))
+        for fid, data in journal_files(root)
+    ]
+
+
+def _scan_files(files: Iterable[tuple[int, bytes]]) -> list[LogRecord]:
+    """Scan each file's plaintext on its own, skipping zero-word padding.
+    A flush never spans files, so a torn tail ends only its file. A
+    corruption is reported with the fid of the file it lies in."""
+    records: list[LogRecord] = []
+    for fid, data in files:
+        try:
+            records += scan_padded_stream(data)
+        except RecoveryCorruption as exc:
+            exc.fid = fid
+            raise
+    return records
+
+
+def recover_journal(root: str | Path, key: crypto.ReplicaKey, segment_size: int) -> list[LogRecord]:
+    """Replay the segmented journal from the last checkpoint."""
+    return _scan_files(plaintext_stream(root, key, segment_size))
+
+
+def recover_plain(root: str | Path) -> list[LogRecord]:
+    """Replay a plain journal (see ``PlainJournalBackend``) from the last
+    checkpoint. Reads only: a directory with no journal file recovers
+    nothing."""
+    return _scan_files(journal_files(root))

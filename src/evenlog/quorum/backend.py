@@ -25,8 +25,8 @@ from pathlib import Path
 from typing import Mapping
 
 from .. import crypto
-from ..errors import CommitTimeout, DurabilityError, IntegrityFailure, SegmentNotFound, UnrecoverableSegment
-from ..journal import delete_epochs_before, epoch_filename, fsync_dir, list_epoch_fids
+from ..errors import CommitTimeout, IntegrityFailure, SegmentNotFound, UnrecoverableSegment
+from ..journal import delete_epochs_before, durable_append, epoch_filename, fsync_dir, list_epoch_fids
 from ..observe import StorageTrace
 from ..records import LogRecord, Lsn, scan_padded_stream
 from ..segmentation import check_segment_size, segment_slot
@@ -183,13 +183,7 @@ class QuorumBackend:
         commit_latency = self._deliver(array, placements, units, digests, ssn, n_real)
 
         blob = crypto.encrypt_segment(self.key, array.to_bytes())
-        try:
-            self._fh.write(blob)
-            self._fh.flush()
-            if self.sync:
-                os.fdatasync(self._fh.fileno())
-        except OSError as exc:
-            raise DurabilityError(str(exc)) from exc
+        durable_append(self._fh, blob, len(blob), self.sync)
         self.trace.record(StorageTrace.METADATA, len(blob))
         self._ssn += 1
         self.real_segments += n_real

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from evenlog.crypto import StaticKeyProvider
-from evenlog.journal import JournalBackend
+from evenlog.journal import JournalBackend, PlainJournalBackend
 from evenlog.quorum import QuorumBackend, build_cluster  # noqa: F401  (re-exported for the test modules)
 
 MASTER = b"unit-test-master-secret-32-bytes"
@@ -22,6 +22,8 @@ def reopen(backend, seed: int = 0):
     backend.close()
     if isinstance(backend, JournalBackend):
         return JournalBackend(backend.root, backend.key, backend.segment_size, sync=backend.sync)
+    if isinstance(backend, PlainJournalBackend):
+        return PlainJournalBackend(backend.root, backend.pad_to, sync=backend.sync)
     return QuorumBackend(backend.root, backend.key, backend.replicas, backend.registry,
                          config=backend.config, scheme=backend.scheme, seed=seed,
                          client_id=backend.client_id, sync=backend.sync)

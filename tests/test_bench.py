@@ -150,4 +150,5 @@ def test_report_json_roundtrip(tmp_path, key):
 
     parsed = json.loads(report.to_json())
     assert parsed["ops"] == 5
+    assert [k for k, v in parsed.items() if v is None] == []  # every field is set
     assert parsed["bytes_padded"] == report.bytes_padded

@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 
 from evenlog.crypto import StaticKeyProvider
 from evenlog.engine import WalEngine
-from evenlog.journal import JournalBackend, list_epoch_fids, list_journal_fids, read_sidecar
+from evenlog.journal import (
+    JournalBackend,
+    JournalFiles,
+    PlainJournalBackend,
+    list_epoch_fids,
+    list_journal_fids,
+    read_sidecar,
+)
 from evenlog.quorum import QuorumBackend, QuorumConfig, SelectionScheme
 from evenlog.records import encoded_record_size
 
@@ -60,7 +67,7 @@ def engine_on(backend) -> WalEngine:
 
 def assert_collected(backend) -> None:
     root = backend.root
-    if isinstance(backend, JournalBackend):
+    if isinstance(backend, JournalFiles):
         assert list_journal_fids(root) == [read_sidecar(root)[1]]
         return
     assert list_epoch_fids(root, "metadata") == [backend.current_file_id]
@@ -100,6 +107,14 @@ def run(backend, steps) -> None:
 def test_journal_recovers_durable_records_and_keeps_one_epoch(steps):
     with tempfile.TemporaryDirectory() as root:
         run(JournalBackend(root, KEY, 128, sync=False), steps)
+
+
+@pytest.mark.parametrize("pad_to", [None, SLOT], ids=["unpadded", "padded"])
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(STEP, max_size=20))
+def test_plain_journal_recovers_durable_records_and_keeps_one_epoch(pad_to, steps):
+    with tempfile.TemporaryDirectory() as root:
+        run(PlainJournalBackend(root, pad_to, sync=False), steps)
 
 
 @pytest.mark.parametrize("scheme", [SelectionScheme.VNOS, SelectionScheme.FNOS])

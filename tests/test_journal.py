@@ -31,6 +31,11 @@ def make_engine(backend):
     return WalEngine(backend)
 
 
+def open_backend(kind, root, key):
+    """A segmented (``journal``) or unpadded plain (``plain``) backend."""
+    return make_backend(root, key) if kind == "journal" else PlainJournalBackend(root)
+
+
 class TestAppendSegments:
     """``persist_slot`` appends one stored unit per segment of the flush."""
 
@@ -115,6 +120,29 @@ class TestRecovery:
             recover_journal(tmp_path, key, 128)
         assert exc_info.value.offset == second_at
 
+    @pytest.mark.parametrize("kind", ["journal", "plain"])
+    def test_corruption_names_its_file(self, tmp_path, key, kind):
+        for _ in range(2):  # each restart starts a fresh file: two records in each of files 0 and 1
+            backend = open_backend(kind, tmp_path, key)
+            engine = make_engine(backend)
+            engine.append(b"first" * 8, full_sync=False)
+            engine.append(b"second" * 8, full_sync=False)
+            engine.close()
+        path = tmp_path / journal_filename(1)
+        data = path.read_bytes()
+        if kind == "journal":
+            data = crypto.decrypt_stream(key, data, 128)
+        text = bytearray(data)
+        second_at = len(encode_record(b"first" * 8))
+        text[second_at : second_at + 4] = (13).to_bytes(4, "little")
+        if kind == "journal":
+            text = crypto.encrypt_stream(key, bytes(text), 128)
+        path.write_bytes(text)
+        with pytest.raises(RecoveryCorruption) as exc_info:
+            backend.recover()
+        assert (exc_info.value.fid, exc_info.value.offset) == (1, second_at)
+        assert f"journal file 1, offset {second_at}" in str(exc_info.value)
+
 
 class TestCrashTruncation:
     def build(self, tmp_path, key, payloads, segment_size=128):
@@ -156,16 +184,21 @@ class TestCrashTruncation:
             recovered = recover_journal(tmp_path, key, 128)
             assert [r.payload for r in recovered] == [pad4(payloads[0])]
 
-    @pytest.mark.parametrize("cut", [144, 10], ids=["whole-unit", "partial-unit"])
-    def test_torn_older_file_keeps_later_writes(self, tmp_path, key, cut):
+    @pytest.mark.parametrize("kind, cut", [("journal", 144), ("journal", 10), ("plain", 10)],
+                             ids=["whole-unit", "partial-unit", "plain"])
+    def test_torn_older_file_keeps_later_writes(self, tmp_path, key, kind, cut):
         a, b, c = b"a" * 40, b"b" * 300, b"c" * 40
-        path = self.build(tmp_path, key, [a, b])  # b is 3 units, the last 3 of 4
+        engine = make_engine(open_backend(kind, tmp_path, key))
+        for p in (a, b):  # segmented, b is 3 units, the last 3 of 4
+            engine.append(p, full_sync=True)
+        engine.close()
+        path = tmp_path / journal_filename(0)
         path.write_bytes(path.read_bytes()[:-cut])
-        engine = make_engine(make_backend(tmp_path, key))  # restart: c goes to file 1
-        assert engine.backend.current_file_id == 1
+        engine = make_engine(open_backend(kind, tmp_path, key))  # restart: c goes to file 1
         engine.append(c, full_sync=True)
         engine.close()
-        assert [r.payload for r in recover_journal(tmp_path, key, 128)] == [a, c]
+        assert [r.payload for r in engine.backend.recover()] == [a, c]
+        assert engine.backend.current_file_id == 1
 
 
 class TestCheckpoint:
