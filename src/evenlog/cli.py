@@ -371,6 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "bench" and args.mode == "seq" and args.flush_interval_ms is not None:
+        parser.error("--flush-interval-ms applies to bench conc only: bench seq runs no periodic flusher")
     try:
         config = parse_config(args.config) if args.config else {}
         return args.func(args, config)

@@ -24,7 +24,10 @@ checkpoint in force. Only after the rename does the checkpoint delete
 the files below the sidecar fid; recovery never reads them, so one
 that survives a crash is harmless and the next checkpoint deletes it.
 Recovery reads every file from the sidecar position on and scans each
-on its own. ``durable_append`` is the one write-and-sync path of every
+on its own, a chunk of whole units (``READ_SIZE``) at a time: each chunk
+is read, decrypted and scanned before the next is read, so recovery
+holds a few chunks plus the largest record, not the journal.
+``durable_append`` is the one write-and-sync path of every
 backend, the quorum metadata file included.
 """
 
@@ -262,40 +265,56 @@ class PlainJournalBackend(JournalFiles):
 
 # -- recovery: every file from the sidecar position on, each scanned alone ----
 
-def journal_files(root: str | Path) -> Iterator[tuple[int, bytes]]:
-    """Yield (fid, bytes) of each journal file from the last checkpoint on,
-    in fid order: the sidecar's file from its offset, every later file
-    whole, and every file whole when no checkpoint exists."""
+# Recovery reads a file this many bytes at a time, rounded down to whole
+# stored units, so its memory is bounded by a few reads plus the largest
+# record, whatever the journal's size.
+READ_SIZE = 1 << 20
+
+
+def journal_files(root: str | Path, unit: int = 1) -> Iterator[tuple[int, Iterator[bytes]]]:
+    """Yield (fid, chunks) for each journal file from the last checkpoint
+    on, in fid order: the sidecar's file from its offset, every later file
+    whole, and every file whole when no checkpoint exists. ``chunks``
+    reads the file lazily, a whole number of ``unit``-byte units at a
+    time, and drops a trailing partial unit."""
     root = Path(root)
     sidecar = read_sidecar(root)
     start_fid, start_off = (sidecar[1], sidecar[2]) if sidecar else (0, 0)
+    size = max(1, READ_SIZE // unit) * unit
     for fid in list_journal_fids(root):
-        if fid < start_fid:
-            continue
-        data = (root / journal_filename(fid)).read_bytes()
-        yield fid, data[start_off:] if fid == start_fid else data
+        if fid >= start_fid:
+            yield fid, _read_chunks(root / journal_filename(fid), start_off if fid == start_fid else 0, size, unit)
 
 
-def plaintext_stream(root: str | Path, key: crypto.ReplicaKey, segment_size: int) -> list[tuple[int, bytes]]:
-    """Decrypt the journal from the last checkpoint: (fid, plaintext) per
-    file. A torn trailing partial unit is dropped; record-level tearing
-    is handled by the scanner."""
+def _read_chunks(path: Path, start: int, size: int, unit: int) -> Iterator[bytes]:
+    with open(path, "rb") as f:
+        f.seek(start)
+        while len(chunk := f.read(size)) == size:
+            yield chunk
+        if whole := len(chunk) - len(chunk) % unit:
+            yield chunk[:whole]
+
+
+def plaintext_stream(root: str | Path, key: crypto.ReplicaKey, segment_size: int) -> Iterator[tuple[int, Iterator[bytes]]]:
+    """Decrypt the journal from the last checkpoint: (fid, plaintext
+    chunks) per file, each chunk read and decrypted only when the scan
+    takes it. A torn trailing partial unit is dropped; record-level
+    tearing is handled by the scanner."""
     check_segment_size(segment_size)
-    unit = segment_size + crypto.IV_SIZE
-    return [
-        (fid, crypto.decrypt_stream(key, data[: len(data) - len(data) % unit], segment_size))
-        for fid, data in journal_files(root)
-    ]
+    for fid, chunks in journal_files(root, segment_size + crypto.IV_SIZE):
+        # every unit decrypts under its own IV, so a chunk needs nothing
+        # from the one before it
+        yield fid, (crypto.decrypt_stream(key, c, segment_size) for c in chunks)
 
 
-def _scan_files(files: Iterable[tuple[int, bytes]]) -> list[LogRecord]:
-    """Scan each file's plaintext on its own, skipping zero-word padding.
-    A flush never spans files, so a torn tail ends only its file. A
-    corruption is reported with the fid of the file it lies in."""
+def _scan_files(files: Iterable[tuple[int, Iterable[bytes]]]) -> list[LogRecord]:
+    """Scan each file's plaintext chunks on its own, skipping zero-word
+    padding. A flush never spans files, so a torn tail ends only its
+    file. A corruption is reported with the fid of the file it lies in."""
     records: list[LogRecord] = []
-    for fid, data in files:
+    for fid, chunks in files:
         try:
-            records += scan_padded_stream(data)
+            records += scan_padded_stream(chunks)
         except RecoveryCorruption as exc:
             exc.fid = fid
             raise

@@ -9,6 +9,11 @@ tail to the next multiple of 4. Header layout, little-endian:
 always >= 16, a multiple of 4, and never zero — the first word of a
 record is therefore never an all-zero word, which is what lets recovery
 distinguish records from padding.
+
+``scan_padded_stream`` is the recovery scanner. It takes a stream whole
+or as its chunks in order, and tells a record that runs past the end of
+a chunk (carried into the next one) from a torn tail (the stream ends
+with it held, or its checksum fails).
 """
 
 from __future__ import annotations
@@ -115,40 +120,91 @@ def iter_records(buf) -> Iterator[LogRecord]:
 def scan_padded_stream(buf) -> list[LogRecord]:
     """Recovery scanner over a plaintext stream that may contain padding.
 
+    ``buf`` is the whole stream as one bytes-like object, or an iterator
+    over its chunks in order (one journal file, read and decrypted a
+    chunk at a time); a bytes-like ``buf`` is the one-chunk case.
+
     Reads a record whenever the next 4-byte word is non-zero, and skips
     consecutive all-zero words between records (segment padding is
     always whole zero words because record and segment lengths are
     multiples of 4). A record whose declared length runs past the end of
     the stream, or whose checksum fails, is treated as a torn tail:
-    scanning stops at the last good record. A non-zero word that cannot
-    be a header is corruption, not padding, and raises.
-
-    Padding is skipped by one regex match per gap: it matches whole zero
-    words only, so it stops on a word boundary, and runs in C on the
-    buffer without copying it. The record checks are ``decode_record``'s.
+    scanning stops at the last good record, and no later chunk is taken
+    from the iterator. A non-zero word that cannot be a header is
+    corruption, not padding, and raises with its offset in the stream.
     """
-    records: list[LogRecord] = []
-    skip_zeros = _ZERO_WORDS.match
-    unpack = _HEADER.unpack_from
-    crc32 = zlib.crc32
-    offset = 0
-    n = len(buf)
-    while True:
-        offset = skip_zeros(buf, offset).end()
-        if n - offset >= HEADER_SIZE:
-            length, crc, flags, _ = unpack(buf, offset)
-        elif n - offset >= 4:
-            length = int.from_bytes(buf[offset : offset + 4], "little")  # a torn header
-        else:
-            break
-        if length < HEADER_SIZE or length % 4 != 0:
-            raise RecoveryCorruption(f"implausible record length {length}", offset)
-        end = offset + length
-        if end > n:
-            break  # torn tail
-        payload = bytes(buf[offset + HEADER_SIZE : end])
-        if crc32(payload) != crc:
-            break  # torn tail
-        records.append(LogRecord(payload, flags))
-        offset = end
-    return records
+    scan = _PaddedScan()
+    chunks = (buf,) if isinstance(buf, (bytes, bytearray, memoryview)) else buf
+    # all() stops at the first torn tail; map() holds no chunk between
+    # calls, so only the carried bytes outlive the next read
+    all(map(scan.feed, chunks))
+    return scan.records
+
+
+class _PaddedScan:
+    """The state of one stream's scan between chunks.
+
+    A record or header that runs past the end of a chunk is not yet a
+    torn tail: its bytes are carried into the next chunk, and only a
+    stream that ends with them held makes it one. Bytes are held, not
+    re-joined, until the pending record's declared length is in hand, so
+    a record many chunks long is joined and checked once.
+    """
+
+    __slots__ = ("records", "_parts", "_held", "_want", "_base")
+
+    def __init__(self):
+        self.records: list[LogRecord] = []
+        self._parts: list = []  # unscanned bytes: the carried tail, then whole chunks
+        self._held = 0  # total length of _parts
+        self._want = 0  # bytes to hold before the scan can move on
+        self._base = 0  # stream offset of the first held byte
+
+    def feed(self, chunk) -> bool:
+        """Scan ``chunk`` after the held bytes. Returns False at a torn
+        tail (a checksum failure): the stream ends there.
+
+        Padding is skipped by one regex match per gap: it matches whole
+        zero words only, so it stops on a word boundary, and runs in C on
+        the buffer without copying it. The record checks are
+        ``decode_record``'s.
+        """
+        parts = self._parts
+        parts.append(chunk)
+        self._held += len(chunk)
+        if self._held < self._want:
+            return True
+        buf = parts[0] if len(parts) == 1 else b"".join(parts)
+        parts.clear()
+        append = self.records.append
+        skip_zeros = _ZERO_WORDS.match
+        unpack = _HEADER.unpack_from
+        crc32 = zlib.crc32
+        offset = 0
+        n = len(buf)
+        while True:
+            offset = skip_zeros(buf, offset).end()
+            if n - offset >= HEADER_SIZE:
+                length, crc, flags, _ = unpack(buf, offset)
+            elif n - offset >= 4:
+                length = int.from_bytes(buf[offset : offset + 4], "little")  # a split header
+            else:
+                want = 4  # less than a word: padding or a header, the next bytes tell
+                break
+            if length < HEADER_SIZE or length % 4 != 0:
+                raise RecoveryCorruption(f"implausible record length {length}", self._base + offset)
+            end = offset + length
+            if end > n:
+                want = length  # runs past the bytes in hand
+                break
+            payload = bytes(buf[offset + HEADER_SIZE : end])
+            if crc32(payload) != crc:
+                return False  # torn tail
+            append(LogRecord(payload, flags))
+            offset = end
+        self._base += offset
+        self._want = want
+        self._held = n - offset
+        if self._held:
+            parts.append(bytes(buf[offset:]))
+        return True

@@ -86,8 +86,14 @@ class TestBench:
                 super().__init__(backend, slot_capacity, flush_interval_ms)
 
         monkeypatch.setattr(cli, "WalEngine", Recording)
-        code, _, _ = run_cli(capsys, "bench", mode, "--ops", "20", "--flush-interval-ms", "20",
-                             "--dir", str(tmp_path))
+        argv = ["bench", mode, "--ops", "20", "--flush-interval-ms", "20", "--dir", str(tmp_path)]
+        if mode == "seq":  # no flusher to hand the interval to: a usage error
+            with pytest.raises(SystemExit) as exc_info:
+                main(argv)
+            assert exc_info.value.code == 2 and seen == []
+            assert "--flush-interval-ms applies to bench conc only" in capsys.readouterr().err
+            return
+        code, _, _ = run_cli(capsys, *argv)
         assert code == 0 and seen == [interval]
 
     def test_quorum_scheme(self, capsys, tmp_path):

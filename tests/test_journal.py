@@ -3,6 +3,7 @@
 import os
 import random
 import struct
+import tracemalloc
 
 import pytest
 
@@ -12,13 +13,14 @@ from evenlog.errors import DurabilityError, InvalidSegmentSize, RecoveryCorrupti
 from evenlog.journal import (
     JournalBackend,
     PlainJournalBackend,
+    READ_SIZE,
     journal_filename,
     list_journal_fids,
     read_sidecar,
     recover_journal,
 )
 from evenlog.observe import StorageTrace
-from evenlog.records import encode_record, iter_records
+from evenlog.records import HEADER_SIZE, encode_record, iter_records
 
 from .conftest import pad4, reopen
 
@@ -31,9 +33,9 @@ def make_engine(backend):
     return WalEngine(backend)
 
 
-def open_backend(kind, root, key):
+def open_backend(kind, root, key, **kw):
     """A segmented (``journal``) or unpadded plain (``plain``) backend."""
-    return make_backend(root, key) if kind == "journal" else PlainJournalBackend(root)
+    return make_backend(root, key, **kw) if kind == "journal" else PlainJournalBackend(root, **kw)
 
 
 class TestAppendSegments:
@@ -199,6 +201,70 @@ class TestCrashTruncation:
         engine.close()
         assert [r.payload for r in engine.backend.recover()] == [a, c]
         assert engine.backend.current_file_id == 1
+
+
+class TestChunkedRecovery:
+    """Recovery reads, decrypts and scans each file in bounded chunks."""
+
+    @pytest.mark.parametrize("kind", ["journal", "plain"])
+    def test_memory_stays_within_a_few_reads(self, tmp_path, key, kind):
+        rng = random.Random(9)
+        backend = open_backend(kind, tmp_path, key, sync=False)
+        engine = make_engine(backend)  # buffered: 128 KiB slot flushes
+        payloads = [rng.randbytes(rng.randint(100, 700)) for _ in range(21000)]
+        for p in payloads:
+            engine.append(p)
+        engine.close()
+        assert (tmp_path / journal_filename(0)).stat().st_size >= 8 * 2**20
+        tracemalloc.start()
+        try:
+            records = backend.recover()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [r.payload for r in records] == [pad4(p) for p in payloads]
+        # what recovery needs beyond the records it returns
+        assert peak - held <= 4 * 2**20
+
+    @pytest.mark.parametrize("kind", ["journal", "plain"])
+    @pytest.mark.parametrize("cut", [None, "middle", "last-byte"])
+    def test_oversize_record_spans_reads(self, tmp_path, key, kind, cut):
+        rng = random.Random(3)
+        a, big, c, d = b"a" * 40, rng.randbytes(3 * READ_SIZE + 12), b"c" * 40, b"d" * 40
+        engine = make_engine(open_backend(kind, tmp_path, key))
+        for p in (a, big, c):  # big is one standalone flush over three reads long
+            engine.append(p, full_sync=True)
+        engine.close()
+        if cut is None:
+            assert [r.payload for r in engine.backend.recover()] == [a, big, c]
+            return
+        path = tmp_path / journal_filename(0)
+        data = path.read_bytes()
+        c_stored = 144 if kind == "journal" else len(encode_record(c))
+        path.write_bytes(data[: len(data) // 2 if cut == "middle" else len(data) - c_stored - 1])
+        engine = make_engine(open_backend(kind, tmp_path, key))  # restart: d goes to file 1
+        engine.append(d, full_sync=True)
+        engine.close()
+        assert [r.payload for r in engine.backend.recover()] == [a, d]
+
+    def test_torn_tail_stops_reading_its_file(self, tmp_path, key, monkeypatch):
+        engine = make_engine(make_backend(tmp_path, key))
+        for _ in range(3 * READ_SIZE // 1000):
+            engine.append(b"x" * 984)
+        engine.close()
+        path = tmp_path / journal_filename(0)
+        plain = bytearray(crypto.decrypt_stream(key, path.read_bytes(), 128))
+        plain[HEADER_SIZE + 1] ^= 1  # the first record fails its checksum
+        path.write_bytes(crypto.encrypt_stream(key, bytes(plain), 128))
+        decrypted = []
+
+        def decrypt_stream(key, units, segment_size, real=crypto.decrypt_stream):
+            decrypted.append(len(units))
+            return real(key, units, segment_size)
+
+        monkeypatch.setattr(crypto, "decrypt_stream", decrypt_stream)
+        assert recover_journal(tmp_path, key, 128) == []
+        assert sum(decrypted) <= READ_SIZE < len(plain)
 
 
 class TestCheckpoint:

@@ -2,6 +2,7 @@
 
 import random
 import struct
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -229,3 +230,45 @@ def test_scan_matches_word_by_word_reference(stream, kind):
     records = scan_padded_stream(kind(stream))
     assert records == expected
     assert all(type(r.payload) is bytes for r in records)
+
+
+def split_points(buf, rng):
+    """Chunk boundaries the resumable scan must carry across: one inside
+    each record header, one a byte before each record's end, and one
+    inside each run of zero words, found by the reference walk."""
+    points, offset, in_zeros = set(), 0, False
+    while offset + 4 <= len(buf):
+        if bytes(buf[offset : offset + 4]) == b"\x00" * 4:
+            if not in_zeros:
+                points.add(offset + rng.randrange(1, 4))
+            in_zeros = True
+            offset += 4
+            continue
+        in_zeros = False
+        length = int.from_bytes(buf[offset : offset + 4], "little")
+        if length < HEADER_SIZE or length % 4 != 0:
+            break
+        points.update((offset + rng.randrange(1, HEADER_SIZE), offset + length - 1))
+        offset += length
+    return points
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=padded_streams(), kind=st.sampled_from([bytes, bytearray, memoryview]),
+       split=st.sampled_from(["landmarks", "every-byte"]), rng=st.randoms(use_true_random=False))
+def test_chunked_scan_matches_one_call(stream, kind, split, rng):
+    if split == "every-byte":
+        cuts = range(1, len(stream))
+    else:  # the landmarks plus a few random cuts
+        extra = {rng.randrange(1, len(stream)) for _ in range(3)} if len(stream) > 1 else set()
+        cuts = sorted((split_points(stream, rng) | extra) - {0, len(stream)})
+    buf = kind(stream)
+    chunks = [buf[a:b] for a, b in pairwise([0, *cuts, len(stream)])]
+    try:
+        expected = reference_scan(stream)
+    except RecoveryCorruption as exc:
+        with pytest.raises(RecoveryCorruption) as exc_info:
+            scan_padded_stream(iter(chunks))
+        assert (str(exc_info.value), exc_info.value.offset) == (str(exc), exc.offset)
+        return
+    assert scan_padded_stream(iter(chunks)) == expected == scan_padded_stream(buf)
