@@ -42,16 +42,18 @@ class StorageNotFound(WalError):
 class RecoveryCorruption(WalError):
     """Recovery hit a non-zero word that cannot be a record header.
 
-    ``offset`` counts within the scanned plaintext; ``fid`` names the
-    journal file it lies in, once the recovery walk has attached it."""
+    ``offset`` counts within the scanned plaintext; ``fid`` and ``prefix``
+    name the file it lies in (a journal or a quorum metadata file), once
+    the recovery walk has attached them."""
 
-    def __init__(self, message: str, offset: int, fid: int | None = None):
+    def __init__(self, message: str, offset: int, fid: int | None = None, prefix: str = "journal"):
         super().__init__(message)
         self.offset = offset
         self.fid = fid
+        self.prefix = prefix
 
     def __str__(self) -> str:
-        where = f"journal file {self.fid}, offset" if self.fid is not None else "stream offset"
+        where = f"{self.prefix} file {self.fid}, offset" if self.fid is not None else "stream offset"
         return f"{self.args[0]} ({where} {self.offset})"
 
 

@@ -1,4 +1,4 @@
-"""On-disk journal backends.
+"""The epoch-file layer and the on-disk journal backends.
 
 ``JournalBackend`` is the size-uniform engine: every slot flush is split
 into fixed-size segments, each encrypted into a stored unit of exactly
@@ -8,8 +8,9 @@ baseline that writes slot bytes as-is, or zero-padded to ``pad_to``
 bytes; it exists for byte accounting, recovery-time comparison, and
 demonstrating the size leak the segmented engine removes.
 
-Both sit on ``JournalFiles``: they differ only in what a flush becomes
-on disk and how a file is read back. Files are named ``<prefix>.<fid>``
+Both, and ``quorum.QuorumBackend``'s metadata files, sit on
+``JournalFiles``: the backends differ only in what a flush becomes on
+disk and how a file is read back. Files are named ``<PREFIX>.<fid>``
 (fid as 10 decimal digits, see ``list_epoch_fids``); a backend instance
 always appends to a fresh file. The checkpoint sidecar ``CHECKPOINT``
 holds 20 bytes, little-endian:
@@ -17,18 +18,17 @@ holds 20 bytes, little-endian:
     [ckpt_id u64][fid u32][offset u64]
 
 ``WalEngine.checkpoint`` flushes a flagged record through the normal
-slot path; ``JournalFiles.checkpoint`` then creates the next journal
-file and commits by atomically replacing the sidecar (write-temp-then-
-rename). A crash anywhere before the rename leaves the previous
-checkpoint in force. Only after the rename does the checkpoint delete
-the files below the sidecar fid; recovery never reads them, so one
-that survives a crash is harmless and the next checkpoint deletes it.
-Recovery reads every file from the sidecar position on and scans each
-on its own, a chunk of whole units (``READ_SIZE``) at a time: each chunk
-is read, decrypted and scanned before the next is read, so recovery
-holds a few chunks plus the largest record, not the journal.
-``durable_append`` is the one write-and-sync path of every
-backend, the quorum metadata file included.
+slot path; ``JournalFiles.checkpoint`` then creates the next file and
+commits by atomically replacing the sidecar (write-temp-then-rename). A
+crash anywhere before the rename leaves the previous checkpoint in
+force. Only after the rename does the checkpoint delete the files below
+the sidecar fid; recovery never reads them, so one that survives a crash
+is harmless and the next checkpoint deletes it. Recovery reads every
+file from the sidecar position on and scans each on its own, a chunk of
+whole units (``READ_SIZE``) at a time: each chunk is read, decoded and
+scanned before the next is read, so recovery holds a few chunks plus the
+largest record, not the journal. ``JournalFiles._append`` is the one
+write-and-sync path of every backend.
 """
 
 from __future__ import annotations
@@ -104,8 +104,9 @@ def delete_epochs_before(root: Path, prefix: str, fid: int) -> None:
 
 def durable_append(fh, data: bytes, unit: int, sync: bool) -> None:
     """Write ``data`` to ``fh`` as one write per ``unit`` bytes, flush, and
-    sync the file's data when ``sync`` is set. Every backend appends here;
-    an ``OSError`` anywhere on the way becomes ``DurabilityError``."""
+    sync the file's data when ``sync`` is set. Every backend appends here
+    (through ``JournalFiles._append``); an ``OSError`` anywhere on the way
+    becomes ``DurabilityError``."""
     write = fh.write
     view = memoryview(data)
     try:
@@ -121,19 +122,24 @@ def durable_append(fh, data: bytes, unit: int, sync: bool) -> None:
 
 
 class JournalFiles:
-    """The file layer under both journal backends.
+    """The epoch-file layer under every backend.
 
-    An instance always appends to a fresh file (one past the newest on
-    disk), so a torn tail left by a crash is never extended. Subclasses
-    say what one slot flush becomes on disk and how to read it back.
+    An instance always appends to a fresh ``<PREFIX>.<fid>`` file (one
+    past the newest on disk), so a torn tail left by a crash is never
+    extended and a fid is never reused. Subclasses say what one slot
+    flush becomes on disk, on which trace channel, and how to read it
+    back.
     """
+
+    PREFIX = "journal"
+    CHANNEL = StorageTrace.JOURNAL
 
     def __init__(self, root: str | Path, trace: StorageTrace | None, sync: bool):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.trace = trace if trace is not None else StorageTrace()
         self.sync = sync
-        existing = list_journal_fids(self.root)
+        existing = list_epoch_fids(self.root, self.PREFIX)
         sidecar = read_sidecar(self.root)
         self._ckpt_id = sidecar[0] if sidecar else 0
         self._fh = None
@@ -143,7 +149,7 @@ class JournalFiles:
         if self._fh is not None:
             self._fh.close()
         self._fid = fid
-        self._fh = open(self.root / journal_filename(fid), "ab")
+        self._fh = open(self.root / epoch_filename(self.PREFIX, fid), "ab")
         self._offset = self._fh.tell()
 
     @property
@@ -161,7 +167,7 @@ class JournalFiles:
         lsn = Lsn(self._fid, self._offset)
         if data:
             durable_append(self._fh, data, unit, self.sync)
-            self.trace.record(StorageTrace.JOURNAL, unit, len(data) // unit)
+            self.trace.record(self.CHANNEL, unit, len(data) // unit)
             self._offset += len(data)
         return lsn
 
@@ -184,11 +190,11 @@ class JournalFiles:
         self._write_sidecar(ckpt_id, next_fid, 0)
         self._open_file(next_fid)
         self._ckpt_id = ckpt_id
-        delete_epochs_before(self.root, "journal", next_fid)
+        delete_epochs_before(self.root, self.PREFIX, next_fid)
         return CheckpointMarker(ckpt_id, Lsn(next_fid, 0))
 
     def _create_file(self, fid: int) -> None:
-        (self.root / journal_filename(fid)).touch()
+        (self.root / epoch_filename(self.PREFIX, fid)).touch()
         if self.sync:
             fsync_dir(self.root)
 
@@ -271,8 +277,9 @@ class PlainJournalBackend(JournalFiles):
 READ_SIZE = 1 << 20
 
 
-def journal_files(root: str | Path, unit: int = 1) -> Iterator[tuple[int, Iterator[bytes]]]:
-    """Yield (fid, chunks) for each journal file from the last checkpoint
+def journal_files(root: str | Path, unit: int = 1,
+                  prefix: str = JournalFiles.PREFIX) -> Iterator[tuple[int, Iterator[bytes]]]:
+    """Yield (fid, chunks) for each ``<prefix>`` file from the last checkpoint
     on, in fid order: the sidecar's file from its offset, every later file
     whole, and every file whole when no checkpoint exists. ``chunks``
     reads the file lazily, a whole number of ``unit``-byte units at a
@@ -281,9 +288,10 @@ def journal_files(root: str | Path, unit: int = 1) -> Iterator[tuple[int, Iterat
     sidecar = read_sidecar(root)
     start_fid, start_off = (sidecar[1], sidecar[2]) if sidecar else (0, 0)
     size = max(1, READ_SIZE // unit) * unit
-    for fid in list_journal_fids(root):
+    for fid in list_epoch_fids(root, prefix):
         if fid >= start_fid:
-            yield fid, _read_chunks(root / journal_filename(fid), start_off if fid == start_fid else 0, size, unit)
+            path = root / epoch_filename(prefix, fid)
+            yield fid, _read_chunks(path, start_off if fid == start_fid else 0, size, unit)
 
 
 def _read_chunks(path: Path, start: int, size: int, unit: int) -> Iterator[bytes]:
@@ -307,16 +315,16 @@ def plaintext_stream(root: str | Path, key: crypto.ReplicaKey, segment_size: int
         yield fid, (crypto.decrypt_stream(key, c, segment_size) for c in chunks)
 
 
-def _scan_files(files: Iterable[tuple[int, Iterable[bytes]]]) -> list[LogRecord]:
+def _scan_files(files: Iterable[tuple[int, Iterable[bytes]]], prefix: str = JournalFiles.PREFIX) -> list[LogRecord]:
     """Scan each file's plaintext chunks on its own, skipping zero-word
     padding. A flush never spans files, so a torn tail ends only its
-    file. A corruption is reported with the fid of the file it lies in."""
+    file. A corruption is reported with the name of the file it lies in."""
     records: list[LogRecord] = []
     for fid, chunks in files:
         try:
             records += scan_padded_stream(chunks)
         except RecoveryCorruption as exc:
-            exc.fid = fid
+            exc.fid, exc.prefix = fid, prefix
             raise
     return records
 

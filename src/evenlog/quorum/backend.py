@@ -12,8 +12,17 @@ Replicas and the network are simulated in process: deliveries are
 ordered by seeded pseudo-random latencies, so a run is reproducible
 given its seed.
 
-A checkpoint starts the next metadata epoch and, once that is durable,
-deletes the older epochs and has the replicas drop their segments.
+The metadata files are ``metadata.<fid>`` files on ``JournalFiles``, the
+journals' epoch-file layer: a start opens a fresh file, a checkpoint
+commits the ``CHECKPOINT`` sidecar and deletes the files below it, and
+then has the replicas drop their segments below the new fid. A segment
+id's fid names the metadata file of its slot and its ssn the slot's
+place in that file, so no id is ever given out twice. Recovery reads
+every metadata file from the sidecar on, a run of whole blobs at a time,
+and fetches and scans each run's segments before it reads the next. The
+metadata trace channel shows one fixed-size blob per slot and, at each
+checkpoint, the 20-byte sidecar write: the checkpoint cadence, never a
+record size.
 """
 
 from __future__ import annotations
@@ -22,13 +31,13 @@ import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .. import crypto
 from ..errors import CommitTimeout, IntegrityFailure, SegmentNotFound, UnrecoverableSegment
-from ..journal import delete_epochs_before, durable_append, epoch_filename, fsync_dir, list_epoch_fids
+from ..journal import JournalFiles, _scan_files, epoch_filename, journal_files
 from ..observe import StorageTrace
-from ..records import LogRecord, Lsn, scan_padded_stream
+from ..records import LogRecord
 from ..segmentation import check_segment_size, segment_slot
 from ..slots import BackendStats, CheckpointMarker
 from .metadata import MetadataArray, serialized_size
@@ -36,10 +45,6 @@ from .registry import Registry
 from .replica import Replica, SegmentId
 from .selection import GROUP_SIZE, SelectionScheme, form_quorums, select_quorums
 from .transport import store_frame_size
-
-
-def metadata_filename(fid: int) -> str:
-    return epoch_filename("metadata", fid)
 
 
 @dataclass
@@ -74,8 +79,11 @@ class CommitReceipt:
     commit_latency: float
 
 
-class QuorumBackend:
+class QuorumBackend(JournalFiles):
     """Durability backend persisting slots to quorums of replicas."""
+
+    PREFIX = "metadata"
+    CHANNEL = StorageTrace.METADATA
 
     def __init__(
         self,
@@ -91,16 +99,12 @@ class QuorumBackend:
         client_id: str = "client-0",
         sync: bool = True,
     ):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self.key = key
         self.replicas = dict(replicas)
         self.registry = registry
         self.config = (config or QuorumConfig(segment_size=128)).validate()
         self.scheme = scheme
-        self.trace = trace if trace is not None else StorageTrace()
         self.client_id = client_id
-        self.sync = sync
         self._rng = random.Random(seed)
         self._channels = dict(channels) if channels is not None else self.replicas
 
@@ -110,46 +114,15 @@ class QuorumBackend:
         active = registry.list_active(0.0) - {client_id}
         self.groups = form_quorums(active, self._rng)
 
-        existing = list_epoch_fids(self.root, "metadata")
-        self._fid = existing[-1] if existing else 0
-        self._ssn = 0
-        self._array_blob_size = crypto.IV_SIZE + serialized_size(self.config.k_max)
-        self._fh = None
-        self._open_metadata(self._fid)
+        self._ssn = 0  # the next slot's place in the current metadata file
+        self._blob_size = crypto.IV_SIZE + serialized_size(self.config.k_max)
         self.real_segments = 0
         self.fake_segments = 0
-
-    # -- metadata file -----------------------------------------------------
-
-    def _open_metadata(self, fid: int) -> None:
-        if self._fh is not None:
-            self._fh.close()
-        path = self.root / metadata_filename(fid)
-        if path.exists():
-            # drop any torn trailing blob before appending again
-            size = path.stat().st_size
-            keep = size - size % self._array_blob_size
-            if keep != size:
-                with open(path, "rb+") as f:
-                    f.truncate(keep)
-            self._ssn = keep // self._array_blob_size
-        else:
-            self._ssn = 0
-        self._fid = fid
-        self._fh = open(path, "ab")
-
-    @property
-    def current_file_id(self) -> int:
-        return self._fid
+        super().__init__(root, trace, sync)
 
     @property
     def metadata_path(self) -> Path:
-        return self.root / metadata_filename(self._fid)
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        return self.root / epoch_filename(self.PREFIX, self._fid)
 
     def stats(self) -> BackendStats:
         seg = self.config.segment_size
@@ -167,7 +140,11 @@ class QuorumBackend:
         n_real = len(segments)
         placements = select_quorums(self.scheme, n_real, self.groups, cfg.k_max, self._rng)
 
+        # used up before delivery: replicas keep the first unit stored
+        # under an id, so a write that fails after delivery must not lend
+        # its ssn to the next one
         ssn = self._ssn
+        self._ssn += 1
         fakes = [os.urandom(cfg.segment_size) for _ in range(len(placements) - n_real)]
         plaintexts = segments + fakes
         units = crypto.split_units(
@@ -182,10 +159,7 @@ class QuorumBackend:
 
         commit_latency = self._deliver(array, placements, units, digests, ssn, n_real)
 
-        blob = crypto.encrypt_segment(self.key, array.to_bytes())
-        durable_append(self._fh, blob, len(blob), self.sync)
-        self.trace.record(StorageTrace.METADATA, len(blob))
-        self._ssn += 1
+        self._append(crypto.encrypt_segment(self.key, array.to_bytes()), self._blob_size)
         self.real_segments += n_real
         self.fake_segments += len(fakes)
         return CommitReceipt(ssn, n_real, len(fakes), commit_latency)
@@ -225,60 +199,56 @@ class QuorumBackend:
 
     # -- checkpointing: the one place anything is deleted ---------------------
 
-    last_checkpoint_id = current_file_id  # epoch n starts at checkpoint n
-
     def checkpoint(self, ckpt_id: int) -> CheckpointMarker:
-        """Start a fresh metadata epoch, make it durable, then delete the
-        older epochs and have every replica drop the segments below it.
+        """Commit the checkpoint on the metadata files (see
+        ``JournalFiles.checkpoint``), then have every replica drop the
+        segments below the new file.
 
         A dead replica ignores the drop, as it ignores a store; once
         revived, the next checkpoint collects its old segments. A client
         that never checkpoints keeps all of its segments. A segment id
         carries no client id, so this assumes one client per replica set.
         """
-        self._open_metadata(self._fid + 1)
-        if self.sync:
-            fsync_dir(self.root)  # the new epoch must outlive a crash before the old one goes
-        delete_epochs_before(self.root, "metadata", self._fid)
+        marker = super().checkpoint(ckpt_id)
+        self._ssn = 0
         for replica in self.replicas.values():
-            replica.drop_before(self._fid)
-        return CheckpointMarker(ckpt_id, Lsn(self._fid, 0))
+            replica.drop_before(marker.lsn.file_id)
+        return marker
 
     # -- recovery --------------------------------------------------------------
 
+    def _plaintext_files(self) -> Iterator[tuple[int, Iterator[bytes]]]:
+        """(fid, plaintext runs) per metadata file from the last checkpoint
+        on; a torn trailing blob is dropped by the reader."""
+        for fid, chunks in journal_files(self.root, self._blob_size, self.PREFIX):
+            yield fid, (assemble_stream(c, self.key, self.config, self._channels, fid) for c in chunks)
+
     def recover_assemble(self) -> bytes:
-        """Rebuild the padded plaintext stream from replicas using the
-        metadata file of the current epoch."""
-        return assemble_stream(
-            self.metadata_path, self.key, self.config, self._channels, self._fid
-        )
+        """The padded plaintext stream of every metadata file from the last
+        checkpoint on, rebuilt from the replicas."""
+        return b"".join(run for _, runs in self._plaintext_files() for run in runs)
 
     def recover(self) -> list[LogRecord]:
-        return scan_padded_stream(self.recover_assemble())
+        return _scan_files(self._plaintext_files(), self.PREFIX)
 
 
 def assemble_stream(
-    metadata_path: str | Path,
+    blobs: bytes,
     key: crypto.ReplicaKey,
     config: QuorumConfig,
     channels: Mapping[int, object],
     fid: int,
 ) -> bytes:
-    """Read metadata arrays in file order and fetch each committed
-    segment from one of its recorded replicas (a single replica
-    suffices: only replicas that acknowledged the up-to-date unit are
-    ever recorded, so there is nothing stale to read). Digests are
-    verified before a segment is accepted."""
-    metadata_path = Path(metadata_path)
-    if not metadata_path.exists():
-        return b""
+    """Decrypt a run of whole metadata blobs of file ``fid`` in file order
+    and fetch each committed segment from one of its recorded replicas (a
+    single replica suffices: only replicas that acknowledged the
+    up-to-date unit are ever recorded, so there is nothing stale to read).
+    Digests are verified before a segment is accepted. Returns the run's
+    padded plaintext."""
     blob_size = crypto.IV_SIZE + serialized_size(config.k_max)
-    data = metadata_path.read_bytes()
-    data = data[: len(data) - len(data) % blob_size]
-
     parts: list[bytes] = []
-    for off in range(0, len(data), blob_size):
-        array = MetadataArray.from_bytes(crypto.decrypt_segment(key, data[off : off + blob_size]), config.k_max)
+    for off in range(0, len(blobs), blob_size):
+        array = MetadataArray.from_bytes(crypto.decrypt_segment(key, blobs[off : off + blob_size]), config.k_max)
         for sn, entry in enumerate(array.entries):
             if not entry.committed(config.write_quorum):
                 continue  # blank (fake/padding) or never-committed entry

@@ -5,8 +5,8 @@ Segments are addressed by a 128-bit id packed from four little-endian
 
     [fid u32][ssn u32][sn u32][reserved u32 = 0]
 
-fid names the metadata-file epoch, ssn the slot within it, sn the
-segment's position in the slot.
+fid names the metadata file of the slot, ssn the slot within it, sn
+the segment's position in the slot.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ class Replica:
         self.alive = True
 
     def drop_before(self, fid: int) -> None:
-        """Drop every segment of a metadata epoch below ``fid``, once the
-        client's checkpoint has made epoch ``fid`` durable. A dead replica
+        """Drop every segment of a metadata file below ``fid``, once the
+        client's checkpoint has committed file ``fid``. A dead replica
         ignores this, as it ignores ``store``."""
         if self.alive:
             self._store = {sid: held for sid, held in self._store.items() if sid.fid >= fid}

@@ -1,3 +1,4 @@
+import errno
 import random
 
 import pytest
@@ -27,6 +28,21 @@ def reopen(backend, seed: int = 0):
     return QuorumBackend(backend.root, backend.key, backend.replicas, backend.registry,
                          config=backend.config, scheme=backend.scheme, seed=seed,
                          client_id=backend.client_id, sync=backend.sync)
+
+
+class FailingWrites:
+    """A file handle whose writes raise, as a full disk or an I/O error
+    would; everything else goes to the real file. Put it in place of a
+    backend's open file to fail that backend's next durable write."""
+
+    def __init__(self, fh):
+        self.real = fh
+
+    def write(self, data):
+        raise OSError(errno.EIO, "injected write failure")
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
 """Checkpoint-driven collection as a property over operation sequences.
 
-For any mix of appends (full-sync or buffered), checkpoints and
-crash-restarts, recovery returns exactly the records made durable since
-the last checkpoint. Right after a checkpoint the backend holds nothing
-older than the new epoch: no journal file below the sidecar fid, one
-metadata epoch, and no segment below it on a live replica.
+For any mix of appends (full-sync or buffered), checkpoints,
+crash-restarts and flushes whose durable write fails before a crash,
+recovery returns exactly the records made durable since the last
+checkpoint. Right after a checkpoint the backend holds nothing older
+than the new epoch: no file below the sidecar fid, and no segment below
+it on a live replica.
 """
 
 import tempfile
@@ -15,25 +16,21 @@ from hypothesis import strategies as st
 
 from evenlog.crypto import StaticKeyProvider
 from evenlog.engine import WalEngine
-from evenlog.journal import (
-    JournalBackend,
-    JournalFiles,
-    PlainJournalBackend,
-    list_epoch_fids,
-    list_journal_fids,
-    read_sidecar,
-)
+from evenlog.errors import DurabilityError
+from evenlog.journal import JournalBackend, PlainJournalBackend, list_epoch_fids, read_sidecar
 from evenlog.quorum import QuorumBackend, QuorumConfig, SelectionScheme
 from evenlog.records import encoded_record_size
 
-from .conftest import MASTER, build_cluster, pad4, reopen
+from .conftest import MASTER, FailingWrites, build_cluster, pad4, reopen
 
 KEY = StaticKeyProvider(MASTER).get("default")
 SLOT = 1024  # equal to the quorum's max write size, so every flush fits one write
 REPLICAS = 24  # 8 groups: enough for fixed-count selection with K = 1024 / 128
 
 APPEND = st.tuples(st.just("append"), st.integers(1, 600), st.booleans())
-STEP = st.one_of(APPEND, st.just(("checkpoint",)), st.just(("crash",)))
+# a full-sync append whose flush fails at its durable write, then a crash
+FAIL = st.tuples(st.just("fail"), st.integers(1, 600))
+STEP = st.one_of(APPEND, FAIL, st.just(("checkpoint",)), st.just(("crash",)))
 # toggles the first member of one group: at most one replica per group is down
 TOGGLE = st.tuples(st.just("toggle"), st.integers(0, REPLICAS // 3 - 1))
 
@@ -66,14 +63,12 @@ def engine_on(backend) -> WalEngine:
 
 
 def assert_collected(backend) -> None:
-    root = backend.root
-    if isinstance(backend, JournalFiles):
-        assert list_journal_fids(root) == [read_sidecar(root)[1]]
-        return
-    assert list_epoch_fids(root, "metadata") == [backend.current_file_id]
-    for replica in backend.replicas.values():
-        if replica.alive:
-            assert all(sid.fid >= backend.current_file_id for sid in replica._store)
+    fid = read_sidecar(backend.root)[1]
+    assert list_epoch_fids(backend.root, backend.PREFIX) == [fid] == [backend.current_file_id]
+    if isinstance(backend, QuorumBackend):
+        for replica in backend.replicas.values():
+            if replica.alive:
+                assert all(sid.fid >= fid for sid in replica._store)
 
 
 def run(backend, steps) -> None:
@@ -89,6 +84,13 @@ def run(backend, steps) -> None:
             model.durable = []
             assert_collected(engine.backend)
         elif step[0] == "crash":
+            engine = engine_on(reopen(engine.backend))
+            model.crash()
+        elif step[0] == "fail":
+            # the failed flush and everything still buffered are lost
+            engine.backend._fh = FailingWrites(engine.backend._fh)
+            with pytest.raises(DurabilityError):
+                engine.append((i.to_bytes(4, "little") * 150)[: step[1]], full_sync=True)
             engine = engine_on(reopen(engine.backend))
             model.crash()
         else:
