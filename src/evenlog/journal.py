@@ -277,17 +277,18 @@ class PlainJournalBackend(JournalFiles):
 READ_SIZE = 1 << 20
 
 
-def journal_files(root: str | Path, unit: int = 1,
-                  prefix: str = JournalFiles.PREFIX) -> Iterator[tuple[int, Iterator[bytes]]]:
+def journal_files(root: str | Path, unit: int = 1, prefix: str = JournalFiles.PREFIX,
+                  read_size: int = READ_SIZE) -> Iterator[tuple[int, Iterator[bytes]]]:
     """Yield (fid, chunks) for each ``<prefix>`` file from the last checkpoint
     on, in fid order: the sidecar's file from its offset, every later file
     whole, and every file whole when no checkpoint exists. ``chunks``
-    reads the file lazily, a whole number of ``unit``-byte units at a
-    time, and drops a trailing partial unit."""
+    reads the file lazily, ``read_size`` bytes rounded down to whole
+    ``unit``-byte units (at least one) at a time, and drops a trailing
+    partial unit."""
     root = Path(root)
     sidecar = read_sidecar(root)
     start_fid, start_off = (sidecar[1], sidecar[2]) if sidecar else (0, 0)
-    size = max(1, READ_SIZE // unit) * unit
+    size = max(1, read_size // unit) * unit
     for fid in list_epoch_fids(root, prefix):
         if fid >= start_fid:
             path = root / epoch_filename(prefix, fid)

@@ -19,10 +19,18 @@ then has the replicas drop their segments below the new fid. A segment
 id's fid names the metadata file of its slot and its ssn the slot's
 place in that file, so no id is ever given out twice. Recovery reads
 every metadata file from the sidecar on, a run of whole blobs at a time,
-and fetches and scans each run's segments before it reads the next. The
-metadata trace channel shows one fixed-size blob per slot and, at each
-checkpoint, the 20-byte sidecar write: the checkpoint cadence, never a
-record size.
+and fetches and scans each run's segments before it reads the next. A
+run is sized in slots: as many blobs as stand for at most ``READ_SIZE``
+bytes of plaintext when full, so its memory does not grow with K. Per
+run, one ``decrypt_stream`` call decrypts every blob and one numpy view
+parses them, every committed segment is read from one replica, and one
+more ``decrypt_stream`` call decrypts all of those copies; a blob whose
+ssn does not rise or whose triplets name no known replica is reported
+as corruption.
+
+The metadata trace channel shows one fixed-size blob per slot and, at
+each checkpoint, the 20-byte sidecar write: the checkpoint cadence,
+never a record size.
 """
 
 from __future__ import annotations
@@ -33,14 +41,22 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
 
+import numpy as np
+
 from .. import crypto
-from ..errors import CommitTimeout, IntegrityFailure, SegmentNotFound, UnrecoverableSegment
-from ..journal import JournalFiles, _scan_files, epoch_filename, journal_files
+from ..errors import (
+    CommitTimeout,
+    IntegrityFailure,
+    RecoveryCorruption,
+    SegmentNotFound,
+    UnrecoverableSegment,
+)
+from ..journal import READ_SIZE, JournalFiles, _scan_files, epoch_filename, journal_files
 from ..observe import StorageTrace
 from ..records import LogRecord
-from ..segmentation import check_segment_size, segment_slot
+from ..segmentation import check_segment_size, pad_to_segments
 from ..slots import BackendStats, CheckpointMarker
-from .metadata import MetadataArray, serialized_size
+from .metadata import SENTINEL, MetadataArray, MetadataEntry, array_dtype, serialized_size
 from .registry import Registry
 from .replica import Replica, SegmentId
 from .selection import GROUP_SIZE, SelectionScheme, form_quorums, select_quorums
@@ -134,10 +150,11 @@ class QuorumBackend(JournalFiles):
     def persist_slot(self, slot_bytes: bytes) -> CommitReceipt:
         """Replicate one slot flush and durably record its metadata."""
         cfg = self.config
+        seg = cfg.segment_size
         if not slot_bytes:
             return CommitReceipt(self._ssn, 0, 0, 0.0)
-        segments = segment_slot(slot_bytes, cfg.segment_size)
-        n_real = len(segments)
+        padded = pad_to_segments(slot_bytes, seg)
+        n_real = len(padded) // seg
         placements = select_quorums(self.scheme, n_real, self.groups, cfg.k_max, self._rng)
 
         # used up before delivery: replicas keep the first unit stored
@@ -145,13 +162,10 @@ class QuorumBackend(JournalFiles):
         # its ssn to the next one
         ssn = self._ssn
         self._ssn += 1
-        fakes = [os.urandom(cfg.segment_size) for _ in range(len(placements) - n_real)]
-        plaintexts = segments + fakes
-        units = crypto.split_units(
-            crypto.encrypt_stream(self.key, b"".join(plaintexts), cfg.segment_size),
-            cfg.segment_size,
-        )
-        digests = [crypto.digest_segment(p) for p in plaintexts]
+        n_fake = len(placements) - n_real
+        plaintexts = memoryview(padded + os.urandom(n_fake * seg))
+        units = crypto.split_units(crypto.encrypt_stream(self.key, plaintexts, seg), seg)
+        digests = [crypto.digest_segment(plaintexts[i : i + seg]) for i in range(0, len(plaintexts), seg)]
 
         array = MetadataArray(ssn, cfg.k_max)
         for i in range(n_real):
@@ -161,8 +175,8 @@ class QuorumBackend(JournalFiles):
 
         self._append(crypto.encrypt_segment(self.key, array.to_bytes()), self._blob_size)
         self.real_segments += n_real
-        self.fake_segments += len(fakes)
-        return CommitReceipt(ssn, n_real, len(fakes), commit_latency)
+        self.fake_segments += n_fake
+        return CommitReceipt(ssn, n_real, n_fake, commit_latency)
 
     def _deliver(self, array, placements, units, digests, ssn, n_real) -> float:
         """Simulated concurrent replication: one send per (segment, replica),
@@ -179,22 +193,22 @@ class QuorumBackend(JournalFiles):
         deliveries.sort()
         sids = [SegmentId(self._fid, ssn, pos) for pos in range(len(placements))]
 
-        msg_size = store_frame_size(cfg.segment_size)
-        pending = set(range(n_real))
+        self.trace.record(StorageTrace.REPLICA, store_frame_size(cfg.segment_size), len(deliveries))
+        acks = [0] * n_real
+        pending = n_real
         committed_at = None
         for latency, _, pos, replica_id in deliveries:
-            self.trace.record(StorageTrace.REPLICA, msg_size)
             acked = self._channels[replica_id].store(sids[pos], units[pos], digests[pos])
             if acked and pos < n_real and committed_at is None:  # placements past n_real are fake
-                entry = array.update(pos, replica_id)
-                if entry.committed(cfg.write_quorum):
-                    pending.discard(pos)
+                array.update(pos, replica_id)
+                acks[pos] += 1
+                if acks[pos] == cfg.write_quorum:
+                    pending -= 1
                     if not pending:
                         committed_at = latency
         if pending:
-            raise CommitTimeout(
-                f"segments {sorted(pending)} of slot {ssn} never reached {cfg.write_quorum} acks"
-            )
+            short = [pos for pos, n in enumerate(acks) if n < cfg.write_quorum]
+            raise CommitTimeout(f"segments {short} of slot {ssn} never reached {cfg.write_quorum} acks")
         return committed_at if committed_at is not None else 0.0
 
     # -- checkpointing: the one place anything is deleted ---------------------
@@ -219,9 +233,24 @@ class QuorumBackend(JournalFiles):
 
     def _plaintext_files(self) -> Iterator[tuple[int, Iterator[bytes]]]:
         """(fid, plaintext runs) per metadata file from the last checkpoint
-        on; a torn trailing blob is dropped by the reader."""
-        for fid, chunks in journal_files(self.root, self._blob_size, self.PREFIX):
-            yield fid, (assemble_stream(c, self.key, self.config, self._channels, fid) for c in chunks)
+        on; a torn trailing blob is dropped by the reader. A run is as many
+        whole blobs as hold at most ``READ_SIZE`` bytes of plaintext when
+        every slot is full (at least one), so its memory is bounded in
+        slots, not in metadata bytes."""
+        cfg = self.config
+        blobs_per_run = max(1, READ_SIZE // (cfg.k_max * cfg.segment_size))
+        for fid, chunks in journal_files(self.root, self._blob_size, self.PREFIX,
+                                         blobs_per_run * self._blob_size):
+            yield fid, self._assemble_file(fid, chunks)
+
+    def _assemble_file(self, fid: int, chunks: Iterator[bytes]) -> Iterator[bytes]:
+        """The plaintext runs of one metadata file, carrying the last ssn
+        and the file offset from one run of blobs to the next."""
+        last_ssn, offset = -1, 0
+        for blobs in chunks:
+            run, last_ssn = assemble_stream(blobs, self.key, self.config, self._channels, fid, last_ssn, offset)
+            offset += len(blobs)
+            yield run
 
     def recover_assemble(self) -> bytes:
         """The padded plaintext stream of every metadata file from the last
@@ -238,23 +267,87 @@ def assemble_stream(
     config: QuorumConfig,
     channels: Mapping[int, object],
     fid: int,
-) -> bytes:
-    """Decrypt a run of whole metadata blobs of file ``fid`` in file order
-    and fetch each committed segment from one of its recorded replicas (a
-    single replica suffices: only replicas that acknowledged the
-    up-to-date unit are ever recorded, so there is nothing stale to read).
-    Digests are verified before a segment is accepted. Returns the run's
-    padded plaintext."""
-    blob_size = crypto.IV_SIZE + serialized_size(config.k_max)
-    parts: list[bytes] = []
-    for off in range(0, len(blobs), blob_size):
-        array = MetadataArray.from_bytes(crypto.decrypt_segment(key, blobs[off : off + blob_size]), config.k_max)
-        for sn, entry in enumerate(array.entries):
-            if not entry.committed(config.write_quorum):
-                continue  # blank (fake/padding) or never-committed entry
-            sid = SegmentId(fid, array.ssn, sn)
-            parts.append(_fetch_verified(sid, entry, key, channels, config.segment_size))
-    return b"".join(parts)
+    last_ssn: int = -1,
+    offset: int = 0,
+) -> tuple[bytes, int]:
+    """Rebuild the padded plaintext of a run of whole metadata blobs of file
+    ``fid``, which starts at file ``offset`` after a blob of ssn
+    ``last_ssn``. Returns the plaintext and the run's last ssn.
+
+    The run's blobs are decrypted in one call and parsed as one numpy
+    array; every blob is checked (see ``_check_arrays``) before anything
+    is fetched. Each committed segment is read from the first live replica
+    its triplet records (a single replica suffices: only replicas that
+    acknowledged the up-to-date unit are ever recorded, so there is
+    nothing stale to read), and all of the run's copies are decrypted in
+    one call. When every copy passes its digest, that decrypted run is the
+    result. A segment whose first copy is missing, of the wrong size or
+    fails its digest goes through ``_fetch_verified``, in file order, so
+    the first such segment that no copy can serve decides the error."""
+    seg, size = config.segment_size, serialized_size(config.k_max)
+    arrays = np.frombuffer(crypto.decrypt_stream(key, blobs, size), array_dtype(config.k_max))
+    ssns = arrays["ssn"].astype(np.int64)
+    ids = arrays["entries"]["ids"]
+    _check_arrays(ssns, ids, channels, last_ssn, fid, offset, crypto.IV_SIZE + size)
+
+    # committed entries in file order: blob by blob, segment by segment
+    blob_ix, sns = np.nonzero((ids != SENTINEL).sum(axis=2) >= config.write_quorum)
+    triplets = ids[blob_ix, sns].tolist()
+    wanted = arrays["entries"]["digest"][blob_ix, sns].tobytes()
+    sids = [SegmentId(fid, ssn, sn) for ssn, sn in zip(ssns[blob_ix].tolist(), sns.tolist())]
+
+    unit_size = crypto.IV_SIZE + seg
+    copies = [_first_copy(sid, triplet, channels) for sid, triplet in zip(sids, triplets)]
+    refetch = {j for j, unit in enumerate(copies) if len(unit) != unit_size}
+    if refetch:
+        blank = bytes(unit_size)
+        copies = [blank if j in refetch else unit for j, unit in enumerate(copies)]
+    plain = crypto.decrypt_stream(key, b"".join(copies), seg)
+    view = memoryview(plain)
+    got = b"".join([crypto.digest_segment(view[i : i + seg]) for i in range(0, len(plain), seg)])
+    last_ssn = int(ssns[-1])
+    if got == wanted and not refetch:
+        return plain, last_ssn
+
+    out = bytearray(plain)
+    for j, sid in enumerate(sids):
+        digest = slice(j * crypto.DIGEST_SIZE, (j + 1) * crypto.DIGEST_SIZE)
+        if j in refetch or got[digest] != wanted[digest]:
+            entry = MetadataEntry(triplets[j], wanted[digest])
+            out[j * seg : (j + 1) * seg] = _fetch_verified(sid, entry, key, channels, seg)
+    return bytes(out), last_ssn
+
+
+def _check_arrays(ssns, ids, channels, last_ssn, fid, offset, blob_size) -> None:
+    """Raise ``RecoveryCorruption`` at the first blob this client cannot
+    have written: its ssn is not above the ssn of the blob before it in
+    the file (a failed delivery uses up an ssn without a blob, so gaps are
+    legal), or a triplet holds an id that is neither -1 nor a known
+    replica. A blob decrypted under the wrong key fails this almost
+    surely, instead of sending recovery after segments that never were."""
+    known = np.append(np.fromiter(channels, dtype=np.int64, count=len(channels)), SENTINEL)
+    bad_ssn = np.diff(ssns, prepend=last_ssn) <= 0
+    bad_ids = ~np.isin(ids, known).all(axis=(1, 2))
+    bad = np.flatnonzero(bad_ssn | bad_ids)
+    if len(bad):
+        i = int(bad[0])
+        row = ids[i].ravel()
+        why = (f"ssn {ssns[i]} does not follow ssn {ssns[i - 1] if i else last_ssn}" if bad_ssn[i]
+               else f"unknown replica id {row[~np.isin(row, known)][0]}")
+        raise RecoveryCorruption(f"corrupt metadata blob: {why} (was it written under another key?)",
+                                 offset + i * blob_size, fid, prefix=QuorumBackend.PREFIX)
+
+
+def _first_copy(sid, triplet, channels) -> bytes:
+    """The unit held by the first live replica ``triplet`` records, or
+    b"" when there is none or it holds nothing under ``sid``."""
+    for replica_id in triplet:
+        if replica_id != SENTINEL and channels[replica_id].alive:
+            try:
+                return channels[replica_id].read(sid)
+            except SegmentNotFound:
+                return b""
+    return b""
 
 
 def _fetch_verified(sid, entry, key, channels, segment_size) -> bytes:

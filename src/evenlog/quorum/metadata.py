@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
+
 from ..crypto import DIGEST_SIZE
 
 SENTINEL = -1
@@ -35,6 +37,15 @@ def serialized_size(k_max: int) -> int:
     """Byte length of every serialized array for a given K (block aligned)."""
     raw = _SSN.size + k_max * _ENTRY.size
     return raw + (-raw) % 16
+
+
+def array_dtype(k_max: int) -> np.dtype:
+    """A numpy view of one serialized array: ``ssn``, then K ``entries`` of
+    ``ids`` (the triplet) and ``digest``. The digest is raw ``V32``, not
+    ``S32``, which would strip a digest's trailing NUL bytes."""
+    entry = np.dtype([("ids", "<i4", (TRIPLET_LEN,)), ("digest", f"V{DIGEST_SIZE}")])
+    return np.dtype({"names": ["ssn", "entries"], "formats": ["<u4", (entry, (k_max,))],
+                     "offsets": [0, _SSN.size], "itemsize": serialized_size(k_max)})
 
 
 class MetadataEntry:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import InsufficientQuorums, InsufficientReplicas
 
@@ -30,8 +30,7 @@ class SelectionScheme(enum.Enum):
         return cls(name.lower())
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     """One segment's destination: index into the candidate quorum list."""
 
     index: int

@@ -241,6 +241,16 @@ def test_demo_quorum_runs_clean(capsys, tmp_path):
     assert "constant=True" in out
 
 
+def test_demo_quorum_under_another_key_reports_corruption(capsys, tmp_path, monkeypatch):
+    # without EVENLOG_KEY each run draws its own key, so the second run
+    # finds the first run's metadata file unreadable
+    monkeypatch.delenv("EVENLOG_KEY", raising=False)
+    assert run_cli(capsys, "demo", "quorum", "--dir", str(tmp_path))[0] == 0
+    code, _, err = run_cli(capsys, "demo", "quorum", "--dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: corrupt metadata blob") and "metadata file 0, offset 0" in err
+
+
 def readme_cli_lines() -> list[str]:
     """The ``evenlog`` lines of README's CLI block, continuations joined."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

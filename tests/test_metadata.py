@@ -4,9 +4,10 @@ import os
 import random
 import threading
 
+import numpy as np
 import pytest
 
-from evenlog.quorum.metadata import SENTINEL, MetadataArray, serialized_size
+from evenlog.quorum.metadata import SENTINEL, MetadataArray, array_dtype, serialized_size
 
 
 def make_array(k_max=4, quorum=(10, 11, 12)):
@@ -90,6 +91,26 @@ class TestSerialization:
     def test_blank_entries_stay_sentinel_only(self):
         back = MetadataArray.from_bytes(MetadataArray(ssn=0, k_max=2).to_bytes(), 2)
         assert all(e.replica_ids == [SENTINEL] * 3 for e in back.entries)
+
+    @pytest.mark.parametrize("k_max", [1, 3, 16])
+    def test_numpy_view_matches_from_bytes(self, k_max):
+        # digests ending in NUL bytes must come back whole
+        rng = random.Random(k_max)
+        blobs = []
+        for ssn in range(4):
+            array = MetadataArray(ssn=ssn * 7, k_max=k_max)
+            for i in range(rng.randint(0, k_max)):
+                array.assign(i, (i, i + 1, i + 2), rng.randbytes(30 - i % 3 * 15) + b"\x00" * (2 + i % 3 * 15))
+                for rid in rng.sample((i, i + 1, i + 2), rng.randint(0, 3)):
+                    array.update(i, rid)
+            blobs.append(array.to_bytes())
+        view = np.frombuffer(b"".join(blobs), array_dtype(k_max))
+        assert array_dtype(k_max).itemsize == serialized_size(k_max)
+        for blob, row in zip(blobs, view):
+            back = MetadataArray.from_bytes(blob, k_max)
+            assert row["ssn"] == back.ssn
+            assert row["entries"]["ids"].tolist() == [e.replica_ids for e in back.entries]
+            assert [d.tobytes() for d in row["entries"]["digest"]] == [e.digest for e in back.entries]
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):

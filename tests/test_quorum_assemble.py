@@ -1,0 +1,124 @@
+"""Batched quorum recovery against the per-blob, per-segment oracle.
+
+``oracle_assemble`` is the recovery loop that the batched
+``quorum.backend.assemble_stream`` replaced: it decrypts one metadata
+blob at a time, walks its entries one by one and fetches every committed
+segment through ``_fetch_verified``. For any run of writes and any
+replica faults, the batched path returns the same bytes or raises the
+same exception class.
+"""
+
+import random
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evenlog.crypto import IV_SIZE, StaticKeyProvider, decrypt_segment
+from evenlog.errors import CommitTimeout, WalError
+from evenlog.journal import journal_files
+from evenlog.quorum import QuorumBackend, QuorumConfig, SegmentId, SelectionScheme
+from evenlog.quorum import backend as backend_module
+from evenlog.quorum.backend import _fetch_verified
+from evenlog.quorum.metadata import MetadataArray, serialized_size
+
+from .conftest import MASTER, build_cluster, reopen
+
+KEY = StaticKeyProvider(MASTER).get("default")
+REPLICAS = 15  # 5 groups: enough for fixed-count selection with K = 512 / 128
+MAX_WRITE = 512
+
+# a slot flush of 1..MAX_WRITE bytes, a dead/alive toggle of one replica
+# while writing, or a restart onto a fresh metadata file
+WRITE = st.tuples(st.just("write"), st.integers(1, MAX_WRITE))
+TOGGLE = st.tuples(st.just("toggle"), st.integers(0, REPLICAS - 1))
+RESTART = st.just(("restart",))
+# faults after the writes; a copy is picked by index among the held copies
+KILL = st.tuples(st.just("kill"), st.integers(0, REPLICAS - 1))
+COPY_FAULT = st.tuples(st.sampled_from(["corrupt", "truncate", "delete"]), st.integers(0, 10**6))
+
+
+def oracle_assemble(backend) -> bytes:
+    """The padded plaintext of every metadata file, one blob and one
+    segment at a time."""
+    cfg = backend.config
+    blob_size = IV_SIZE + serialized_size(cfg.k_max)
+    parts = []
+    for fid, chunks in journal_files(backend.root, blob_size, "metadata"):
+        for blobs in chunks:
+            for off in range(0, len(blobs), blob_size):
+                array = MetadataArray.from_bytes(decrypt_segment(backend.key, blobs[off : off + blob_size]),
+                                                 cfg.k_max)
+                for sn, entry in enumerate(array.entries):
+                    if entry.committed(cfg.write_quorum):
+                        sid = SegmentId(fid, array.ssn, sn)
+                        parts.append(_fetch_verified(sid, entry, backend.key, backend.replicas, cfg.segment_size))
+    return b"".join(parts)
+
+
+def outcome(assemble):
+    try:
+        return assemble()
+    except WalError as exc:
+        return type(exc)
+
+
+def apply_fault(replicas, fault) -> None:
+    kind, pick = fault
+    if kind == "kill":
+        replicas[pick].kill()
+        return
+    # each copy takes at most one corrupt or truncate fault
+    held = sorted((rid, sid) for rid, rep in replicas.items() for sid, (unit, _) in rep._store.items()
+                  if kind == "delete" or len(unit) == IV_SIZE + 128)
+    if not held:
+        return
+    rid, sid = held[pick % len(held)]
+    replica = replicas[rid]
+    if kind == "corrupt":
+        replica.corrupt(sid, pick % 128)
+    elif kind == "truncate":
+        unit, digest = replica._store[sid]
+        replica._store[sid] = (unit[: pick % len(unit)], digest)
+    else:
+        del replica._store[sid]
+
+
+@pytest.mark.parametrize("scheme", [SelectionScheme.VNOS, SelectionScheme.FNOS])
+@settings(max_examples=80, deadline=None)
+@given(
+    steps=st.lists(st.one_of(WRITE, WRITE, WRITE, TOGGLE, RESTART), max_size=30),
+    faults=st.lists(st.one_of(KILL, COPY_FAULT), max_size=6),
+    blobs_per_run=st.sampled_from([1, 2, 3, None]),
+    seed=st.integers(0, 2**16),
+)
+def test_batched_recovery_matches_oracle(scheme, steps, faults, blobs_per_run, seed):
+    rng = random.Random(seed)
+    registry, replicas = build_cluster(REPLICAS)
+    saved = backend_module.READ_SIZE
+    if blobs_per_run is not None:  # runs of 1..3 blobs; None keeps the slot-sized runs
+        backend_module.READ_SIZE = blobs_per_run * MAX_WRITE
+    try:
+        with tempfile.TemporaryDirectory() as root:
+            backend = QuorumBackend(root, KEY, replicas, registry,
+                                    config=QuorumConfig(segment_size=128, max_write_size=MAX_WRITE),
+                                    scheme=scheme, seed=seed, sync=False)
+            for step in steps:
+                if step[0] == "write":
+                    try:
+                        backend.persist_slot(rng.randbytes(step[1]))
+                    except CommitTimeout:
+                        pass  # uses up its ssn and writes no blob
+                elif step[0] == "toggle":
+                    rep = replicas[step[1]]
+                    rep.revive() if not rep.alive else rep.kill()
+                else:
+                    backend = reopen(backend, seed=rng.randrange(2**16))
+            for fault in faults:
+                apply_fault(replicas, fault)
+            expected = outcome(lambda: oracle_assemble(backend))
+            assert outcome(backend.recover_assemble) == expected
+            backend.close()
+    finally:
+        backend_module.READ_SIZE = saved

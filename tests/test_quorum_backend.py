@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from evenlog import journal
-from evenlog.crypto import IV_SIZE
+from evenlog.crypto import IV_SIZE, StaticKeyProvider, decrypt_segment, encrypt_segment
 from evenlog.engine import WalEngine
 from evenlog.errors import (
     CommitTimeout,
@@ -22,7 +22,8 @@ from evenlog.errors import (
 from evenlog.journal import SIDECAR_NAME
 from evenlog.observe import StorageTrace
 from evenlog.quorum import QuorumBackend, QuorumConfig, Replica, SegmentId, SelectionScheme
-from evenlog.quorum.metadata import serialized_size
+from evenlog.quorum import backend as backend_module
+from evenlog.quorum.metadata import MetadataArray, serialized_size
 from evenlog.quorum.transport import store_frame_size
 from evenlog.records import encode_record
 
@@ -183,6 +184,67 @@ class TestPersist:
         assert {rid: len(rep) for rid, rep in a.replicas.items()} == \
             {rid: len(rep) for rid, rep in b.replicas.items()}
 
+    # Seeded 20-write runs (15 replicas, replica 4 dead) as the per-segment
+    # delivery loop computed them: (ssn, real, fake, commit latency) per
+    # receipt, then the segments each replica holds. A faster delivery
+    # path must draw from the seeded rng in the same order.
+    PINNED = {
+        SelectionScheme.FNOS: ([
+            (0, 2, 2, 0.7389158801403842),
+            (1, 4, 0, 0.9956916416561992),
+            (2, 3, 1, 0.8473097733028044),
+            (3, 3, 1, 0.7070160292166942),
+            (4, 4, 0, 0.8034115030820714),
+            (5, 2, 2, 0.441541681127828),
+            (6, 4, 0, 0.8821897542664126),
+            (7, 2, 2, 0.25698139832031197),
+            (8, 1, 3, 0.9173601784925751),
+            (9, 1, 3, 0.5898756312957445),
+            (10, 3, 1, 0.8711012591220109),
+            (11, 3, 1, 0.416246285499685),
+            (12, 4, 0, 0.7799461455233637),
+            (13, 4, 0, 0.6341731282390302),
+            (14, 2, 2, 0.9500001518455149),
+            (15, 1, 3, 0.607554547797802),
+            (16, 2, 2, 0.6399158374025293),
+            (17, 4, 0, 0.7919322378917845),
+            (18, 2, 2, 0.909965358724643),
+            (19, 2, 2, 0.9773585223395943),
+        ], [18, 12, 15, 15, 0, 18, 15, 19, 19, 12, 18, 16, 16, 19, 16]),
+        SelectionScheme.VNOS: ([
+            (0, 2, 0, 0.9821934207987782),
+            (1, 4, 0, 0.8795649725343511),
+            (2, 3, 0, 0.9956916416561992),
+            (3, 3, 0, 0.9102719281041814),
+            (4, 4, 0, 0.7580405169937589),
+            (5, 2, 0, 0.6437151237111671),
+            (6, 4, 0, 0.9979037186865889),
+            (7, 2, 0, 0.38616995568125356),
+            (8, 1, 0, 0.453208104723849),
+            (9, 1, 0, 0.3860970302136817),
+            (10, 3, 0, 0.8821897542664126),
+            (11, 3, 0, 0.5200742123680814),
+            (12, 4, 0, 0.9173601784925751),
+            (13, 4, 0, 0.7329051024557768),
+            (14, 2, 0, 0.5460953590853206),
+            (15, 1, 0, 0.73708813441656),
+            (16, 2, 0, 0.8572955833163346),
+            (17, 4, 0, 0.6941564722430175),
+            (18, 2, 0, 0.5145312996938066),
+            (19, 2, 0, 0.6601315879856368),
+        ], [15, 8, 9, 9, 0, 15, 9, 11, 11, 8, 15, 10, 10, 11, 10]),
+    }
+
+    @pytest.mark.parametrize("scheme", [SelectionScheme.FNOS, SelectionScheme.VNOS])
+    def test_seeded_receipts_are_pinned(self, tmp_path, key, scheme):
+        backend = make_backend(tmp_path, key, scheme=scheme, seed=11, sync=False)
+        backend.replicas[4].kill()
+        rng = random.Random(20)
+        receipts = [backend.persist_slot(rng.randbytes(rng.randint(1, 512))) for _ in range(20)]
+        got = [(r.ssn, r.real_segments, r.fake_segments, r.commit_latency) for r in receipts]
+        counts = [len(backend.replicas[rid]) for rid in sorted(backend.replicas)]
+        assert (got, counts) == self.PINNED[scheme]
+
 
 class TestRecovery:
     def commit_some(self, tmp_path, key, scheme=SelectionScheme.VNOS, n_slots=5, seed=0):
@@ -312,9 +374,67 @@ class TestRecovery:
         # ROADMAP item 1(b), not this test's subject.
         assert [p for p in records if p != b"b" * 40] == [b"a" * 40, b"c" * 40]
 
+    def test_wrong_key_is_corruption_not_a_missing_segment(self, tmp_path, key):
+        backend, _ = self.commit_some(tmp_path, key, n_slots=2)
+        backend.close()
+        other = StaticKeyProvider(b"another master secret").get("default")
+        reborn = QuorumBackend(tmp_path, other, backend.replicas, backend.registry, config=backend.config)
+        with pytest.raises(RecoveryCorruption) as exc_info:
+            reborn.recover()
+        exc = exc_info.value
+        assert (exc.prefix, exc.fid, exc.offset) == ("metadata", 0, 0)
+        assert "metadata file 0, offset 0" in str(exc)
+
+    @staticmethod
+    def rewrite_blob(backend, index, edit):
+        """Decrypt metadata blob ``index`` of file 0, change its array with
+        ``edit`` and write it back encrypted in place."""
+        path = backend.root / journal.epoch_filename("metadata", 0)
+        data = bytearray(path.read_bytes())
+        size = IV_SIZE + serialized_size(backend.config.k_max)
+        at = index * size
+        array = MetadataArray.from_bytes(decrypt_segment(backend.key, bytes(data[at : at + size])),
+                                         backend.config.k_max)
+        edit(array)
+        data[at : at + size] = encrypt_segment(backend.key, array.to_bytes())
+        path.write_bytes(bytes(data))
+        return at
+
+    @pytest.mark.parametrize("ssn", [1, 0], ids=["repeated", "backwards"])
+    def test_ssn_not_above_the_previous_blob_is_corruption(self, tmp_path, key, ssn):
+        backend, _ = self.commit_some(tmp_path, key, n_slots=3)
+        at = self.rewrite_blob(backend, 2, lambda a: setattr(a, "ssn", ssn))
+        with pytest.raises(RecoveryCorruption, match=f"ssn {ssn} does not follow ssn 1") as exc_info:
+            backend.recover()
+        assert (exc_info.value.prefix, exc_info.value.fid, exc_info.value.offset) == ("metadata", 0, at)
+
+    def test_unknown_replica_id_is_corruption(self, tmp_path, key):
+        backend, _ = self.commit_some(tmp_path, key, n_slots=3)
+        at = self.rewrite_blob(backend, 1, lambda a: a.entries[0].replica_ids.__setitem__(1, 99))
+        with pytest.raises(RecoveryCorruption, match="unknown replica id 99") as exc_info:
+            backend.recover()
+        assert exc_info.value.offset == at
+
+    def test_ssn_carries_across_runs(self, tmp_path, key, monkeypatch):
+        # one blob per run: the check that the ssn rises spans runs
+        monkeypatch.setattr(backend_module, "READ_SIZE", 1)
+        backend, payloads = self.commit_some(tmp_path, key, n_slots=3)
+        assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
+        at = self.rewrite_blob(backend, 2, lambda a: setattr(a, "ssn", 1))
+        with pytest.raises(RecoveryCorruption, match="ssn 1 does not follow ssn 1") as exc_info:
+            backend.recover()
+        assert exc_info.value.offset == at
+
     def test_memory_stays_within_a_few_reads(self, tmp_path, key):
+        self.check_recovery_memory(tmp_path, key, max_write_size=1024)  # K = 8
+
+    def test_memory_stays_within_a_few_reads_at_k16(self, tmp_path, key):
+        self.check_recovery_memory(tmp_path, key, max_write_size=2048)
+
+    @staticmethod
+    def check_recovery_memory(tmp_path, key, max_write_size):
         rng = random.Random(10)
-        backend = make_backend(tmp_path, key, n_replicas=24, max_write_size=1024, sync=False)
+        backend = make_backend(tmp_path, key, n_replicas=24, max_write_size=max_write_size, sync=False)
         engine = make_engine(backend)
         payloads = [rng.randbytes(rng.randint(100, 900)) for _ in range(8000)]
         for p in payloads:
