@@ -253,6 +253,11 @@ def cmd_gen(args, config) -> int:
 
 def cmd_demo_quorum(args, config) -> int:
     selection = SelectionScheme.parse(args.selection)
+    # the replicas live only in this process, so an earlier run's metadata
+    # files name segments that no replica holds any more
+    if args.dir and os.path.isdir(args.dir) and os.listdir(args.dir):
+        print(f"error: {args.dir} is not empty; demo quorum needs an empty directory", file=sys.stderr)
+        return 1
     registry, replicas = build_cluster(12)
     trace = StorageTrace()
     root = args.dir or tempfile.mkdtemp(prefix="evenlog-demo-")

@@ -16,6 +16,11 @@ Each ``ReplicaKey`` owns one AES-256-CBC encryptor and one decryptor,
 built with the key and used for the key's whole life, each behind its
 own lock. Building a cipher context costs two orders of magnitude more
 than encrypting a 128-byte segment, so no helper builds one per call.
+For the same reason ``encrypt_stream`` assembles its IV blocks and
+segments in one buffer the encryptor keeps, filled under the
+encryptor's lock and grown to the largest run seen (about 147 KB for a
+128 KiB slot), instead of fresh buffers per call; only the ciphertext
+is a new ``bytes``, so no caller ever holds a view of that buffer.
 
 A unit is encrypted by feeding one fresh random block followed by the
 segment through the long-lived encryptor; the ciphertext of that block
@@ -57,17 +62,34 @@ DIGEST_SIZE = 32
 
 class _Context:
     """One long-lived CBC context. cryptography does not document its
-    contexts as thread-safe, so every update holds the lock."""
+    contexts as thread-safe, so every update holds the lock. ``_buf`` is
+    the encryptor's unit buffer (see ``update_units``)."""
 
-    __slots__ = ("_ctx", "_lock")
+    __slots__ = ("_ctx", "_lock", "_buf")
 
     def __init__(self, ctx):
         self._ctx = ctx
         self._lock = threading.Lock()
+        self._buf = np.empty(0, dtype=np.uint8)
 
     def update(self, data: bytes) -> bytes:
         with self._lock:
             return self._ctx.update(data)
+
+    def update_units(self, ivs: bytes, segments: bytes, segment_size: int) -> bytes:
+        """Interleave one 16-byte block of ``ivs`` before each segment of
+        ``segments`` in ``_buf``, grown to the largest run seen, and run
+        that prefix of it through the context. The result is a fresh
+        ``bytes``; no view of the buffer leaves the lock."""
+        count = len(segments) // segment_size
+        size = count * (IV_SIZE + segment_size)
+        with self._lock:
+            if len(self._buf) < size:
+                self._buf = np.empty(size, dtype=np.uint8)
+            units = self._buf[:size].reshape(count, IV_SIZE + segment_size)
+            units[:, :IV_SIZE] = np.frombuffer(ivs, dtype=np.uint8).reshape(count, IV_SIZE)
+            units[:, IV_SIZE:] = np.frombuffer(segments, dtype=np.uint8).reshape(count, segment_size)
+            return self._ctx.update(units)
 
 
 @dataclass(frozen=True)
@@ -128,13 +150,9 @@ def encrypt_stream(key: ReplicaKey, padded: bytes, segment_size: int) -> bytes:
     count = len(padded) // segment_size
     if count == 0:
         return b""
-    # interleave one random block before each segment; its ciphertext
-    # becomes the unit IV (see module docstring)
-    unit = IV_SIZE + segment_size
-    buf = np.empty((count, unit), dtype=np.uint8)
-    buf[:, :IV_SIZE] = np.frombuffer(os.urandom(IV_SIZE * count), dtype=np.uint8).reshape(count, IV_SIZE)
-    buf[:, IV_SIZE:] = np.frombuffer(padded, dtype=np.uint8).reshape(count, segment_size)
-    return key._enc.update(buf.tobytes())
+    # one random block before each segment; its ciphertext becomes the
+    # unit IV (see module docstring)
+    return key._enc.update_units(os.urandom(IV_SIZE * count), padded, segment_size)
 
 
 def decrypt_stream(key: ReplicaKey, units: bytes, segment_size: int) -> bytes:

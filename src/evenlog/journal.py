@@ -102,18 +102,19 @@ def delete_epochs_before(root: Path, prefix: str, fid: int) -> None:
         (root / epoch_filename(prefix, old)).unlink()
 
 
-def durable_append(fh, data: bytes, unit: int, sync: bool) -> None:
-    """Write ``data`` to ``fh`` as one write per ``unit`` bytes, flush, and
-    sync the file's data when ``sync`` is set. Every backend appends here
-    (through ``JournalFiles._append``); an ``OSError`` anywhere on the way
-    becomes ``DurabilityError``."""
-    write = fh.write
-    view = memoryview(data)
+def durable_append(fh, data: bytes, sync: bool) -> None:
+    """Write ``data`` to ``fh`` with one write call, flush, and sync the
+    file's data when ``sync`` is set. Every backend appends here (through
+    ``JournalFiles._append``); an ``OSError`` anywhere on the way becomes
+    ``DurabilityError``.
+
+    What storage observes is the file growing by all of ``data`` before
+    the sync: the write goes through a ``BufferedWriter``, so the sizes of
+    the kernel's write calls follow its buffer, not the units. For the
+    segmented journal ``data`` is whole ``S + 16`` units, so the file
+    grows by whole units at unit-aligned offsets."""
     try:
-        # one write per unit: for the segmented journal this is the
-        # adversary-visible sequence the fixed-size guarantee is about
-        for off in range(0, len(data), unit):
-            write(view[off : off + unit])
+        fh.write(data)
         fh.flush()
         if sync:
             os.fdatasync(fh.fileno())
@@ -162,11 +163,13 @@ class JournalFiles:
             self._fh = None
 
     def _append(self, data: bytes, unit: int) -> Lsn:
-        """Durably append ``data`` as writes of ``unit`` bytes; an empty
-        flush writes and syncs nothing."""
+        """Durably append ``data``, a whole number of ``unit``-byte units,
+        and record it on the trace as ``len(data) // unit`` writes of
+        ``unit`` bytes (the model view: storage sees the file grow by the
+        whole flush at its sync). An empty flush writes and syncs nothing."""
         lsn = Lsn(self._fid, self._offset)
         if data:
-            durable_append(self._fh, data, unit, self.sync)
+            durable_append(self._fh, data, self.sync)
             self.trace.record(self.CHANNEL, unit, len(data) // unit)
             self._offset += len(data)
         return lsn

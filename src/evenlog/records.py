@@ -28,6 +28,8 @@ from .errors import CorruptRecord, MalformedHeader, RecordTooLarge, RecoveryCorr
 HEADER_SIZE = 16
 _HEADER = struct.Struct("<IIII")
 _U32_MAX = 0xFFFFFFFF
+# a payload's tail padding, by its length
+_PADS = (b"", b"\x00", b"\x00\x00", b"\x00\x00\x00")
 # zero padding between records: whole 4-byte words, possibly none
 _ZERO_WORDS = re.compile(rb"(?:\x00\x00\x00\x00)*")
 
@@ -83,12 +85,15 @@ class Lsn(NamedTuple):
 
 
 def encode_record(payload: bytes, flags: int = 0) -> bytes:
-    """Encode one record. The payload tail is zero-padded to a multiple of 4."""
+    """Encode one record. The payload tail is zero-padded to a multiple of 4.
+
+    The CRC of the padded payload is chained over the payload and then
+    its padding, so the padded copy is never built."""
     if not payload and not flags:
         raise ValueError("data records require a non-empty payload")
     total = encoded_record_size(len(payload))
-    padded = payload + b"\x00" * (total - HEADER_SIZE - len(payload))
-    return _HEADER.pack(total, checksum(padded), flags, 0) + padded
+    pad = _PADS[total - HEADER_SIZE - len(payload)]
+    return b"".join((_HEADER.pack(total, zlib.crc32(pad, zlib.crc32(payload)), flags, 0), payload, pad))
 
 
 def decode_record(buf, offset: int = 0) -> tuple[LogRecord, int]:

@@ -45,6 +45,23 @@ class FailingWrites:
         return getattr(self.real, name)
 
 
+class CountingWrites:
+    """A file handle that passes every write to the real file and keeps
+    the size of each write call. Put it in place of a backend's open file
+    to see how many calls a durable write makes."""
+
+    def __init__(self, fh):
+        self.real = fh
+        self.sizes = []
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        return self.real.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+
 @pytest.fixture
 def key():
     return StaticKeyProvider(MASTER).get("default")

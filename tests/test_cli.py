@@ -241,14 +241,25 @@ def test_demo_quorum_runs_clean(capsys, tmp_path):
     assert "constant=True" in out
 
 
-def test_demo_quorum_under_another_key_reports_corruption(capsys, tmp_path, monkeypatch):
-    # without EVENLOG_KEY each run draws its own key, so the second run
-    # finds the first run's metadata file unreadable
-    monkeypatch.delenv("EVENLOG_KEY", raising=False)
+@pytest.mark.parametrize("same_key", [True, False], ids=["same-key", "another-key"])
+def test_demo_quorum_refuses_a_used_directory(capsys, tmp_path, monkeypatch, same_key):
+    # the demo's replicas live only in its process, so a second run on the
+    # first run's metadata files could not recover them under any key
+    if same_key:
+        monkeypatch.setenv("EVENLOG_KEY", MASTER.hex())
+    else:
+        monkeypatch.delenv("EVENLOG_KEY", raising=False)  # each run draws its own key
     assert run_cli(capsys, "demo", "quorum", "--dir", str(tmp_path))[0] == 0
-    code, _, err = run_cli(capsys, "demo", "quorum", "--dir", str(tmp_path))
-    assert code == 1
-    assert err.startswith("error: corrupt metadata blob") and "metadata file 0, offset 0" in err
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    code, out, err = run_cli(capsys, "demo", "quorum", "--dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {tmp_path} is not empty") and "needs an empty directory" in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_demo_quorum_creates_a_missing_directory(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "demo", "quorum", "--dir", str(tmp_path / "new"))
+    assert code == 0 and "byte-exact=True" in out
 
 
 def readme_cli_lines() -> list[str]:

@@ -47,11 +47,27 @@ class TestSegmentRoundtrip:
 
 
 class TestStreamBatch:
+    # alternating run sizes: the encryptor's buffer grows, then serves a
+    # smaller run from its prefix
+    RUN_SEGMENTS = (9, 1, 1024, (2 << 20) // 128, 3)
+
     def test_stream_roundtrip(self, key):
-        padded = os.urandom(128 * 9)
-        units = crypto.encrypt_stream(key, padded, 128)
-        assert len(units) == 9 * 144
-        assert crypto.decrypt_stream(key, units, 128) == padded
+        for count in self.RUN_SEGMENTS:
+            padded = os.urandom(128 * count)
+            units = crypto.encrypt_stream(key, padded, 128)
+            assert type(units) is bytes and len(units) == count * 144
+            assert crypto.decrypt_stream(key, units, 128) == padded
+
+    def test_earlier_result_survives_later_calls(self, key):
+        runs = []
+        for count in self.RUN_SEGMENTS:
+            padded = os.urandom(128 * count)
+            units = crypto.encrypt_stream(key, padded, 128)
+            runs.append((padded, units, bytes(units)))  # a copy, had it been a view
+        crypto.encrypt_stream(key, os.urandom(128 * 1024), 64)
+        for padded, units, copy in runs:
+            assert units == copy
+            assert crypto.decrypt_stream(key, units, 128) == padded
 
     def test_batch_units_decrypt_individually(self, key):
         padded = os.urandom(64 * 5)
@@ -125,11 +141,16 @@ class TestSharedContexts:
         failures = []
 
         def roundtrips():
-            for _ in range(500):
+            for i in range(500):
                 padded = os.urandom(64 * 3)
                 units = crypto.split_units(crypto.encrypt_stream(key, padded, 64), 64)
                 if b"".join(crypto.decrypt_segment(key, u) for u in units) != padded:
                     failures.append(padded)
+                if i % 100 == 0:  # runs that resize the shared buffer
+                    for count in TestStreamBatch.RUN_SEGMENTS:
+                        run = os.urandom(128 * count)
+                        if crypto.decrypt_stream(key, crypto.encrypt_stream(key, run, 128), 128) != run:
+                            failures.append(run)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -22,7 +22,7 @@ from evenlog.journal import (
 from evenlog.observe import StorageTrace
 from evenlog.records import HEADER_SIZE, encode_record, iter_records
 
-from .conftest import pad4, reopen
+from .conftest import CountingWrites, FailingWrites, pad4, reopen
 
 
 def make_backend(tmp_path, key, segment_size=128, **kw):
@@ -70,6 +70,56 @@ class TestAppendSegments:
         for n in (1, 100, 999, 5000):
             engine.append(os.urandom(n), full_sync=True)
         assert trace.distinct_sizes(StorageTrace.JOURNAL) == {144}
+
+
+class TestWritePath:
+    """A flush reaches the file in one write call, as the cipher made it."""
+
+    SLOT_UNITS = 1024  # a full 128 KiB slot of 128-byte segments
+
+    def test_full_slot_flush_is_one_write_call(self, tmp_path, key):
+        backend = make_backend(tmp_path, key)
+        backend._fh = counting = CountingWrites(backend._fh)
+        backend.persist_slot(os.urandom(self.SLOT_UNITS * 128))
+        assert counting.sizes == [self.SLOT_UNITS * 144]
+        assert backend.trace.write_count(StorageTrace.JOURNAL) == self.SLOT_UNITS
+
+    def test_file_is_the_stored_units_in_flush_order(self, tmp_path, key, monkeypatch):
+        made, encrypt = [], crypto.encrypt_stream
+
+        def recording_encrypt(*args):
+            made.append(encrypt(*args))
+            return made[-1]
+
+        monkeypatch.setattr(crypto, "encrypt_stream", recording_encrypt)
+        backend = make_backend(tmp_path, key)
+        slots = [os.urandom(n * 128) for n in (self.SLOT_UNITS, 3, self.SLOT_UNITS)]
+        for slot in slots:
+            backend.persist_slot(slot)
+        data = (tmp_path / journal_filename(backend.current_file_id)).read_bytes()
+        assert data == b"".join(made)
+        assert crypto.decrypt_stream(key, data, 128) == b"".join(slots)
+
+    def test_partial_unit_after_full_slot_flush_is_dropped(self, tmp_path, key):
+        payloads = [bytes([i + 1]) * 1000 for i in range(129)]  # 129 x 1016 B fills the slot
+        slot = b"".join(encode_record(p) for p in payloads)
+        backend = make_backend(tmp_path, key)
+        backend.persist_slot(slot)
+        backend.close()
+        path = tmp_path / journal_filename(backend.current_file_id)
+        data = path.read_bytes()
+        assert len(data) == self.SLOT_UNITS * 144
+        path.write_bytes(data[: (self.SLOT_UNITS - 1) * 144 + 100])
+        kept = (self.SLOT_UNITS - 1) * 128 // 1016  # records wholly inside the whole units
+        assert [r.payload for r in recover_journal(tmp_path, key, 128)] == payloads[:kept]
+
+    def test_failed_write_is_a_durability_error(self, tmp_path, key):
+        backend = make_backend(tmp_path, key)
+        backend._fh = FailingWrites(backend._fh)
+        with pytest.raises(DurabilityError):
+            backend.persist_slot(os.urandom(self.SLOT_UNITS * 128))
+        assert (tmp_path / journal_filename(backend.current_file_id)).stat().st_size == 0
+        assert backend.trace.write_count(StorageTrace.JOURNAL) == 0
 
 
 class TestRecovery:

@@ -2,6 +2,7 @@
 
 import random
 import struct
+import zlib
 from itertools import pairwise
 
 import pytest
@@ -27,6 +28,23 @@ from evenlog.records import (
 from evenlog.journal import PlainJournalBackend, recover_plain
 
 from .conftest import pad4
+
+
+def format_encode(payload: bytes, flags: int = 0) -> bytes:
+    """FORMAT.md's record, built the plain way: the payload padded to a
+    multiple of 4, then the header with the CRC of the padded bytes."""
+    padded = payload + b"\x00" * (-len(payload) % 4)
+    return struct.pack("<IIII", HEADER_SIZE + len(padded), zlib.crc32(padded), flags, 0) + padded
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=st.binary(min_size=1, max_size=600) | st.binary(min_size=4090, max_size=4100),
+       flags=st.sampled_from([0, FLAG_CHECKPOINT, 0xFFFFFFFF]),
+       kind=st.sampled_from([bytes, bytearray]))
+def test_encode_matches_the_format(payload, flags, kind):
+    record = encode_record(kind(payload), flags)
+    assert type(record) is bytes
+    assert record == format_encode(payload, flags)
 
 
 class TestEncode:
