@@ -65,14 +65,6 @@ def list_epoch_fids(root: Path, prefix: str) -> list[int]:
     return sorted(int(m.group(1)) for name in names if (m := pattern.fullmatch(name)))
 
 
-def journal_filename(fid: int) -> str:
-    return epoch_filename("journal", fid)
-
-
-def list_journal_fids(root: Path) -> list[int]:
-    return list_epoch_fids(root, "journal")
-
-
 def read_sidecar(root: Path) -> tuple[int, int, int] | None:
     """Return (ckpt_id, fid, offset) or None when no checkpoint exists."""
     path = root / SIDECAR_NAME

@@ -8,9 +8,11 @@ under the fixed-count scheme to equalize the number of groups touched,
 are never awaited. One fixed-size encrypted metadata array per slot is
 appended to the metadata file and synced before the commit is reported.
 
-Replicas and the network are simulated in process: deliveries are
-ordered by seeded pseudo-random latencies, so a run is reproducible
-given its seed.
+Replicas and the network are simulated in process. The backend calls
+each ``Replica`` directly, and deliveries are ordered by seeded
+pseudo-random latencies, so a run is reproducible given its seed. The
+replica trace charges each STORE the size of its wire frame
+(``store_frame_size``, FORMAT.md); no message crosses a socket.
 
 The metadata files are ``metadata.<fid>`` files on ``JournalFiles``, the
 journals' epoch-file layer: a start opens a fresh file, a checkpoint
@@ -58,9 +60,8 @@ from ..segmentation import check_segment_size, pad_to_segments
 from ..slots import BackendStats, CheckpointMarker
 from .metadata import SENTINEL, MetadataArray, MetadataEntry, array_dtype, serialized_size
 from .registry import Registry
-from .replica import Replica, SegmentId
+from .replica import Replica, SegmentId, store_frame_size
 from .selection import GROUP_SIZE, SelectionScheme, form_quorums, select_quorums
-from .transport import store_frame_size
 
 
 @dataclass
@@ -111,7 +112,6 @@ class QuorumBackend(JournalFiles):
         scheme: SelectionScheme = SelectionScheme.VNOS,
         seed: int = 0,
         trace: StorageTrace | None = None,
-        channels: Mapping[int, object] | None = None,  # default: the replicas, called in process
         client_id: str = "client-0",
         sync: bool = True,
     ):
@@ -122,7 +122,6 @@ class QuorumBackend(JournalFiles):
         self.scheme = scheme
         self.client_id = client_id
         self._rng = random.Random(seed)
-        self._channels = dict(channels) if channels is not None else self.replicas
 
         # quorum groups are fixed for the life of this backend; per-write
         # selection draws from this candidate list. Members register at
@@ -198,7 +197,7 @@ class QuorumBackend(JournalFiles):
         pending = n_real
         committed_at = None
         for latency, _, pos, replica_id in deliveries:
-            acked = self._channels[replica_id].store(sids[pos], units[pos], digests[pos])
+            acked = self.replicas[replica_id].store(sids[pos], units[pos], digests[pos])
             if acked and pos < n_real and committed_at is None:  # placements past n_real are fake
                 array.update(pos, replica_id)
                 acks[pos] += 1
@@ -248,7 +247,7 @@ class QuorumBackend(JournalFiles):
         and the file offset from one run of blobs to the next."""
         last_ssn, offset = -1, 0
         for blobs in chunks:
-            run, last_ssn = assemble_stream(blobs, self.key, self.config, self._channels, fid, last_ssn, offset)
+            run, last_ssn = assemble_stream(blobs, self.key, self.config, self.replicas, fid, last_ssn, offset)
             offset += len(blobs)
             yield run
 
@@ -265,7 +264,7 @@ def assemble_stream(
     blobs: bytes,
     key: crypto.ReplicaKey,
     config: QuorumConfig,
-    channels: Mapping[int, object],
+    replicas: Mapping[int, Replica],
     fid: int,
     last_ssn: int = -1,
     offset: int = 0,
@@ -288,7 +287,7 @@ def assemble_stream(
     arrays = np.frombuffer(crypto.decrypt_stream(key, blobs, size), array_dtype(config.k_max))
     ssns = arrays["ssn"].astype(np.int64)
     ids = arrays["entries"]["ids"]
-    _check_arrays(ssns, ids, channels, last_ssn, fid, offset, crypto.IV_SIZE + size)
+    _check_arrays(ssns, ids, replicas, last_ssn, fid, offset, crypto.IV_SIZE + size)
 
     # committed entries in file order: blob by blob, segment by segment
     blob_ix, sns = np.nonzero((ids != SENTINEL).sum(axis=2) >= config.write_quorum)
@@ -297,7 +296,7 @@ def assemble_stream(
     sids = [SegmentId(fid, ssn, sn) for ssn, sn in zip(ssns[blob_ix].tolist(), sns.tolist())]
 
     unit_size = crypto.IV_SIZE + seg
-    copies = [_first_copy(sid, triplet, channels) for sid, triplet in zip(sids, triplets)]
+    copies = [_first_copy(sid, triplet, replicas) for sid, triplet in zip(sids, triplets)]
     refetch = {j for j, unit in enumerate(copies) if len(unit) != unit_size}
     if refetch:
         blank = bytes(unit_size)
@@ -314,18 +313,18 @@ def assemble_stream(
         digest = slice(j * crypto.DIGEST_SIZE, (j + 1) * crypto.DIGEST_SIZE)
         if j in refetch or got[digest] != wanted[digest]:
             entry = MetadataEntry(triplets[j], wanted[digest])
-            out[j * seg : (j + 1) * seg] = _fetch_verified(sid, entry, key, channels, seg)
+            out[j * seg : (j + 1) * seg] = _fetch_verified(sid, entry, key, replicas, seg)
     return bytes(out), last_ssn
 
 
-def _check_arrays(ssns, ids, channels, last_ssn, fid, offset, blob_size) -> None:
+def _check_arrays(ssns, ids, replicas, last_ssn, fid, offset, blob_size) -> None:
     """Raise ``RecoveryCorruption`` at the first blob this client cannot
     have written: its ssn is not above the ssn of the blob before it in
     the file (a failed delivery uses up an ssn without a blob, so gaps are
     legal), or a triplet holds an id that is neither -1 nor a known
     replica. A blob decrypted under the wrong key fails this almost
     surely, instead of sending recovery after segments that never were."""
-    known = np.append(np.fromiter(channels, dtype=np.int64, count=len(channels)), SENTINEL)
+    known = np.append(np.fromiter(replicas, dtype=np.int64, count=len(replicas)), SENTINEL)
     bad_ssn = np.diff(ssns, prepend=last_ssn) <= 0
     bad_ids = ~np.isin(ids, known).all(axis=(1, 2))
     bad = np.flatnonzero(bad_ssn | bad_ids)
@@ -338,26 +337,26 @@ def _check_arrays(ssns, ids, channels, last_ssn, fid, offset, blob_size) -> None
                                  offset + i * blob_size, fid, prefix=QuorumBackend.PREFIX)
 
 
-def _first_copy(sid, triplet, channels) -> bytes:
+def _first_copy(sid, triplet, replicas) -> bytes:
     """The unit held by the first live replica ``triplet`` records, or
     b"" when there is none or it holds nothing under ``sid``."""
     for replica_id in triplet:
-        if replica_id != SENTINEL and channels[replica_id].alive:
+        if replica_id != SENTINEL and replicas[replica_id].alive:
             try:
-                return channels[replica_id].read(sid)
+                return replicas[replica_id].read(sid)
             except SegmentNotFound:
                 return b""
     return b""
 
 
-def _fetch_verified(sid, entry, key, channels, segment_size) -> bytes:
+def _fetch_verified(sid, entry, key, replicas, segment_size) -> bytes:
     saw_data = False
     for replica_id in entry.acked_replicas():
-        channel = channels.get(replica_id)
-        if channel is None or not channel.alive:
+        replica = replicas.get(replica_id)
+        if replica is None or not replica.alive:
             continue
         try:
-            unit = channel.read(sid)
+            unit = replica.read(sid)
         except SegmentNotFound:
             continue
         saw_data = True

@@ -14,12 +14,17 @@ from __future__ import annotations
 import struct
 from typing import NamedTuple
 
-from ..crypto import IV_SIZE
+from ..crypto import DIGEST_SIZE, IV_SIZE
 from ..errors import SegmentNotFound
 from .registry import Registry
 
 _SID = struct.Struct("<IIII")
 SID_SIZE = _SID.size
+
+
+def store_frame_size(segment_size: int) -> int:
+    """Bytes of one STORE frame: [len u32][type u8][sid][digest][unit]."""
+    return 4 + 1 + SID_SIZE + DIGEST_SIZE + IV_SIZE + segment_size
 
 
 class SegmentId(NamedTuple):
@@ -40,7 +45,7 @@ class Replica:
     """One peer in the cooperative service.
 
     ``alive`` models process liveness: a dead replica neither stores nor
-    serves, and the transport layer sees no response from it. Stores are
+    serves; its ``store`` returns no acknowledgement. Stores are
     idempotent per segment id; a segment is dropped only when its
     client's checkpoint passes its epoch (``drop_before``).
     """
@@ -54,8 +59,8 @@ class Replica:
         return len(self._store)
 
     def store(self, sid: SegmentId, unit: bytes, digest: bytes) -> bool:
-        """Hold a segment; returns the acknowledgement. Dead replicas
-        return nothing (the sender times out instead)."""
+        """Hold a segment; returns the acknowledgement, which a dead
+        replica never gives."""
         if not self.alive:
             return False
         if sid not in self._store:

@@ -65,13 +65,13 @@ def select_quorums(
     fixed-count scheme entries past ``n_real`` are marked fake.
     """
     n = len(quorums)
+    if n_real > k_max:
+        raise InsufficientQuorums(f"{n_real} real segments exceed the maximum {k_max} per write")
     if scheme is SelectionScheme.VNOS:
         if n_real > n:
             raise InsufficientQuorums(f"write needs {n_real} quorums, only {n} candidates")
         picks = rng.sample(range(n), n_real)
         return [Placement(i, quorums[i], False) for i in picks]
-    if n_real > k_max:
-        raise InsufficientQuorums(f"{n_real} real segments exceed the fixed count {k_max}")
     if k_max > n:
         raise InsufficientQuorums(f"fixed count {k_max} exceeds the {n} candidate quorums")
     picks = rng.sample(range(n), k_max)

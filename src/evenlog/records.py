@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 import struct
 import zlib
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import CorruptRecord, MalformedHeader, RecordTooLarge, RecoveryCorruption, TruncatedRecord
 
@@ -112,14 +112,6 @@ def decode_record(buf, offset: int = 0) -> tuple[LogRecord, int]:
     if checksum(payload) != crc:
         raise CorruptRecord(f"checksum mismatch at offset {offset}")
     return LogRecord(payload, flags), offset + length
-
-
-def iter_records(buf) -> Iterator[LogRecord]:
-    """Parse a gapless concatenation of records (the unsegmented stream)."""
-    offset = 0
-    while offset < len(buf):
-        record, offset = decode_record(buf, offset)
-        yield record
 
 
 def scan_padded_stream(buf) -> list[LogRecord]:

@@ -6,6 +6,7 @@ import pytest
 from evenlog.crypto import StaticKeyProvider
 from evenlog.journal import JournalBackend, PlainJournalBackend
 from evenlog.quorum import QuorumBackend, build_cluster  # noqa: F401  (re-exported for the test modules)
+from evenlog.records import decode_record
 
 MASTER = b"unit-test-master-secret-32-bytes"
 
@@ -13,6 +14,15 @@ MASTER = b"unit-test-master-secret-32-bytes"
 def pad4(data: bytes) -> bytes:
     """Payloads come back from recovery padded to a multiple of 4."""
     return data + b"\x00" * ((-len(data)) % 4)
+
+
+def iter_records(buf):
+    """Test oracle: parse a gapless concatenation of records (a slot
+    flush before segmentation) with the strict decoder."""
+    offset = 0
+    while offset < len(buf):
+        record, offset = decode_record(buf, offset)
+        yield record
 
 
 def reopen(backend, seed: int = 0):

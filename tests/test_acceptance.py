@@ -29,7 +29,7 @@ from evenlog import leakage as lk
 from evenlog.crypto import StaticKeyProvider
 from evenlog.engine import WalEngine
 from evenlog.errors import IntegrityFailure
-from evenlog.journal import JournalBackend, PlainJournalBackend, journal_filename, recover_journal
+from evenlog.journal import JournalBackend, PlainJournalBackend, epoch_filename, recover_journal
 from evenlog.observe import StorageTrace
 from evenlog.quorum import (
     QuorumBackend,
@@ -39,11 +39,11 @@ from evenlog.quorum import (
     select_quorums,
 )
 from evenlog.quorum.metadata import MetadataArray
-from evenlog.records import encode_record, encoded_record_size, iter_records
+from evenlog.records import encode_record, encoded_record_size
 from evenlog.segmentation import padding_overhead
 from evenlog.workload import LengthGroup, WorkloadSpec, generate, planted_length_trace
 
-from .conftest import MASTER, build_cluster, pad4
+from .conftest import MASTER, build_cluster, iter_records, pad4
 from .test_leakage import exhaustive_optimum, random_instance
 
 KEY = StaticKeyProvider(MASTER).get("default")
@@ -133,7 +133,7 @@ def test_criterion_3_crash_matrix(tmp_path):
             group_bytes = 0
     engine.close()
 
-    path = tmp_path / journal_filename(backend.current_file_id)
+    path = tmp_path / epoch_filename("journal", backend.current_file_id)
     data = path.read_bytes()
     n_units = len(data) // unit
     assert len(data) % unit == 0
@@ -230,9 +230,9 @@ def test_criterion_6_fnos_no_leakage(tmp_path):
     for _ in range(50_000):
         placements = select_quorums(SelectionScheme.FNOS, rng.randint(1, k_max), quorums, k_max, rng)
         assert len({p.index for p in placements}) == len(placements)
-    for _ in range(50_000):
+    for _ in range(50_000):  # a VNOS write may touch every candidate when MS allows it
         n_real = rng.randint(1, 10)
-        placements = select_quorums(SelectionScheme.VNOS, n_real, quorums, k_max, rng)
+        placements = select_quorums(SelectionScheme.VNOS, n_real, quorums, len(quorums), rng)
         assert len({p.index for p in placements}) == n_real
 
     # a commit completes while every fake-segment ack is withheld

@@ -107,6 +107,23 @@ class TestBench:
         assert report["bytes_fake"] > 0
 
 
+    def test_conc_quorum_refuses_a_slot_over_max_write_size(self, capsys, tmp_path):
+        # the default 128 KiB slot would flush as one write of far more than MS
+        code, out, err = run_cli(
+            capsys, "bench", "conc", "--scheme", "quorum", "--ops", "200", "--dir", str(tmp_path),
+        )
+        assert code == 1 and out == ""
+        assert "--capacity" in err and "--max-write-size" in err
+
+    def test_conc_quorum_with_slot_within_max_write_size(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "bench", "conc", "--scheme", "quorum", "--ops", "200", "--capacity", "2048",
+            "--dir", str(tmp_path), "--out", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["ops"] == 200
+
+
 class TestRecover:
     def test_recover_counts_records(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("EVENLOG_KEY", MASTER.hex())

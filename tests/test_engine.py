@@ -6,11 +6,11 @@ import pytest
 
 from evenlog.crypto import IV_SIZE
 from evenlog.engine import WalEngine
-from evenlog.journal import JournalBackend, PlainJournalBackend, journal_filename, recover_journal
+from evenlog.journal import JournalBackend, PlainJournalBackend, epoch_filename, recover_journal
 from evenlog.observe import StorageTrace
 from evenlog.quorum import QuorumBackend, QuorumConfig, SelectionScheme
 from evenlog.quorum.selection import GROUP_SIZE
-from evenlog.quorum.transport import store_frame_size
+from evenlog.quorum.replica import store_frame_size
 
 from .conftest import build_cluster, pad4
 
@@ -20,7 +20,7 @@ def test_periodic_flusher_makes_buffered_appends_durable(tmp_path, key):
     engine = WalEngine(backend, flush_interval_ms=10)
     result = engine.append(b"buffered" * 4, full_sync=False)
     assert not result.flushed
-    path = tmp_path / journal_filename(backend.current_file_id)
+    path = tmp_path / epoch_filename("journal", backend.current_file_id)
     deadline = time.monotonic() + 2.0
     while path.stat().st_size == 0 and time.monotonic() < deadline:
         time.sleep(0.01)

@@ -14,15 +14,15 @@ from evenlog.journal import (
     JournalBackend,
     PlainJournalBackend,
     READ_SIZE,
-    journal_filename,
-    list_journal_fids,
+    epoch_filename,
+    list_epoch_fids,
     read_sidecar,
     recover_journal,
 )
 from evenlog.observe import StorageTrace
-from evenlog.records import HEADER_SIZE, encode_record, iter_records
+from evenlog.records import HEADER_SIZE, encode_record
 
-from .conftest import CountingWrites, FailingWrites, pad4, reopen
+from .conftest import CountingWrites, FailingWrites, iter_records, pad4, reopen
 
 
 def make_backend(tmp_path, key, segment_size=128, **kw):
@@ -43,14 +43,14 @@ class TestAppendSegments:
 
     def test_three_segments_grow_file_by_three_units(self, tmp_path, key):
         backend = make_backend(tmp_path, key)
-        path = tmp_path / journal_filename(backend.current_file_id)
+        path = tmp_path / epoch_filename("journal", backend.current_file_id)
         backend.persist_slot(os.urandom(3 * 128))
         assert path.stat().st_size == 3 * (128 + 16)
 
     def test_empty_list_no_size_change(self, tmp_path, key):
         backend = make_backend(tmp_path, key)
         backend.persist_slot(b"")
-        assert (tmp_path / journal_filename(backend.current_file_id)).stat().st_size == 0
+        assert (tmp_path / epoch_filename("journal", backend.current_file_id)).stat().st_size == 0
 
     def test_consecutive_appends_strictly_ordered_by_offset(self, tmp_path, key):
         backend = make_backend(tmp_path, key)
@@ -96,7 +96,7 @@ class TestWritePath:
         slots = [os.urandom(n * 128) for n in (self.SLOT_UNITS, 3, self.SLOT_UNITS)]
         for slot in slots:
             backend.persist_slot(slot)
-        data = (tmp_path / journal_filename(backend.current_file_id)).read_bytes()
+        data = (tmp_path / epoch_filename("journal", backend.current_file_id)).read_bytes()
         assert data == b"".join(made)
         assert crypto.decrypt_stream(key, data, 128) == b"".join(slots)
 
@@ -106,7 +106,7 @@ class TestWritePath:
         backend = make_backend(tmp_path, key)
         backend.persist_slot(slot)
         backend.close()
-        path = tmp_path / journal_filename(backend.current_file_id)
+        path = tmp_path / epoch_filename("journal", backend.current_file_id)
         data = path.read_bytes()
         assert len(data) == self.SLOT_UNITS * 144
         path.write_bytes(data[: (self.SLOT_UNITS - 1) * 144 + 100])
@@ -118,7 +118,7 @@ class TestWritePath:
         backend._fh = FailingWrites(backend._fh)
         with pytest.raises(DurabilityError):
             backend.persist_slot(os.urandom(self.SLOT_UNITS * 128))
-        assert (tmp_path / journal_filename(backend.current_file_id)).stat().st_size == 0
+        assert (tmp_path / epoch_filename("journal", backend.current_file_id)).stat().st_size == 0
         assert backend.trace.write_count(StorageTrace.JOURNAL) == 0
 
 
@@ -162,7 +162,7 @@ class TestRecovery:
         engine.append(b"first" * 8, full_sync=False)
         engine.append(b"second" * 8, full_sync=False)
         engine.flush()
-        path = tmp_path / journal_filename(backend.current_file_id)
+        path = tmp_path / epoch_filename("journal", backend.current_file_id)
         # rewrite the second record's length word to an implausible value
         plain = bytearray(crypto.decrypt_stream(key, path.read_bytes(), 128))
         second_at = len(encode_record(b"first" * 8))
@@ -180,7 +180,7 @@ class TestRecovery:
             engine.append(b"first" * 8, full_sync=False)
             engine.append(b"second" * 8, full_sync=False)
             engine.close()
-        path = tmp_path / journal_filename(1)
+        path = tmp_path / epoch_filename("journal", 1)
         data = path.read_bytes()
         if kind == "journal":
             data = crypto.decrypt_stream(key, data, 128)
@@ -203,7 +203,7 @@ class TestCrashTruncation:
         for p in payloads:
             engine.append(p, full_sync=True)
         engine.close()
-        return tmp_path / journal_filename(backend.current_file_id)
+        return tmp_path / epoch_filename("journal", backend.current_file_id)
 
     def test_truncation_at_every_unit_boundary_recovers_prefix(self, tmp_path, key):
         payloads = [bytes([i]) * (40 + i) for i in range(10)]
@@ -244,7 +244,7 @@ class TestCrashTruncation:
         for p in (a, b):  # segmented, b is 3 units, the last 3 of 4
             engine.append(p, full_sync=True)
         engine.close()
-        path = tmp_path / journal_filename(0)
+        path = tmp_path / epoch_filename("journal", 0)
         path.write_bytes(path.read_bytes()[:-cut])
         engine = make_engine(open_backend(kind, tmp_path, key))  # restart: c goes to file 1
         engine.append(c, full_sync=True)
@@ -265,7 +265,7 @@ class TestChunkedRecovery:
         for p in payloads:
             engine.append(p)
         engine.close()
-        assert (tmp_path / journal_filename(0)).stat().st_size >= 8 * 2**20
+        assert (tmp_path / epoch_filename("journal", 0)).stat().st_size >= 8 * 2**20
         tracemalloc.start()
         try:
             records = backend.recover()
@@ -288,7 +288,7 @@ class TestChunkedRecovery:
         if cut is None:
             assert [r.payload for r in engine.backend.recover()] == [a, big, c]
             return
-        path = tmp_path / journal_filename(0)
+        path = tmp_path / epoch_filename("journal", 0)
         data = path.read_bytes()
         c_stored = 144 if kind == "journal" else len(encode_record(c))
         path.write_bytes(data[: len(data) // 2 if cut == "middle" else len(data) - c_stored - 1])
@@ -302,7 +302,7 @@ class TestChunkedRecovery:
         for _ in range(3 * READ_SIZE // 1000):
             engine.append(b"x" * 984)
         engine.close()
-        path = tmp_path / journal_filename(0)
+        path = tmp_path / epoch_filename("journal", 0)
         plain = bytearray(crypto.decrypt_stream(key, path.read_bytes(), 128))
         plain[HEADER_SIZE + 1] ^= 1  # the first record fails its checksum
         path.write_bytes(crypto.encrypt_stream(key, bytes(plain), 128))
@@ -325,7 +325,7 @@ class TestCheckpoint:
         assert marker.ckpt_id == 1
         ckpt_id, fid, offset = read_sidecar(tmp_path)
         assert (ckpt_id, fid, offset) == (1, marker.lsn.file_id, 0)
-        assert (tmp_path / journal_filename(fid)).exists()
+        assert (tmp_path / epoch_filename("journal", fid)).exists()
 
     def test_recovery_starts_at_checkpoint(self, tmp_path, key):
         engine = make_engine(make_backend(tmp_path, key))
@@ -339,7 +339,7 @@ class TestCheckpoint:
         backend = make_backend(tmp_path, key)
         engine = make_engine(backend)
         engine.append(b"data" * 8, full_sync=True)
-        old_path = tmp_path / journal_filename(backend.current_file_id)
+        old_path = tmp_path / epoch_filename("journal", backend.current_file_id)
         seen = []
 
         def checkpoint(ckpt_id, real=backend.checkpoint):
@@ -397,10 +397,10 @@ class TestCheckpointCollects:
         engine = make_engine(make_backend(tmp_path, key))
         engine.append(b"one" * 10, full_sync=True)
         engine.checkpoint()
-        assert list_journal_fids(tmp_path) == [read_sidecar(tmp_path)[1]]
+        assert list_epoch_fids(tmp_path, "journal") == [read_sidecar(tmp_path)[1]]
         engine.append(b"two" * 10, full_sync=True)
         engine.checkpoint()
-        assert list_journal_fids(tmp_path) == [read_sidecar(tmp_path)[1]] == [2]
+        assert list_epoch_fids(tmp_path, "journal") == [read_sidecar(tmp_path)[1]] == [2]
 
     def test_restart_then_checkpoint_deletes_files_in_between(self, tmp_path, key):
         engine = make_engine(make_backend(tmp_path, key))
@@ -408,12 +408,12 @@ class TestCheckpointCollects:
         engine.checkpoint()
         engine.append(b"kept" * 10, full_sync=True)
         backend = reopen(reopen(engine.backend))
-        assert list_journal_fids(tmp_path) == [1, 2, 3]
+        assert list_epoch_fids(tmp_path, "journal") == [1, 2, 3]
         engine = make_engine(backend)
         engine.append(b"new" * 10, full_sync=True)
         assert [r.payload for r in backend.recover()] == [pad4(b"kept" * 10), pad4(b"new" * 10)]
         engine.checkpoint()
-        assert list_journal_fids(tmp_path) == [4]
+        assert list_epoch_fids(tmp_path, "journal") == [4]
         assert backend.recover() == []
 
     def test_plain_checkpoint_keeps_only_the_newest_file(self, tmp_path):
@@ -421,7 +421,7 @@ class TestCheckpointCollects:
         engine.append(b"old" * 10, full_sync=True)
         engine.checkpoint()
         engine.append(b"new" * 10, full_sync=True)
-        assert list_journal_fids(tmp_path) == [1]
+        assert list_epoch_fids(tmp_path, "journal") == [1]
         assert [r.payload for r in engine.backend.recover()] == [pad4(b"new" * 10)]
 
 
@@ -431,7 +431,7 @@ class TestGc:
     def test_single_active_file_nothing_deleted(self, tmp_path, key):
         backend = make_backend(tmp_path, key)
         make_engine(backend).append(b"only" * 10, full_sync=True)
-        assert list_journal_fids(tmp_path) == [0]
+        assert list_epoch_fids(tmp_path, "journal") == [0]
         assert [r.payload for r in backend.recover()] == [pad4(b"only" * 10)]
 
     def test_gc_without_sidecar_is_noop(self, tmp_path, key):
@@ -441,7 +441,7 @@ class TestGc:
             make_engine(backend).append(p, full_sync=True)
             backend = reopen(backend)  # each restart starts a fresh file
         assert read_sidecar(tmp_path) is None
-        assert list_journal_fids(tmp_path) == [0, 1, 2, 3]
+        assert list_epoch_fids(tmp_path, "journal") == [0, 1, 2, 3]
         assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
 
 

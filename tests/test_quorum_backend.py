@@ -14,6 +14,7 @@ from evenlog.engine import WalEngine
 from evenlog.errors import (
     CommitTimeout,
     DurabilityError,
+    InsufficientQuorums,
     IntegrityFailure,
     RecoveryCorruption,
     SegmentNotFound,
@@ -24,7 +25,7 @@ from evenlog.observe import StorageTrace
 from evenlog.quorum import QuorumBackend, QuorumConfig, Replica, SegmentId, SelectionScheme
 from evenlog.quorum import backend as backend_module
 from evenlog.quorum.metadata import MetadataArray, serialized_size
-from evenlog.quorum.transport import store_frame_size
+from evenlog.quorum.replica import store_frame_size
 from evenlog.records import encode_record
 
 from .conftest import FailingWrites, build_cluster, pad4, reopen
@@ -54,6 +55,10 @@ class TestSegmentId:
 
 
 class TestReplica:
+    def test_store_frame_size_formula(self):
+        # len u32 + type u8 + sid 16 + digest 32 + iv 16 + segment
+        assert store_frame_size(128) == 4 + 1 + 16 + 32 + 16 + 128
+
     def test_store_then_read(self):
         rep = Replica(1)
         sid = SegmentId(0, 0, 0)
@@ -158,6 +163,16 @@ class TestPersist:
             backend.replicas[group[1]].kill()
         with pytest.raises(CommitTimeout):
             backend.persist_slot(b"\x02" * 100)
+
+    def test_vnos_write_over_max_write_size_is_refused(self, tmp_path, key):
+        # 10 groups could take the 6 segments of 700 B, but MS = 512 B allows 4
+        backend = make_backend(tmp_path, key, n_replicas=30, max_write_size=512)
+        engine = make_engine(backend)
+        small = os.urandom(40)
+        engine.append(small, full_sync=True)
+        with pytest.raises(InsufficientQuorums):
+            engine.append(os.urandom(700), full_sync=True)
+        assert [r.payload for r in backend.recover()] == [pad4(small)]
 
     def test_single_failure_per_group_still_commits(self, tmp_path, key):
         backend = make_backend(tmp_path, key, n_replicas=9)

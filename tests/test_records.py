@@ -22,12 +22,11 @@ from evenlog.records import (
     decode_record,
     encode_record,
     encoded_record_size,
-    iter_records,
     scan_padded_stream,
 )
 from evenlog.journal import PlainJournalBackend, recover_plain
 
-from .conftest import pad4
+from .conftest import iter_records, pad4
 
 
 def format_encode(payload: bytes, flags: int = 0) -> bytes:

@@ -101,6 +101,15 @@ class TestSelectQuorums:
         with pytest.raises(InsufficientQuorums):
             select_quorums(SelectionScheme.FNOS, 4, quorums + [(6, 7, 8)], 3, random.Random(0))
 
+    def test_vnos_write_over_k_max_raises_before_drawing(self):
+        # enough candidates for 6 segments, but a write may have at most 4
+        quorums = [(i,) * 3 for i in range(10)]
+        rng = random.Random(6)
+        state = rng.getstate()
+        with pytest.raises(InsufficientQuorums):
+            select_quorums(SelectionScheme.VNOS, 6, quorums, 4, rng)
+        assert rng.getstate() == state
+
     def test_placement_order_matches_segment_order(self):
         quorums = [(i,) * 3 for i in range(6)]
         placements = select_quorums(SelectionScheme.FNOS, 3, quorums, 6, random.Random(5))

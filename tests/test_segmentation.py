@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evenlog.errors import InvalidSegmentSize
-from evenlog.records import encode_record, iter_records, scan_padded_stream
+from evenlog.records import encode_record, scan_padded_stream
 from evenlog.segmentation import check_segment_size, padding_overhead, segment_slot
 
-from .conftest import pad4
+from .conftest import iter_records, pad4
 
 
 class TestSegmentSlot:

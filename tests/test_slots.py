@@ -7,10 +7,10 @@ import pytest
 
 from evenlog.engine import WalEngine
 from evenlog.errors import DurabilityError
-from evenlog.records import encode_record, iter_records
+from evenlog.records import encode_record
 from evenlog.slots import PeriodicFlusher, Slot
 
-from .conftest import pad4
+from .conftest import iter_records, pad4
 
 
 class MemoryBackend:
