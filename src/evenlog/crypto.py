@@ -35,8 +35,12 @@ long-lived decryptor and drops each unit's first 16 output bytes: a
 unit's first ciphertext block is decrypted with its own IV as the
 chaining block, whatever came before it.
 
+There is one unit codec: ``encrypt_stream`` and ``decrypt_stream``.
+``encrypt_segment`` and ``decrypt_segment`` are their one-unit case,
+with the same input checks.
+
 Invariant: a context never holds a partial block, because every later
-call would then be shifted. Every input is checked to be whole blocks
+call would then be shifted. Every input is checked to be whole segments
 (whole units) before it reaches a context; a rejected input raises
 ``ValueError`` and leaves the context untouched. Contexts are never
 finalized.
@@ -73,6 +77,7 @@ class _Context:
         self._buf = np.empty(0, dtype=np.uint8)
 
     def update(self, data: bytes) -> bytes:
+        """Run whole blocks through the context (the decryptor's path)."""
         with self._lock:
             return self._ctx.update(data)
 
@@ -113,28 +118,22 @@ class ReplicaKey:
         object.__setattr__(self, "_dec", _Context(Cipher(aes, modes.CBC(bytes(IV_SIZE))).decryptor()))
 
 
-def _check_block_aligned(data: bytes) -> None:
-    if not data or len(data) % 16 != 0:
-        raise ValueError(f"plaintext length {len(data)} is not a positive multiple of 16")
-
-
 def _check_segment_size(segment_size: int) -> None:
     if segment_size <= 0 or segment_size % 16 != 0:
         raise ValueError(f"segment size {segment_size} is not a positive multiple of 16")
 
 
 def encrypt_segment(key: ReplicaKey, plaintext: bytes) -> bytes:
-    """Encrypt one segment into one stored unit with a fresh IV."""
-    _check_block_aligned(plaintext)
-    return key._enc.update(os.urandom(IV_SIZE) + plaintext)
+    """Encrypt one segment into one stored unit: ``encrypt_stream`` of a
+    run of one segment."""
+    return encrypt_stream(key, plaintext, len(plaintext))
 
 
 def decrypt_segment(key: ReplicaKey, unit: bytes) -> bytes:
-    """Decrypt one stored unit. Wrong keys yield garbage, not an error;
-    integrity comes from the digest check."""
-    if len(unit) < 2 * IV_SIZE or len(unit) % 16 != 0:
-        raise ValueError(f"stored unit length {len(unit)} is not an IV plus whole blocks")
-    return key._dec.update(unit)[IV_SIZE:]
+    """Decrypt one stored unit: ``decrypt_stream`` of a run of one unit.
+    Wrong keys yield garbage, not an error; integrity comes from the
+    digest check."""
+    return decrypt_stream(key, unit, len(unit) - IV_SIZE)
 
 
 def encrypt_stream(key: ReplicaKey, padded: bytes, segment_size: int) -> bytes:

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import crypto
-from .errors import DurabilityError, RecoveryCorruption, StorageNotFound
+from .errors import DurabilityError, RecoveryCorruption, StorageNotFound, WalError
 from .observe import StorageTrace
 from .records import LogRecord, Lsn, scan_padded_stream
 from .segmentation import check_segment_size, pad_to_segments
@@ -100,11 +100,12 @@ def durable_append(fh, data: bytes, sync: bool) -> None:
     ``JournalFiles._append``); an ``OSError`` anywhere on the way becomes
     ``DurabilityError``.
 
-    What storage observes is the file growing by all of ``data`` before
-    the sync: the write goes through a ``BufferedWriter``, so the sizes of
-    the kernel's write calls follow its buffer, not the units. For the
-    segmented journal ``data`` is whole ``S + 16`` units, so the file
-    grows by whole units at unit-aligned offsets."""
+    What storage observes is one ``write(2)`` of all of ``data`` per
+    flush, then the sync: the ``BufferedWriter`` is empty on entry, so it
+    passes ``data`` larger than its buffer straight through and writes a
+    smaller one out at ``flush``. For the segmented journal ``data`` is
+    whole ``S + 16`` units, so the file grows by whole units at
+    unit-aligned offsets."""
     try:
         fh.write(data)
         fh.flush()
@@ -242,11 +243,15 @@ class PlainJournalBackend(JournalFiles):
     flush, exactly the side channel the segmented backend closes. With
     ``pad_to`` at the slot capacity it is the rejected mitigation: one
     write size, but two orders of magnitude of write amplification for
-    small sequential writes.
+    small sequential writes. ``pad_to`` must be a positive multiple of 4:
+    recovery skips the zero padding a 4-byte word at a time, so a partial
+    word would shift the next flush's header and lose its records.
     """
 
     def __init__(self, root: str | Path, pad_to: int | None = None,
                  trace: StorageTrace | None = None, sync: bool = True):
+        if pad_to is not None and (pad_to <= 0 or pad_to % 4):
+            raise WalError(f"pad size {pad_to} is not a positive multiple of 4 bytes")
         self.pad_to = pad_to
         super().__init__(root, trace, sync)
 

@@ -2,14 +2,13 @@
 triplet metadata, and recovery assembly, simulated in process."""
 
 from .backend import QuorumBackend, QuorumConfig
-from .metadata import MetadataArray, MetadataEntry, SENTINEL
+from .metadata import MetadataArray, SENTINEL
 from .registry import Registry
 from .replica import Replica, SegmentId, build_cluster
 from .selection import Placement, SelectionScheme, form_quorums, select_quorums
 
 __all__ = [
     "MetadataArray",
-    "MetadataEntry",
     "Placement",
     "QuorumBackend",
     "QuorumConfig",

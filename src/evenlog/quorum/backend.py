@@ -58,7 +58,7 @@ from ..observe import StorageTrace
 from ..records import LogRecord
 from ..segmentation import check_segment_size, pad_to_segments
 from ..slots import BackendStats, CheckpointMarker
-from .metadata import SENTINEL, MetadataArray, MetadataEntry, array_dtype, serialized_size
+from .metadata import SENTINEL, MetadataArray, array_dtype, serialized_size
 from .registry import Registry
 from .replica import Replica, SegmentId, store_frame_size
 from .selection import GROUP_SIZE, SelectionScheme, form_quorums, select_quorums
@@ -312,8 +312,7 @@ def assemble_stream(
     for j, sid in enumerate(sids):
         digest = slice(j * crypto.DIGEST_SIZE, (j + 1) * crypto.DIGEST_SIZE)
         if j in refetch or got[digest] != wanted[digest]:
-            entry = MetadataEntry(triplets[j], wanted[digest])
-            out[j * seg : (j + 1) * seg] = _fetch_verified(sid, entry, key, replicas, seg)
+            out[j * seg : (j + 1) * seg] = _fetch_verified(sid, triplets[j], wanted[digest], key, replicas, seg)
     return bytes(out), last_ssn
 
 
@@ -349,10 +348,12 @@ def _first_copy(sid, triplet, replicas) -> bytes:
     return b""
 
 
-def _fetch_verified(sid, entry, key, replicas, segment_size) -> bytes:
+def _fetch_verified(sid, triplet, digest, key, replicas, segment_size) -> bytes:
+    """The plaintext of the first copy, among the replicas ``triplet``
+    records, that passes ``digest``."""
     saw_data = False
-    for replica_id in entry.acked_replicas():
-        replica = replicas.get(replica_id)
+    for replica_id in triplet:
+        replica = replicas.get(replica_id)  # None for SENTINEL
         if replica is None or not replica.alive:
             continue
         try:
@@ -363,7 +364,7 @@ def _fetch_verified(sid, entry, key, replicas, segment_size) -> bytes:
         if len(unit) != crypto.IV_SIZE + segment_size:
             continue  # a bad copy, like one that fails its digest
         plaintext = crypto.decrypt_segment(key, unit)
-        if crypto.digest_segment(plaintext) == entry.digest:
+        if crypto.digest_segment(plaintext) == digest:
             return plaintext
     if saw_data:
         raise IntegrityFailure(f"no copy of segment {sid} passed its digest check")

@@ -1,25 +1,20 @@
 """Simulated cooperative replica: an in-memory segment store keyed by id.
 
-Segments are addressed by a 128-bit id packed from four little-endian
-32-bit words:
-
-    [fid u32][ssn u32][sn u32][reserved u32 = 0]
-
-fid names the metadata file of the slot, ssn the slot within it, sn
-the segment's position in the slot.
+A segment id is (fid, ssn, sn, reserved = 0): fid names the metadata
+file of the slot, ssn the slot within it, sn the segment's position in
+the slot. On the modelled wire (FORMAT.md) it is four little-endian u32
+words, ``SID_SIZE`` bytes.
 """
 
 from __future__ import annotations
 
-import struct
 from typing import NamedTuple
 
 from ..crypto import DIGEST_SIZE, IV_SIZE
 from ..errors import SegmentNotFound
 from .registry import Registry
 
-_SID = struct.Struct("<IIII")
-SID_SIZE = _SID.size
+SID_SIZE = 16
 
 
 def store_frame_size(segment_size: int) -> int:
@@ -32,13 +27,6 @@ class SegmentId(NamedTuple):
     ssn: int
     sn: int
     reserved: int = 0
-
-    def pack(self) -> bytes:
-        return _SID.pack(*self)
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "SegmentId":
-        return cls(*_SID.unpack(data))
 
 
 class Replica:

@@ -106,6 +106,13 @@ class TestBench:
         report = json.loads(out)
         assert report["bytes_fake"] > 0
 
+    def test_naive_refuses_a_capacity_that_is_not_whole_words(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "bench", "seq", "--scheme", "naive", "--capacity", "1001", "--ops", "20",
+            "--dir", str(tmp_path),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err and "multiple of 4" in err
 
     def test_conc_quorum_refuses_a_slot_over_max_write_size(self, capsys, tmp_path):
         # the default 128 KiB slot would flush as one write of far more than MS

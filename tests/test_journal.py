@@ -9,7 +9,7 @@ import pytest
 
 from evenlog import crypto
 from evenlog.engine import WalEngine
-from evenlog.errors import DurabilityError, InvalidSegmentSize, RecoveryCorruption
+from evenlog.errors import DurabilityError, InvalidSegmentSize, RecoveryCorruption, WalError
 from evenlog.journal import (
     JournalBackend,
     PlainJournalBackend,
@@ -464,6 +464,14 @@ class TestBaselines:
             engine.append(p, full_sync=True)
         assert trace.sizes(StorageTrace.JOURNAL) == {4096: 2}
         assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
+
+    @pytest.mark.parametrize("pad_to", [1001, 1002, 0, -4])
+    def test_naive_backend_refuses_padding_that_is_not_whole_words(self, tmp_path, pad_to):
+        # recovery skips zero padding a 4-byte word at a time: a partial
+        # word would shift the next flush's header and lose its records
+        with pytest.raises(WalError, match="multiple of 4"):
+            PlainJournalBackend(tmp_path, pad_to=pad_to, trace=StorageTrace())
+        assert list_epoch_fids(tmp_path, "journal") == []
 
     def test_padded_backend_rejects_flush_over_pad_size(self, tmp_path):
         backend = PlainJournalBackend(tmp_path, pad_to=4096, trace=StorageTrace())

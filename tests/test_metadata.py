@@ -2,9 +2,9 @@
 
 import os
 import random
+import struct
 import threading
 
-import numpy as np
 import pytest
 
 from evenlog.quorum.metadata import SENTINEL, MetadataArray, array_dtype, serialized_size
@@ -16,19 +16,27 @@ def make_array(k_max=4, quorum=(10, 11, 12)):
     return array
 
 
+def acks(array, index):
+    return int((array.ids[index] != SENTINEL).sum())
+
+
+def committed(array, index):
+    return acks(array, index) >= 2
+
+
 class TestEntrySemantics:
     def test_two_acks_commit(self):
         array = make_array()
         array.update(0, 10)
-        assert not array.entries[0].committed()
+        assert not committed(array, 0)
         array.update(0, 12)
-        assert array.entries[0].committed()
-        assert array.entries[0].replica_ids == [10, SENTINEL, 12]
+        assert committed(array, 0)
+        assert array.ids[0].tolist() == [10, SENTINEL, 12]
 
     def test_one_ack_is_not_committed(self):
         array = make_array()
-        entry = array.update(0, 11)
-        assert entry.ack_count == 1 and not entry.committed()
+        array.update(0, 11)
+        assert acks(array, 0) == 1 and not committed(array, 0)
 
     def test_double_update_of_owned_element_asserts(self):
         array = make_array()
@@ -55,8 +63,8 @@ class TestEntrySemantics:
         array = make_array()
         for rid in (10, 11, 12):
             array.update(0, rid)
-        assert array.entries[0].ack_count == 3
-        assert set(array.entries[0].acked_replicas()) == {10, 11, 12}
+        assert acks(array, 0) == 3
+        assert set(array.ids[0].tolist()) == {10, 11, 12}
 
 
 class TestSerialization:
@@ -83,34 +91,41 @@ class TestSerialization:
         array.update(0, 8)
         array.update(0, 9)
         back = MetadataArray.from_bytes(array.to_bytes(), 3)
-        assert back.ssn == 41
-        assert back.entries[0].replica_ids == [SENTINEL, 8, 9]
-        assert back.entries[0].digest == digest
-        assert back.entries[1].ack_count == 0 and back.entries[2].ack_count == 0
+        assert back.record["ssn"] == 41
+        assert back.ids[0].tolist() == [SENTINEL, 8, 9]
+        assert back.digests[0].tobytes() == digest
+        assert acks(back, 1) == 0 and acks(back, 2) == 0
 
     def test_blank_entries_stay_sentinel_only(self):
         back = MetadataArray.from_bytes(MetadataArray(ssn=0, k_max=2).to_bytes(), 2)
-        assert all(e.replica_ids == [SENTINEL] * 3 for e in back.entries)
+        assert back.ids.tolist() == [[SENTINEL] * 3] * 2
 
     @pytest.mark.parametrize("k_max", [1, 3, 16])
-    def test_numpy_view_matches_from_bytes(self, k_max):
-        # digests ending in NUL bytes must come back whole
+    def test_golden_vector(self, k_max):
+        """The blob FORMAT.md specifies, built here with ``struct``:
+        [ssn u32][K x (3 x i32 triplet, 32-byte digest)], zero-padded to
+        16 bytes. Digests ending in NUL bytes must come back whole."""
         rng = random.Random(k_max)
-        blobs = []
-        for ssn in range(4):
-            array = MetadataArray(ssn=ssn * 7, k_max=k_max)
+        for ssn in range(0, 28, 7):
+            array = MetadataArray(ssn=ssn, k_max=k_max)
+            entries = [([SENTINEL] * 3, bytes(32)) for _ in range(k_max)]
             for i in range(rng.randint(0, k_max)):
-                array.assign(i, (i, i + 1, i + 2), rng.randbytes(30 - i % 3 * 15) + b"\x00" * (2 + i % 3 * 15))
-                for rid in rng.sample((i, i + 1, i + 2), rng.randint(0, 3)):
+                quorum = (i, i + 1, i + 2)
+                digest = rng.randbytes(30 - i % 3 * 15) + b"\x00" * (2 + i % 3 * 15)
+                array.assign(i, quorum, digest)
+                for rid in rng.sample(quorum, rng.randint(0, 3)):
                     array.update(i, rid)
-            blobs.append(array.to_bytes())
-        view = np.frombuffer(b"".join(blobs), array_dtype(k_max))
-        assert array_dtype(k_max).itemsize == serialized_size(k_max)
-        for blob, row in zip(blobs, view):
-            back = MetadataArray.from_bytes(blob, k_max)
-            assert row["ssn"] == back.ssn
-            assert row["entries"]["ids"].tolist() == [e.replica_ids for e in back.entries]
-            assert [d.tobytes() for d in row["entries"]["digest"]] == [e.digest for e in back.entries]
+                    entries[i][0][quorum.index(rid)] = rid
+                entries[i] = (entries[i][0], digest)
+            raw = struct.pack("<I", ssn) + b"".join(struct.pack("<3i32s", *ids, d) for ids, d in entries)
+            expected = raw + bytes(-len(raw) % 16)
+            assert len(expected) == serialized_size(k_max) == array_dtype(k_max).itemsize
+            assert array.to_bytes() == expected
+            back = MetadataArray.from_bytes(expected, k_max)
+            assert back.record["ssn"] == ssn
+            assert back.ids.tolist() == [ids for ids, _ in entries]
+            assert [d.tobytes() for d in back.digests] == [d for _, d in entries]
+            assert back.to_bytes() == expected
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):

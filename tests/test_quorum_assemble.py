@@ -2,7 +2,8 @@
 
 ``oracle_assemble`` is the recovery loop that the batched
 ``quorum.backend.assemble_stream`` replaced: it decrypts one metadata
-blob at a time, walks its entries one by one and fetches every committed
+blob at a time through ``MetadataArray.from_bytes``, walks its entries
+one by one, applies its own commit test and fetches every committed
 segment through ``_fetch_verified``. For any run of writes and any
 replica faults, the batched path returns the same bytes or raises the
 same exception class.
@@ -21,7 +22,7 @@ from evenlog.journal import journal_files
 from evenlog.quorum import QuorumBackend, QuorumConfig, SegmentId, SelectionScheme
 from evenlog.quorum import backend as backend_module
 from evenlog.quorum.backend import _fetch_verified
-from evenlog.quorum.metadata import MetadataArray, serialized_size
+from evenlog.quorum.metadata import SENTINEL, MetadataArray, serialized_size
 
 from .conftest import MASTER, build_cluster, reopen
 
@@ -50,10 +51,11 @@ def oracle_assemble(backend) -> bytes:
             for off in range(0, len(blobs), blob_size):
                 array = MetadataArray.from_bytes(decrypt_segment(backend.key, blobs[off : off + blob_size]),
                                                  cfg.k_max)
-                for sn, entry in enumerate(array.entries):
-                    if entry.committed(cfg.write_quorum):
-                        sid = SegmentId(fid, array.ssn, sn)
-                        parts.append(_fetch_verified(sid, entry, backend.key, backend.replicas, cfg.segment_size))
+                for sn, (triplet, digest) in enumerate(zip(array.ids.tolist(), array.digests)):
+                    if sum(rid != SENTINEL for rid in triplet) >= cfg.write_quorum:
+                        sid = SegmentId(fid, int(array.record["ssn"]), sn)
+                        parts.append(_fetch_verified(sid, triplet, digest.tobytes(), backend.key,
+                                                     backend.replicas, cfg.segment_size))
     return b"".join(parts)
 
 

@@ -44,16 +44,6 @@ def make_engine(backend):
     return WalEngine(backend)
 
 
-class TestSegmentId:
-    def test_pack_order_fid_ssn_sn(self):
-        sid = SegmentId(fid=1, ssn=2, sn=3)
-        packed = sid.pack()
-        assert len(packed) == 16
-        assert packed == (1).to_bytes(4, "little") + (2).to_bytes(4, "little") + \
-            (3).to_bytes(4, "little") + b"\x00" * 4
-        assert SegmentId.unpack(packed) == sid
-
-
 class TestReplica:
     def test_store_frame_size_formula(self):
         # len u32 + type u8 + sid 16 + digest 32 + iv 16 + segment
@@ -418,14 +408,14 @@ class TestRecovery:
     @pytest.mark.parametrize("ssn", [1, 0], ids=["repeated", "backwards"])
     def test_ssn_not_above_the_previous_blob_is_corruption(self, tmp_path, key, ssn):
         backend, _ = self.commit_some(tmp_path, key, n_slots=3)
-        at = self.rewrite_blob(backend, 2, lambda a: setattr(a, "ssn", ssn))
+        at = self.rewrite_blob(backend, 2, lambda a: a.record.__setitem__("ssn", ssn))
         with pytest.raises(RecoveryCorruption, match=f"ssn {ssn} does not follow ssn 1") as exc_info:
             backend.recover()
         assert (exc_info.value.prefix, exc_info.value.fid, exc_info.value.offset) == ("metadata", 0, at)
 
     def test_unknown_replica_id_is_corruption(self, tmp_path, key):
         backend, _ = self.commit_some(tmp_path, key, n_slots=3)
-        at = self.rewrite_blob(backend, 1, lambda a: a.entries[0].replica_ids.__setitem__(1, 99))
+        at = self.rewrite_blob(backend, 1, lambda a: a.ids.__setitem__((0, 1), 99))
         with pytest.raises(RecoveryCorruption, match="unknown replica id 99") as exc_info:
             backend.recover()
         assert exc_info.value.offset == at
@@ -435,7 +425,7 @@ class TestRecovery:
         monkeypatch.setattr(backend_module, "READ_SIZE", 1)
         backend, payloads = self.commit_some(tmp_path, key, n_slots=3)
         assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
-        at = self.rewrite_blob(backend, 2, lambda a: setattr(a, "ssn", 1))
+        at = self.rewrite_blob(backend, 2, lambda a: a.record.__setitem__("ssn", 1))
         with pytest.raises(RecoveryCorruption, match="ssn 1 does not follow ssn 1") as exc_info:
             backend.recover()
         assert exc_info.value.offset == at
