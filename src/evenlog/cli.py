@@ -89,6 +89,8 @@ def _build_engine(args, config) -> WalEngine:
     scheme = _setting(args, config, "scheme", "scheme", str, "journal")
     segment = _setting(args, config, "segment", "segment_size", int, 128)
     capacity = _setting(args, config, "capacity", "slot_capacity", int, 128 * 1024)
+    if capacity <= 0:  # refused before any backend creates files in --dir
+        raise WalError(f"--capacity {capacity} is not a positive number of bytes")
     seed = _setting(args, config, "seed", "seed", int, 0)
     root = args.dir or tempfile.mkdtemp(prefix="evenlog-")
     trace = StorageTrace()

@@ -33,7 +33,13 @@ with plain CBC under its own IV.
 Decryption feeds block-aligned runs of whole units through the
 long-lived decryptor and drops each unit's first 16 output bytes: a
 unit's first ciphertext block is decrypted with its own IV as the
-chaining block, whatever came before it.
+chaining block, whatever came before it. The decryptor writes into a
+buffer it keeps (``update_into``), filled under its lock and grown to
+the largest run seen (about 1 MiB for a recovery read), and the
+segments are taken out of it with one strided copy into a fresh
+``bytes``. So a run costs its result and nothing more: no full-size
+intermediate with the IV blocks still in it, and no caller ever holds a
+view of the buffer.
 
 There is one unit codec: ``encrypt_stream`` and ``decrypt_stream``.
 ``encrypt_segment`` and ``decrypt_segment`` are their one-unit case,
@@ -67,7 +73,8 @@ DIGEST_SIZE = 32
 class _Context:
     """One long-lived CBC context. cryptography does not document its
     contexts as thread-safe, so every update holds the lock. ``_buf`` is
-    the encryptor's unit buffer (see ``update_units``)."""
+    the context's work buffer: the encryptor's units before the cipher
+    (see ``update_units``), the decryptor's output (see ``update_strip``)."""
 
     __slots__ = ("_ctx", "_lock", "_buf")
 
@@ -75,11 +82,6 @@ class _Context:
         self._ctx = ctx
         self._lock = threading.Lock()
         self._buf = np.empty(0, dtype=np.uint8)
-
-    def update(self, data: bytes) -> bytes:
-        """Run whole blocks through the context (the decryptor's path)."""
-        with self._lock:
-            return self._ctx.update(data)
 
     def update_units(self, ivs: bytes, segments: bytes, segment_size: int) -> bytes:
         """Interleave one 16-byte block of ``ivs`` before each segment of
@@ -95,6 +97,19 @@ class _Context:
             units[:, :IV_SIZE] = np.frombuffer(ivs, dtype=np.uint8).reshape(count, IV_SIZE)
             units[:, IV_SIZE:] = np.frombuffer(segments, dtype=np.uint8).reshape(count, segment_size)
             return self._ctx.update(units)
+
+    def update_strip(self, units: bytes, unit_size: int) -> bytes:
+        """Run ``units`` through the context into ``_buf``, grown to the
+        largest run seen, and return the output without each unit's first
+        16 bytes: one strided copy into a fresh ``bytes``, so no view of
+        the buffer leaves the lock."""
+        size = len(units)
+        with self._lock:
+            # update_into wants room for one block more than it writes
+            if len(self._buf) < size + IV_SIZE - 1:
+                self._buf = np.empty(size + IV_SIZE - 1, dtype=np.uint8)
+            self._ctx.update_into(units, self._buf)
+            return self._buf[:size].reshape(-1, unit_size)[:, IV_SIZE:].tobytes()
 
 
 @dataclass(frozen=True)
@@ -162,9 +177,7 @@ def decrypt_stream(key: ReplicaKey, units: bytes, segment_size: int) -> bytes:
         raise ValueError("input is not a whole number of stored units")
     if not units:
         return b""
-    plain = key._dec.update(units)
-    count = len(units) // unit
-    return np.frombuffer(plain, dtype=np.uint8).reshape(count, unit)[:, IV_SIZE:].tobytes()
+    return key._dec.update_strip(units, unit)
 
 
 def split_units(units: bytes, segment_size: int) -> list[bytes]:

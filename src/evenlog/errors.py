@@ -5,6 +5,11 @@ class WalError(Exception):
     """Base class for all evenlog errors."""
 
 
+class InvalidConfig(WalError, ValueError):
+    """A setting is out of range (a slot capacity, a quorum shape). It is
+    a ``ValueError`` too, as a bad argument is."""
+
+
 # --- record codec ---
 
 class RecordTooLarge(WalError):

@@ -49,6 +49,7 @@ from .. import crypto
 from ..errors import (
     CommitTimeout,
     IntegrityFailure,
+    InvalidConfig,
     RecoveryCorruption,
     SegmentNotFound,
     UnrecoverableSegment,
@@ -78,13 +79,13 @@ class QuorumConfig:
     def validate(self) -> "QuorumConfig":
         check_segment_size(self.segment_size)
         if self.write_quorum <= self.tolerable_failures:
-            raise ValueError("write quorum must exceed tolerable failures")
+            raise InvalidConfig("write quorum must exceed tolerable failures")
         if self.write_quorum > GROUP_SIZE:
-            raise ValueError("write quorum exceeds group size")
+            raise InvalidConfig("write quorum exceeds group size")
         if self.max_write_size % self.segment_size != 0:
-            raise ValueError("max write size must be a multiple of the segment size")
+            raise InvalidConfig("max write size must be a multiple of the segment size")
         if self.k_max < 1:
-            raise ValueError("max write size must cover at least one segment")
+            raise InvalidConfig("max write size must cover at least one segment")
         return self
 
 

@@ -13,7 +13,13 @@ distinguish records from padding.
 ``scan_padded_stream`` is the recovery scanner. It takes a stream whole
 or as its chunks in order, and tells a record that runs past the end of
 a chunk (carried into the next one) from a torn tail (the stream ends
-with it held, or its checksum fails).
+with it held, or its checksum fails). It works on a chunk in two passes:
+a Python walk over the header words that notes where each record starts,
+then one bulk step that slices, checksums and builds every noted record
+with numpy and ``map``. The bulk step keeps the order of a record-by-record
+scan: the first checksum failure is a torn tail and ends the stream, even
+when the walk met an implausible header after it, because a scan that
+checks each record as it goes never reaches that header.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ import re
 import struct
 import zlib
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import CorruptRecord, MalformedHeader, RecordTooLarge, RecoveryCorruption, TruncatedRecord
 
@@ -161,47 +169,71 @@ class _PaddedScan:
         """Scan ``chunk`` after the held bytes. Returns False at a torn
         tail (a checksum failure): the stream ends there.
 
-        Padding is skipped by one regex match per gap: it matches whole
-        zero words only, so it stops on a word boundary, and runs in C on
-        the buffer without copying it. The record checks are
-        ``decode_record``'s.
+        The scan makes two passes over the bytes in hand. The first walks
+        the headers one 4-byte word at a time: a zero word is padding,
+        and one regex match skips the whole gap (it matches whole zero
+        words only, so it stops on a word boundary, and runs in C on the
+        buffer without copying it); any other word is a record length,
+        which must be plausible, and the record must end within the
+        bytes in hand. It notes only where each record starts. The second
+        pass takes every noted record at once: one numpy view of the
+        header words gives the checksums and flags, and the payloads are
+        sliced, checked and built into records by ``map``.
+
+        The first record that fails its checksum wins over an implausible
+        header the first pass met after it: it is a torn tail, the
+        records before it are kept, and the header beyond it is never
+        reached, exactly as a scan that checks each record as it walks.
+        Such a header raises only when every record before it passed.
         """
         parts = self._parts
         parts.append(chunk)
         self._held += len(chunk)
         if self._held < self._want:
             return True
-        buf = parts[0] if len(parts) == 1 else b"".join(parts)
+        buf = b"".join(parts)  # the one part itself when it is already bytes
         parts.clear()
-        append = self.records.append
-        skip_zeros = _ZERO_WORDS.match
-        unpack = _HEADER.unpack_from
-        crc32 = zlib.crc32
-        offset = 0
         n = len(buf)
-        while True:
-            offset = skip_zeros(buf, offset).end()
-            if n - offset >= HEADER_SIZE:
-                length, crc, flags, _ = unpack(buf, offset)
-            elif n - offset >= 4:
-                length = int.from_bytes(buf[offset : offset + 4], "little")  # a split header
-            else:
-                want = 4  # less than a word: padding or a header, the next bytes tell
-                break
+        table = np.frombuffer(buf, "<u4", n >> 2)  # the bytes in hand as words
+        words = memoryview(table.astype("=u4", copy=False))  # a copy only on big-endian hosts
+        count = len(words)
+        skip_zeros = _ZERO_WORDS.match
+        heads: list[int] = []  # the word index of each whole record
+        bad = None
+        at = 0
+        while at < count:
+            length = words[at]
+            if not length:
+                at = skip_zeros(buf, at << 2).end() >> 2
+                continue
             if length < HEADER_SIZE or length % 4 != 0:
-                raise RecoveryCorruption(f"implausible record length {length}", self._base + offset)
-            end = offset + length
-            if end > n:
+                bad = length
+                break
+            end = at + (length >> 2)
+            if end > count:
                 want = length  # runs past the bytes in hand
                 break
-            payload = bytes(buf[offset + HEADER_SIZE : end])
-            if crc32(payload) != crc:
+            heads.append(at)
+            at = end
+        else:
+            want = 4  # less than a word: padding or a header, the next bytes tell
+        if heads:
+            head = np.array(heads)
+            start = head * 4
+            ends = (start + table[head]).tolist()
+            payloads = list(map(buf.__getitem__, map(slice, (start + HEADER_SIZE).tolist(), ends)))
+            crcs = table[head + 1].tolist()
+            got = list(map(zlib.crc32, payloads))
+            good = len(got) if got == crcs else next(i for i, crc in enumerate(crcs) if got[i] != crc)
+            self.records += map(LogRecord, payloads[:good], table[head[:good] + 2].tolist())
+            if good < len(got):
                 return False  # torn tail
-            append(LogRecord(payload, flags))
-            offset = end
+        offset = at * 4
+        if bad is not None:
+            raise RecoveryCorruption(f"implausible record length {bad}", self._base + offset)
         self._base += offset
         self._want = want
         self._held = n - offset
         if self._held:
-            parts.append(bytes(buf[offset:]))
+            parts.append(buf[offset:])
         return True

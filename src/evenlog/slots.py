@@ -12,6 +12,7 @@ from __future__ import annotations
 import threading
 from typing import NamedTuple, Protocol
 
+from .errors import InvalidConfig
 from .records import LogRecord, Lsn
 
 DEFAULT_SLOT_CAPACITY = 128 * 1024
@@ -71,7 +72,7 @@ class Slot:
 
     def __init__(self, capacity: int = DEFAULT_SLOT_CAPACITY):
         if capacity <= 0:
-            raise ValueError("slot capacity must be positive")
+            raise InvalidConfig(f"slot capacity {capacity} is not positive")
         self.capacity = capacity
         self._buf = bytearray()
         self._ssn = 0  # sequence number of the next flush

@@ -114,6 +114,23 @@ class TestBench:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "Traceback" not in err and "multiple of 4" in err
 
+    def test_seq_refuses_a_capacity_that_is_not_positive(self, capsys, tmp_path):
+        root = tmp_path / "wal"
+        code, out, err = run_cli(
+            capsys, "bench", "seq", "--capacity", "0", "--ops", "5", "--dir", str(root),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err and "--capacity 0" in err
+        assert not root.exists() or not any(root.iterdir())
+
+    def test_seq_quorum_refuses_a_max_write_size_off_the_segment_grid(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "bench", "seq", "--scheme", "quorum", "--max-write-size", "100", "--ops", "5",
+            "--dir", str(tmp_path),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err and "multiple of the segment size" in err
+
     def test_conc_quorum_refuses_a_slot_over_max_write_size(self, capsys, tmp_path):
         # the default 128 KiB slot would flush as one write of far more than MS
         code, out, err = run_cli(

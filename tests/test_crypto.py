@@ -3,6 +3,7 @@
 import os
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -65,9 +66,29 @@ class TestStreamBatch:
             units = crypto.encrypt_stream(key, padded, 128)
             runs.append((padded, units, bytes(units)))  # a copy, had it been a view
         crypto.encrypt_stream(key, os.urandom(128 * 1024), 64)
+        plains = []
         for padded, units, copy in runs:
             assert units == copy
-            assert crypto.decrypt_stream(key, units, 128) == padded
+            plain = crypto.decrypt_stream(key, units, 128)
+            assert type(plain) is bytes and plain == padded
+            plains.append((plain, bytes(plain)))
+        # a later, larger run resizes the decryptor's buffer
+        crypto.decrypt_stream(key, crypto.encrypt_stream(key, os.urandom(128 * 20000), 128), 128)
+        for plain, copy in plains:
+            assert plain == copy
+
+    def test_decrypt_allocates_only_its_result(self, key):
+        count = (1 << 20) // 144  # one 1 MiB recovery read: 7281 units
+        units = crypto.encrypt_stream(key, os.urandom(128 * count), 128)
+        crypto.decrypt_stream(key, units, 128)  # the decryptor's buffer grows once
+        tracemalloc.start()
+        try:
+            plain = crypto.decrypt_stream(key, units, 128)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(plain) == 128 * count
+        assert peak <= len(plain) + 64 * 1024
 
     def test_batch_units_decrypt_individually(self, key):
         padded = os.urandom(64 * 5)

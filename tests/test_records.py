@@ -214,16 +214,25 @@ def reference_scan(buf):
 def padded_streams(draw):
     """Records (some 256 B multiples long, so their first byte is zero)
     with zero-word gaps of 0-31 words or over 4 KiB, a 0-3 byte tail, and
-    at most one truncation, bit flip or inserted garbage word."""
+    at most one truncation, bit flip or inserted garbage word, or both
+    faults at once: a flipped payload bit, then an implausible word after
+    that record (the checksum failure must win)."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     parts = []
     for _ in range(draw(st.integers(0, 6))):
         parts.append(b"\x00" * 4 * draw(st.one_of(st.integers(0, 31), st.integers(1025, 1100))))
         size = draw(st.one_of(st.integers(1, 300), st.sampled_from([240, 496, 1008, 65520])))
         parts.append(encode_record(rng.randbytes(size), draw(st.sampled_from([0, FLAG_CHECKPOINT]))))
+    fault = draw(st.sampled_from(["none", "truncate", "flip", "garbage", "flip-then-garbage"]))
+    if fault == "flip-then-garbage" and parts:
+        flipped = 2 * draw(st.integers(0, len(parts) // 2 - 1)) + 1  # a record, not a gap
+        record = bytearray(parts[flipped])
+        record[draw(st.integers(HEADER_SIZE, len(record) - 1))] ^= 1 << draw(st.integers(0, 7))
+        parts[flipped] = bytes(record)
+        # an odd length is never plausible; the word goes between parts, so on a word boundary
+        parts.insert(draw(st.integers(flipped + 1, len(parts))), struct.pack("<I", rng.randrange(1, 2**32, 2)))
     parts.append(rng.randbytes(draw(st.integers(0, 3))))
     buf = bytearray(b"".join(parts))
-    fault = draw(st.sampled_from(["none", "truncate", "flip", "garbage"]))
     if buf and fault == "truncate":
         del buf[draw(st.integers(0, len(buf) - 1)):]
     elif buf and fault == "flip":
