@@ -12,7 +12,7 @@ from .engine import WalEngine
 from .errors import WalError
 from .journal import JournalBackend, PlainJournalBackend, recover_journal
 from .observe import StorageTrace
-from .records import FLAG_CHECKPOINT, LogRecord, Lsn, decode_record, encode_record
+from .records import FLAG_CHECKPOINT, LogRecord, Lsn, encode_record
 from .segmentation import padding_overhead, segment_slot
 from .slots import Slot
 
@@ -28,7 +28,6 @@ __all__ = [
     "StorageTrace",
     "WalEngine",
     "WalError",
-    "decode_record",
     "encode_record",
     "padding_overhead",
     "recover_journal",

@@ -11,7 +11,6 @@ overhead grows with segment size, recovery work grows with journal size).
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import WalEngine
-from .errors import NoData
+from .errors import InvalidConfig, NoData
 from .observe import StorageTrace
 from .records import encoded_record_size
 from .workload import WorkloadSpec, generate
@@ -61,9 +60,6 @@ class BenchReport:
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _percentiles(latencies: list[float]) -> tuple[float, float, float]:
@@ -122,7 +118,7 @@ def run_concurrent(spec: WorkloadSpec, engine: WalEngine, workers: int = 4) -> B
     """Buffered mode: appenders never request durability; the slot drains
     on overflow and on the engine's periodic flusher."""
     if workers < 1:
-        raise ValueError("need at least one worker")
+        raise InvalidConfig(f"{workers} workers: need at least one")
     payloads = generate(spec)
     record_sizes = [encoded_record_size(len(p)) for p in payloads]
     shards = [payloads[i::workers] for i in range(workers)]

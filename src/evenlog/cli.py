@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -63,7 +64,10 @@ def _setting(args, config: dict, flag: str, key: str, cast, default):
     if value is not None:
         return value
     if key in config:
-        return cast(config[key])
+        try:
+            return cast(config[key])
+        except ValueError:
+            raise WalError(f"config {key}={config[key]!r} is not a valid {cast.__name__}") from None
     return default
 
 
@@ -91,6 +95,11 @@ def _build_engine(args, config) -> WalEngine:
     capacity = _setting(args, config, "capacity", "slot_capacity", int, 128 * 1024)
     if capacity <= 0:  # refused before any backend creates files in --dir
         raise WalError(f"--capacity {capacity} is not a positive number of bytes")
+    interval = None  # only the buffered mode has a periodic flusher
+    if args.mode == "conc":
+        interval = _setting(args, config, "flush_interval_ms", "flush_interval_ms", float, 100.0)
+        if not interval > 0:  # likewise
+            raise WalError(f"--flush-interval-ms {interval} is not positive")
     seed = _setting(args, config, "seed", "seed", int, 0)
     root = args.dir or tempfile.mkdtemp(prefix="evenlog-")
     trace = StorageTrace()
@@ -113,9 +122,6 @@ def _build_engine(args, config) -> WalEngine:
         )
     else:
         raise WalError(f"unknown scheme {scheme!r}")
-    interval = None  # only the buffered mode has a periodic flusher
-    if args.mode == "conc":
-        interval = _setting(args, config, "flush_interval_ms", "flush_interval_ms", float, 100.0)
     return WalEngine(backend, capacity, interval)
 
 
@@ -242,9 +248,9 @@ def cmd_gen(args, config) -> int:
     if args.attack_groups:
         groups = []
         for part in args.attack_groups.split(","):
-            span, _, wal = part.partition(":")
-            lo, _, hi = span.partition("-")
-            groups.append(workload.LengthGroup(int(lo), int(hi), int(wal)))
+            if not (m := re.fullmatch(r"\s*(\d+)-(\d+):(\d+)\s*", part)):
+                raise WalError(f"bad attack group {part!r}: expected LO-HI:SIZE")
+            groups.append(workload.LengthGroup(*map(int, m.groups())))
         pairs = workload.planted_length_trace(groups, args.per_group, seed, args.confusion)
         leakage.write_trace_csv(args.out_file, pairs, fields=("true_len", "wal_size"))
         print(f"wrote {len(pairs)} labeled pairs to {args.out_file}")
@@ -386,7 +392,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(args.config) if args.config else {}
         return args.func(args, config)
-    except WalError as exc:
+    except (WalError, OSError) as exc:  # OSError: a file named on the command line
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -47,9 +47,9 @@ with the same input checks.
 
 Invariant: a context never holds a partial block, because every later
 call would then be shifted. Every input is checked to be whole segments
-(whole units) before it reaches a context; a rejected input raises
-``ValueError`` and leaves the context untouched. Contexts are never
-finalized.
+(whole units) of a size ``segmentation.check_segment_size`` accepts
+before it reaches a context; a rejected input raises ``ValueError`` and
+leaves the context untouched. Contexts are never finalized.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .errors import KeyNotFound
+from .errors import InvalidConfig, KeyNotFound
+from .segmentation import check_segment_size
 
 IV_SIZE = 16
 KEY_SIZE = 32
@@ -133,11 +134,6 @@ class ReplicaKey:
         object.__setattr__(self, "_dec", _Context(Cipher(aes, modes.CBC(bytes(IV_SIZE))).decryptor()))
 
 
-def _check_segment_size(segment_size: int) -> None:
-    if segment_size <= 0 or segment_size % 16 != 0:
-        raise ValueError(f"segment size {segment_size} is not a positive multiple of 16")
-
-
 def encrypt_segment(key: ReplicaKey, plaintext: bytes) -> bytes:
     """Encrypt one segment into one stored unit: ``encrypt_stream`` of a
     run of one segment."""
@@ -158,7 +154,7 @@ def encrypt_stream(key: ReplicaKey, padded: bytes, segment_size: int) -> bytes:
     ``segmentation.pad_to_segments``). Output length is
     (len(padded)/S) * (S + 16).
     """
-    _check_segment_size(segment_size)
+    check_segment_size(segment_size)
     if len(padded) % segment_size != 0:
         raise ValueError("input is not a whole number of segments")
     count = len(padded) // segment_size
@@ -171,7 +167,7 @@ def encrypt_stream(key: ReplicaKey, padded: bytes, segment_size: int) -> bytes:
 
 def decrypt_stream(key: ReplicaKey, units: bytes, segment_size: int) -> bytes:
     """Decrypt concatenated stored units back to the padded segment run."""
-    _check_segment_size(segment_size)
+    check_segment_size(segment_size)
     unit = IV_SIZE + segment_size
     if len(units) % unit != 0:
         raise ValueError("input is not a whole number of stored units")
@@ -194,45 +190,35 @@ def digest_segment(plaintext: bytes) -> bytes:
 
 
 class StaticKeyProvider:
-    """Hands out replica keys by id, derived from one master secret
-    (a stand-in for an external KMS).
+    """Hands out the one replica key, ``default``: HMAC-SHA256(master,
+    b"default") of a master secret (a stand-in for an external KMS).
 
-    The same master secret yields the same keys, which is how a restart
-    recovers its key: keep the secret outside the storage this engine
-    manages (environment variable, fd) and rebuild the provider from it.
+    The same master secret yields the same key, which is how a restart
+    recovers it: keep the secret outside the storage this engine manages
+    (``EVENLOG_KEY``) and rebuild the provider from it.
     """
 
-    def __init__(self, master: bytes, key_ids: tuple[str, ...] = ("default",)):
+    def __init__(self, master: bytes):
         if not master:
-            raise ValueError("empty master secret")
-        self._keys = {
-            kid: ReplicaKey(kid, hmac.new(master, kid.encode(), hashlib.sha256).digest())
-            for kid in key_ids
-        }
+            raise InvalidConfig("empty master secret")
+        self._key = ReplicaKey("default", hmac.new(master, b"default", hashlib.sha256).digest())
 
     def get(self, key_id: str) -> ReplicaKey:
-        try:
-            return self._keys[key_id]
-        except KeyError:
-            raise KeyNotFound(key_id) from None
+        if key_id != self._key.key_id:
+            raise KeyNotFound(key_id)
+        return self._key
 
     @classmethod
-    def from_env(cls, var: str = "EVENLOG_KEY", key_ids: tuple[str, ...] = ("default",)) -> "StaticKeyProvider":
+    def from_env(cls, var: str = "EVENLOG_KEY") -> "StaticKeyProvider":
         value = os.environ.get(var)
         if not value:
             raise KeyNotFound(f"environment variable {var} is not set")
-        return cls(bytes.fromhex(value), key_ids)
+        try:
+            master = bytes.fromhex(value)
+        except ValueError:
+            raise InvalidConfig(f"environment variable {var} is not hex") from None
+        return cls(master)
 
     @classmethod
-    def from_fd(cls, fd: int, key_ids: tuple[str, ...] = ("default",)) -> "StaticKeyProvider":
-        """Read the master secret from an inherited file descriptor (the
-        usual way a supervisor hands a secret over without an env var)."""
-        with os.fdopen(fd, "rb", closefd=True) as f:
-            master = f.read().strip()
-        if not master:
-            raise KeyNotFound(f"file descriptor {fd} supplied no key material")
-        return cls(master, key_ids)
-
-    @classmethod
-    def ephemeral(cls, key_ids: tuple[str, ...] = ("default",)) -> "StaticKeyProvider":
-        return cls(os.urandom(KEY_SIZE), key_ids)
+    def ephemeral(cls) -> "StaticKeyProvider":
+        return cls(os.urandom(KEY_SIZE))

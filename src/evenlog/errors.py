@@ -16,21 +16,9 @@ class RecordTooLarge(WalError):
     """Payload cannot be represented in a 32-bit record length field."""
 
 
-class MalformedHeader(WalError):
-    """Record header violates the format (length < 16 or not a multiple of 4)."""
-
-
-class TruncatedRecord(WalError):
-    """Stream ends before the declared record length."""
-
-
-class CorruptRecord(WalError):
-    """Record checksum does not match its payload."""
-
-
 # --- segmentation ---
 
-class InvalidSegmentSize(WalError):
+class InvalidSegmentSize(WalError, ValueError):
     """Segment size must be a multiple of 16 and at least 32 bytes."""
 
 

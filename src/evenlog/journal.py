@@ -17,18 +17,19 @@ holds 20 bytes, little-endian:
 
     [ckpt_id u64][fid u32][offset u64]
 
-``WalEngine.checkpoint`` flushes a flagged record through the normal
-slot path; ``JournalFiles.checkpoint`` then creates the next file and
-commits by atomically replacing the sidecar (write-temp-then-rename). A
-crash anywhere before the rename leaves the previous checkpoint in
-force. Only after the rename does the checkpoint delete the files below
-the sidecar fid; recovery never reads them, so one that survives a crash
-is harmless and the next checkpoint deletes it. Recovery reads every
-file from the sidecar position on and scans each on its own, a chunk of
-whole units (``READ_SIZE``) at a time: each chunk is read, decoded and
-scanned before the next is read, so recovery holds a few chunks plus the
-largest record, not the journal. ``JournalFiles._append`` is the one
-write-and-sync path of every backend.
+``Slot.checkpoint`` flushes a flagged record through the normal slot
+path; ``JournalFiles.checkpoint`` then, under the same hold of the
+slot's lock, creates the next file and commits by atomically replacing
+the sidecar (write-temp-then-rename). A crash anywhere before the rename
+leaves the previous checkpoint in force. Only after the rename does the
+checkpoint delete the files below the sidecar fid; recovery never reads
+them, so one that survives a crash is harmless and the next checkpoint
+deletes it. Recovery reads every file from the sidecar position on and
+scans each on its own, a chunk of whole units (``READ_SIZE``) at a time:
+each chunk is read, decoded and scanned before the next is read, so
+recovery holds a few chunks plus the largest record, not the journal.
+``JournalFiles._append`` is the one write-and-sync path of every
+backend.
 """
 
 from __future__ import annotations

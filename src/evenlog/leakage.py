@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InsufficientTrials, InvalidPrior, NoData, UnknownSize
+from .errors import InsufficientTrials, InvalidConfig, InvalidPrior, NoData, UnknownSize
 from .quorum.selection import SelectionScheme, select_quorums
 
 # --- priors and closed-form posteriors ----------------------------------------
@@ -57,7 +57,7 @@ def posterior_vnos(prior: Sequence[float], n_candidates: int | None = None) -> n
     candidate-set size cancels; it is accepted only to check K <= N."""
     p = normalize_prior(prior)
     if n_candidates is not None and len(p) > n_candidates:
-        raise ValueError(f"{len(p)} groups but only {n_candidates} candidate quorums")
+        raise InvalidConfig(f"{len(p)} groups but only {n_candidates} candidate quorums")
     weights = np.arange(1, len(p) + 1) * p
     return weights / weights.sum()
 
@@ -92,9 +92,9 @@ def simulate_posterior(
     p = normalize_prior(prior)
     k_groups = len(p)
     if trials < 10_000:
-        raise ValueError("need at least 10^4 trials for a meaningful posterior")
+        raise InvalidConfig(f"{trials} trials: need at least 10^4 for a meaningful posterior")
     if k_groups > n_candidates:
-        raise ValueError(f"{k_groups} groups but only {n_candidates} candidate quorums")
+        raise InvalidConfig(f"{k_groups} groups but only {n_candidates} candidate quorums")
     rng = random.Random(seed)
     quorums = list(range(n_candidates))
     draws = rng.choices(range(k_groups), weights=p.tolist(), k=trials)

@@ -36,6 +36,3 @@ class StorageTrace:
 
     def total_bytes(self, channel: str) -> int:
         return sum(s * n for s, n in self._sizes.get(channel, Counter()).items())
-
-    def clear(self) -> None:
-        self._sizes.clear()

@@ -41,7 +41,7 @@ import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import ClassVar, Iterator, Mapping
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from ..errors import (
     SegmentNotFound,
     UnrecoverableSegment,
 )
-from ..journal import READ_SIZE, JournalFiles, _scan_files, epoch_filename, journal_files
+from ..journal import READ_SIZE, JournalFiles, _scan_files, journal_files
 from ..observe import StorageTrace
 from ..records import LogRecord
 from ..segmentation import check_segment_size, pad_to_segments
@@ -67,8 +67,9 @@ from .selection import GROUP_SIZE, SelectionScheme, form_quorums, select_quorums
 
 @dataclass
 class QuorumConfig:
-    write_quorum: int = 2                 # acks required per real segment
-    tolerable_failures: int = 1           # failures per group the commit survives
+    # a real segment commits at 2 of its group's 3 acks: one failure per group
+    write_quorum: ClassVar[int] = 2
+    tolerable_failures: ClassVar[int] = GROUP_SIZE - write_quorum
     segment_size: int = 128
     max_write_size: int = 1024            # bounds segments per write: K = MS / S
 
@@ -78,10 +79,6 @@ class QuorumConfig:
 
     def validate(self) -> "QuorumConfig":
         check_segment_size(self.segment_size)
-        if self.write_quorum <= self.tolerable_failures:
-            raise InvalidConfig("write quorum must exceed tolerable failures")
-        if self.write_quorum > GROUP_SIZE:
-            raise InvalidConfig("write quorum exceeds group size")
         if self.max_write_size % self.segment_size != 0:
             raise InvalidConfig("max write size must be a multiple of the segment size")
         if self.k_max < 1:
@@ -135,10 +132,6 @@ class QuorumBackend(JournalFiles):
         self.real_segments = 0
         self.fake_segments = 0
         super().__init__(root, trace, sync)
-
-    @property
-    def metadata_path(self) -> Path:
-        return self.root / epoch_filename(self.PREFIX, self._fid)
 
     def stats(self) -> BackendStats:
         seg = self.config.segment_size

@@ -1,4 +1,4 @@
-"""Log record wire format and stream parsers.
+"""Log record wire format and the recovery scanner.
 
 A record is a 16-byte header followed by the payload, zero-padded at its
 tail to the next multiple of 4. Header layout, little-endian:
@@ -10,7 +10,7 @@ always >= 16, a multiple of 4, and never zero — the first word of a
 record is therefore never an all-zero word, which is what lets recovery
 distinguish records from padding.
 
-``scan_padded_stream`` is the recovery scanner. It takes a stream whole
+``scan_padded_stream`` is the one record decoder. It takes a stream whole
 or as its chunks in order, and tells a record that runs past the end of
 a chunk (carried into the next one) from a torn tail (the stream ends
 with it held, or its checksum fails). It works on a chunk in two passes:
@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CorruptRecord, MalformedHeader, RecordTooLarge, RecoveryCorruption, TruncatedRecord
+from .errors import RecordTooLarge, RecoveryCorruption
 
 HEADER_SIZE = 16
 _HEADER = struct.Struct("<IIII")
@@ -47,11 +47,6 @@ FLAG_CHECKPOINT = 0x1
 
 def _round_up4(n: int) -> int:
     return (n + 3) & ~3
-
-
-def checksum(data: bytes) -> int:
-    """32-bit CRC over the padded payload (zlib polynomial)."""
-    return zlib.crc32(data) & _U32_MAX
 
 
 def encoded_record_size(payload_len: int) -> int:
@@ -102,24 +97,6 @@ def encode_record(payload: bytes, flags: int = 0) -> bytes:
     total = encoded_record_size(len(payload))
     pad = _PADS[total - HEADER_SIZE - len(payload)]
     return b"".join((_HEADER.pack(total, zlib.crc32(pad, zlib.crc32(payload)), flags, 0), payload, pad))
-
-
-def decode_record(buf, offset: int = 0) -> tuple[LogRecord, int]:
-    """Decode the record starting at ``offset``; return (record, next offset).
-
-    Raises MalformedHeader, TruncatedRecord or CorruptRecord.
-    """
-    if len(buf) - offset < HEADER_SIZE:
-        raise TruncatedRecord(f"{len(buf) - offset} bytes left, header needs {HEADER_SIZE}")
-    length, crc, flags, _ = _HEADER.unpack_from(buf, offset)
-    if length < HEADER_SIZE or length % 4 != 0:
-        raise MalformedHeader(f"record length {length} at offset {offset}")
-    if len(buf) - offset < length:
-        raise TruncatedRecord(f"record of {length} bytes truncated at offset {offset}")
-    payload = bytes(buf[offset + HEADER_SIZE : offset + length])
-    if checksum(payload) != crc:
-        raise CorruptRecord(f"checksum mismatch at offset {offset}")
-    return LogRecord(payload, flags), offset + length
 
 
 def scan_padded_stream(buf) -> list[LogRecord]:

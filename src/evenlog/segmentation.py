@@ -10,17 +10,14 @@ from __future__ import annotations
 
 from .errors import InvalidSegmentSize
 
-DEFAULT_SEGMENT_SIZE = 128
 MIN_SEGMENT_SIZE = 32
 
 
-def check_segment_size(size: int, slot_capacity: int | None = None) -> int:
-    """Validate a segment size; returns it for chaining."""
+def check_segment_size(size: int) -> int:
+    """Validate a segment size for every layer that takes one; returns it."""
     # multiple of 16 so block-cipher encryption never expands a segment
     if size < MIN_SEGMENT_SIZE or size % 16 != 0:
         raise InvalidSegmentSize(f"segment size {size} (need >= {MIN_SEGMENT_SIZE}, multiple of 16)")
-    if slot_capacity is not None and size > slot_capacity:
-        raise InvalidSegmentSize(f"segment size {size} exceeds slot capacity {slot_capacity}")
     return size
 
 

@@ -13,7 +13,7 @@ import threading
 from typing import NamedTuple, Protocol
 
 from .errors import InvalidConfig
-from .records import LogRecord, Lsn
+from .records import FLAG_CHECKPOINT, LogRecord, Lsn, encode_record
 
 DEFAULT_SLOT_CAPACITY = 128 * 1024
 
@@ -118,6 +118,16 @@ class Slot:
         """
         with self._lock:
             self._flush_locked(backend)
+
+    def checkpoint(self, backend: DurabilityBackend) -> CheckpointMarker:
+        """Flush the buffer and a flagged checkpoint record, then start the
+        backend's next epoch, all under the lock: no append or flush lands
+        in between, in a file the checkpoint deletes."""
+        with self._lock:
+            ckpt_id = backend.last_checkpoint_id + 1
+            record = encode_record(ckpt_id.to_bytes(8, "little"), FLAG_CHECKPOINT)  # u64 id, FORMAT.md
+            self.append(record, backend, full_sync=True)
+            return backend.checkpoint(ckpt_id)
 
     def _flush_locked(self, backend: DurabilityBackend) -> None:
         if not self._buf:

@@ -2,8 +2,9 @@
 
 Benchmark writes model a tuple of 10 attributes whose sizes are drawn
 from a distribution over 1..100 bytes (uniform, zipf, or constant), so
-the maximum write payload is 1000 bytes. Only sizes matter to anything
-measured here; payload content is random bytes.
+the maximum write payload is 1000 bytes; both numbers are constants, not
+spec fields. Only sizes matter to anything measured here; payload
+content is random bytes.
 
 The attack-side helpers build labeled size traces with planted
 structure, standing in for the real-world corpora (customer records
@@ -30,8 +31,6 @@ class WorkloadSpec:
     seed: int = 0
     alpha: float | None = None        # zipf skew
     constant: int | None = None       # constant attribute size
-    attributes: int = ATTRIBUTES_PER_TUPLE
-    max_attribute: int = MAX_ATTRIBUTE_SIZE
 
     def validate(self) -> "WorkloadSpec":
         if self.distribution not in ("uniform", "zipf", "constant"):
@@ -42,10 +41,8 @@ class WorkloadSpec:
             if self.alpha is None or self.alpha <= 0:
                 raise InvalidSpec(f"zipf needs alpha > 0, got {self.alpha}")
         if self.distribution == "constant":
-            if self.constant is None or not (1 <= self.constant <= self.max_attribute):
-                raise InvalidSpec(f"constant size must be in 1..{self.max_attribute}, got {self.constant}")
-        if self.attributes <= 0 or self.max_attribute <= 0:
-            raise InvalidSpec("attributes and max_attribute must be positive")
+            if self.constant is None or not (1 <= self.constant <= MAX_ATTRIBUTE_SIZE):
+                raise InvalidSpec(f"constant size must be in 1..{MAX_ATTRIBUTE_SIZE}, got {self.constant}")
         return self
 
     @classmethod
@@ -67,13 +64,13 @@ class WorkloadSpec:
 
 
 def attribute_sizes(spec: WorkloadSpec, rng: np.random.Generator) -> np.ndarray:
-    """(op_count, attributes) matrix of attribute sizes in 1..max_attribute."""
-    shape = (spec.op_count, spec.attributes)
+    """(op_count, 10) matrix of attribute sizes in 1..100."""
+    shape = (spec.op_count, ATTRIBUTES_PER_TUPLE)
     if spec.distribution == "uniform":
-        return rng.integers(1, spec.max_attribute + 1, size=shape)
+        return rng.integers(1, MAX_ATTRIBUTE_SIZE + 1, size=shape)
     if spec.distribution == "constant":
         return np.full(shape, spec.constant, dtype=np.int64)
-    support = np.arange(1, spec.max_attribute + 1)
+    support = np.arange(1, MAX_ATTRIBUTE_SIZE + 1)
     pmf = support.astype(float) ** -spec.alpha
     pmf /= pmf.sum()
     return rng.choice(support, size=shape, p=pmf)
@@ -114,6 +111,9 @@ def planted_length_trace(groups: list[LengthGroup], per_group: int, seed: int = 
     with another group's, for building imperfect training sets; 0 gives
     a perfectly separable corpus.
     """
+    for g in groups:
+        if g.lo > g.hi or per_group < g.hi - g.lo + 1:
+            raise InvalidSpec(f"group {g.lo}-{g.hi}: need lo <= hi and per_group >= {g.hi - g.lo + 1}, got {per_group}")
     rng = np.random.default_rng(seed)
     pairs: list[tuple[int, int]] = []
     for gi, g in enumerate(groups):

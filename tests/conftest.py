@@ -1,12 +1,14 @@
 import errno
 import random
+import struct
+import zlib
 
 import pytest
 
 from evenlog.crypto import StaticKeyProvider
-from evenlog.journal import JournalBackend, PlainJournalBackend
+from evenlog.journal import JournalBackend, JournalFiles, PlainJournalBackend
 from evenlog.quorum import QuorumBackend, build_cluster  # noqa: F401  (re-exported for the test modules)
-from evenlog.records import decode_record
+from evenlog.records import HEADER_SIZE, LogRecord
 
 MASTER = b"unit-test-master-secret-32-bytes"
 
@@ -14,6 +16,34 @@ MASTER = b"unit-test-master-secret-32-bytes"
 def pad4(data: bytes) -> bytes:
     """Payloads come back from recovery padded to a multiple of 4."""
     return data + b"\x00" * ((-len(data)) % 4)
+
+
+class MalformedHeader(ValueError):
+    """The oracle's verdict: a header length below 16 or not a multiple of 4."""
+
+
+class TruncatedRecord(ValueError):
+    """The oracle's verdict: the bytes end before the declared length."""
+
+
+class CorruptRecord(ValueError):
+    """The oracle's verdict: the CRC does not match the padded payload."""
+
+
+def decode_record(buf, offset: int = 0) -> tuple[LogRecord, int]:
+    """Test oracle: decode the one record at ``offset`` strictly, straight
+    from FORMAT.md, and return it with the offset after it."""
+    if len(buf) - offset < HEADER_SIZE:
+        raise TruncatedRecord(f"{len(buf) - offset} bytes left, header needs {HEADER_SIZE}")
+    length, crc, flags, _ = struct.unpack_from("<IIII", buf, offset)
+    if length < HEADER_SIZE or length % 4 != 0:
+        raise MalformedHeader(f"record length {length} at offset {offset}")
+    if len(buf) - offset < length:
+        raise TruncatedRecord(f"record of {length} bytes truncated at offset {offset}")
+    payload = bytes(buf[offset + HEADER_SIZE : offset + length])
+    if zlib.crc32(payload) != crc:
+        raise CorruptRecord(f"checksum mismatch at offset {offset}")
+    return LogRecord(payload, flags), offset + length
 
 
 def iter_records(buf):
@@ -70,6 +100,24 @@ class CountingWrites:
 
     def __getattr__(self, name):
         return getattr(self.real, name)
+
+
+@pytest.fixture(autouse=True)
+def close_backends(monkeypatch):
+    """Close, at teardown, every backend the test opened and left open.
+    Tests drop backends unclosed, as a crash would; their files must not
+    outlive the test (a leaked file fails the suite, see pyproject.toml)."""
+    opened = []
+    init = JournalFiles.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        opened.append(self)
+
+    monkeypatch.setattr(JournalFiles, "__init__", tracked_init)
+    yield
+    for backend in opened:
+        backend.close()
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Benchmark metrics: byte accounting, relative cost, the append drivers."""
 
+import json
 import os
 
 import pytest
@@ -146,9 +147,7 @@ def test_report_json_roundtrip(tmp_path, key):
     engine = journal_engine(tmp_path, key)
     report = bench.run_sequential(WorkloadSpec.parse("constant:80", 5, seed=7), engine)
     engine.close()
-    import json
-
-    parsed = json.loads(report.to_json())
+    parsed = json.loads(json.dumps(report.to_dict()))
     assert parsed["ops"] == 5
     assert [k for k, v in parsed.items() if v is None] == []  # every field is set
     assert parsed["bytes_padded"] == report.bytes_padded

@@ -66,6 +66,7 @@ class TestBench:
         assert report["bytes_padded"] == 50 * 7 * 128
         assert report["bytes_written_actual"] == 50 * 7 * 144
         assert report["relative_cost"] == pytest.approx(896 / 816)
+        assert sorted(report["config"]["spec"]) == ["alpha", "constant", "distribution", "op_count", "seed"]
 
     def test_conc_smoke(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -272,6 +273,34 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "--config", str(cfg), "leak", "posterior",
                                "--scheme", "fnos", "--prior", "1")
         assert code == 1 and "unknown key" in err
+
+
+# Inputs the CLI once answered with a Python traceback. Each must end in
+# one ``error:`` line and exit 1. "{dir}" is the test's directory.
+BAD_INPUTS = {
+    "bench-conc-no-workers": ("bench conc --workers 0 --ops 5 --dir {dir}/wal", None),
+    "bench-conc-zero-flush-interval": ("bench conc --flush-interval-ms 0 --ops 5 --dir {dir}/wal", None),
+    "bench-conc-negative-flush-interval": ("bench conc --flush-interval-ms -5 --ops 5 --dir {dir}/wal", None),
+    "simulate-fewer-candidates-than-groups": ("leak simulate --scheme vnos --prior 1,1 --candidates 1", None),
+    "simulate-too-few-trials": ("leak simulate --scheme vnos --prior 1,1 --trials 10", None),
+    "posterior-fewer-candidates-than-groups": ("leak posterior --scheme vnos --prior 1,1,1 --candidates 2", None),
+    "gen-attack-group-not-a-number": ("gen --attack-groups 1-x:3 --out-file {dir}/t.csv", None),
+    "gen-attack-group-backwards": ("gen --attack-groups 5-1:3 --out-file {dir}/t.csv", None),
+    "gen-attack-group-wider-than-per-group": ("gen --attack-groups 1-15:128 --per-group 5 --out-file {dir}/t.csv", None),
+    "config-seed-not-a-number": ("--config {dir}/bad-seed.conf gen --ops 3 --out-file {dir}/t.csv", None),
+    "key-not-hex": ("bench seq --ops 3 --dir {dir}/wal", "not-hex"),
+    "attack-trace-missing": ("attack train --trace {dir}/missing.csv", None),
+}
+
+
+@pytest.mark.parametrize("argv, key", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_is_an_error_line_not_a_traceback(capsys, tmp_path, monkeypatch, argv, key):
+    (tmp_path / "bad-seed.conf").write_text("seed=abc\n")
+    if key is not None:
+        monkeypatch.setenv("EVENLOG_KEY", key)
+    code, out, err = run_cli(capsys, *shlex.split(argv.format(dir=tmp_path)))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_demo_quorum_runs_clean(capsys, tmp_path):

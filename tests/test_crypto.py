@@ -9,7 +9,7 @@ import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from evenlog import crypto
-from evenlog.errors import KeyNotFound
+from evenlog.errors import InvalidConfig, InvalidSegmentSize, KeyNotFound
 
 from .conftest import MASTER
 
@@ -130,6 +130,13 @@ class TestSharedContexts:
             crypto.decrypt_segment(key, unit[:16])
         assert crypto.decrypt_segment(key, unit) == seg
 
+    @pytest.mark.parametrize("size", [0, 16, 100])
+    def test_segment_size_checked_as_segmentation_checks_it(self, key, size):
+        with pytest.raises(InvalidSegmentSize):
+            crypto.encrypt_stream(key, bytes(size * 2), size)
+        with pytest.raises(InvalidSegmentSize):
+            crypto.decrypt_stream(key, bytes((size + 16) * 2), size)
+
     def test_misaligned_segment_size_rejected(self, key):
         seg = os.urandom(128)
         unit = crypto.encrypt_segment(key, seg)
@@ -220,9 +227,11 @@ class TestKeyProvider:
         with pytest.raises(KeyNotFound):
             crypto.StaticKeyProvider(MASTER).get("nope")
 
-    def test_distinct_ids_distinct_keys(self):
-        provider = crypto.StaticKeyProvider(MASTER, key_ids=("a", "b"))
-        assert provider.get("a").secret != provider.get("b").secret
+    def test_default_key_is_pinned(self):
+        # HMAC-SHA256(MASTER, b"default"): a provider that derives another
+        # key could not read what an earlier version wrote
+        assert crypto.StaticKeyProvider(MASTER).get("default").secret.hex() == (
+            "3fc998d91e43d1c1d71f13d9c0ab00468545abbc8ba3e3882e31c0d1940f96fb")
 
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv("EVENLOG_KEY", MASTER.hex())
@@ -233,14 +242,11 @@ class TestKeyProvider:
         with pytest.raises(KeyNotFound):
             crypto.StaticKeyProvider.from_env()
 
+    @pytest.mark.parametrize("value", ["not-hex", "abc", " "])
+    def test_from_env_refuses_a_value_that_is_no_key(self, monkeypatch, value):
+        monkeypatch.setenv("EVENLOG_KEY", value)
+        with pytest.raises(InvalidConfig):
+            crypto.StaticKeyProvider.from_env()
+
     def test_key_repr_hides_secret(self, key):
         assert key.secret.hex() not in repr(key)
-
-    def test_from_fd(self):
-        import os as _os
-
-        r, w = _os.pipe()
-        _os.write(w, MASTER)
-        _os.close(w)
-        provider = crypto.StaticKeyProvider.from_fd(r)
-        assert provider.get("default").secret == crypto.StaticKeyProvider(MASTER).get("default").secret

@@ -1,16 +1,22 @@
 """Engine facade: periodic flushing, lifecycle, and the backend contract."""
 
+import os
+import sys
+import threading
 import time
 
 import pytest
 
 from evenlog.crypto import IV_SIZE
 from evenlog.engine import WalEngine
+from evenlog.errors import InvalidConfig
 from evenlog.journal import JournalBackend, PlainJournalBackend, epoch_filename, recover_journal
 from evenlog.observe import StorageTrace
 from evenlog.quorum import QuorumBackend, QuorumConfig, SelectionScheme
 from evenlog.quorum.selection import GROUP_SIZE
 from evenlog.quorum.replica import store_frame_size
+
+from evenlog.slots import PeriodicFlusher
 
 from .conftest import build_cluster, pad4
 
@@ -27,6 +33,16 @@ def test_periodic_flusher_makes_buffered_appends_durable(tmp_path, key):
     assert path.stat().st_size > 0, "flusher never fired"
     engine.close()
     assert [r.payload for r in recover_journal(tmp_path, key, 128)] == [b"buffered" * 4]
+
+
+@pytest.mark.parametrize("interval", [0, -5, float("nan")])
+def test_flush_interval_that_is_not_positive_is_refused(tmp_path, key, monkeypatch, interval):
+    # a zero wait would make the flusher spin on the slot lock
+    started = []
+    monkeypatch.setattr(PeriodicFlusher, "start", lambda flusher: started.append(flusher))
+    with pytest.raises(InvalidConfig):
+        WalEngine(JournalBackend(tmp_path, key, 128), flush_interval_ms=interval)
+    assert started == []
 
 
 def test_close_drains_the_slot(tmp_path, key):
@@ -102,3 +118,93 @@ def test_backend_contract(tmp_path, key, make_backend):
     assert [r.payload for r in backend.recover()] == [pad4(p) for p in after]
     seen, expected = stored_bytes(backend, trace)
     assert seen == expected > 0
+
+
+ENGINE_BACKENDS = pytest.mark.parametrize("make_backend", [
+    journal, quorum(SelectionScheme.VNOS), quorum(SelectionScheme.FNOS),
+], ids=["journal", "quorum-vnos", "quorum-fnos"])
+
+
+class RacingCheckpoint:
+    """A backend whose ``checkpoint`` first starts another writer's
+    full-sync append and gives it a moment to land. The append must wait
+    for the checkpoint to finish, not land in the file the checkpoint is
+    about to delete."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.engine = None
+        self.racer = None
+        self.result = None
+
+    def __getattr__(self, name):
+        return getattr(self.backend, name)
+
+    def checkpoint(self, ckpt_id):
+        acked = threading.Event()
+
+        def race():
+            self.result = self.engine.append(b"racer!" * 8, full_sync=True)
+            acked.set()
+
+        self.racer = threading.Thread(target=race)
+        self.racer.start()
+        acked.wait(0.3)  # not a join: the racer may be waiting for this very checkpoint
+        return self.backend.checkpoint(ckpt_id)
+
+
+@ENGINE_BACKENDS
+def test_checkpoint_is_atomic_with_a_racing_append(tmp_path, key, make_backend):
+    backend = make_backend(tmp_path, key, StorageTrace())
+    racing = RacingCheckpoint(backend)
+    engine = racing.engine = WalEngine(racing, slot_capacity=512)
+    engine.append(b"before" * 8, full_sync=True)
+    engine.checkpoint()
+    racing.racer.join(10)
+    assert not racing.racer.is_alive() and racing.result.flushed
+    engine.append(b"after!" * 8, full_sync=True)
+    engine.close()
+    assert [r.payload for r in backend.recover()] == [b"racer!" * 8, b"after!" * 8]
+
+
+@ENGINE_BACKENDS
+def test_checkpoints_under_concurrent_writers_and_flushes(tmp_path, key, make_backend):
+    """More writers than cores (full-sync and buffered) and a 1 ms flusher
+    race 20 checkpoints, with thread switches forced often: no error
+    escapes (a checkpoint that rotated files under a writer made its write
+    raise ``ValueError``), and recovery returns exactly the appends made
+    after the last checkpoint, in LSN order."""
+    backend = make_backend(tmp_path, key, StorageTrace())
+    backend.sync = False
+    engine = WalEngine(backend, slot_capacity=512, flush_interval_ms=1)
+    acked, errors, stop = [], [], threading.Event()
+    switch = sys.getswitchinterval()
+
+    def write(writer):
+        i = 0
+        try:
+            while not stop.is_set():
+                payload = f"{writer}:{i}".encode().ljust(40, b".")
+                acked.append((engine.append(payload, full_sync=i % 2 == 0).lsn, payload))
+                i += 1
+        except Exception as exc:  # noqa: BLE001  (any error fails the test below)
+            errors.append(exc)
+
+    n_writers = min(2 * len(os.sched_getaffinity(0)), 16)  # more writers than cores
+    writers = [threading.Thread(target=write, args=(w,)) for w in range(n_writers)]
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in writers:
+            t.start()
+        markers = [engine.checkpoint() for _ in range(20)]
+    finally:
+        stop.set()
+        for t in writers:
+            t.join(30)
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in writers)
+    acked.append((engine.append(b"last" * 10, full_sync=True).lsn, b"last" * 10))
+    engine.close()
+    assert errors == []
+    epoch = markers[-1].lsn.file_id
+    assert [r.payload for r in backend.recover()] == [p for lsn, p in sorted(acked) if lsn.file_id >= epoch]

@@ -44,6 +44,11 @@ def make_engine(backend):
     return WalEngine(backend)
 
 
+def metadata_path(backend) -> Path:
+    """The metadata file the backend appends to."""
+    return backend.root / journal.epoch_filename(backend.PREFIX, backend.current_file_id)
+
+
 class TestReplica:
     def test_store_frame_size_formula(self):
         # len u32 + type u8 + sid 16 + digest 32 + iv 16 + segment
@@ -99,14 +104,14 @@ class TestPersist:
         backend = make_backend(tmp_path, key)
         receipt = backend.persist_slot(b"")
         assert receipt.real_segments == 0
-        assert backend.metadata_path.stat().st_size == 0
+        assert metadata_path(backend).stat().st_size == 0
 
     def test_metadata_grows_by_constant_blob(self, tmp_path, key):
         backend = make_backend(tmp_path, key)
         blob = IV_SIZE + serialized_size(backend.config.k_max)
         for i, n in enumerate((4, 300, 512, 128)):
             backend.persist_slot(os.urandom(n))
-            assert backend.metadata_path.stat().st_size == (i + 1) * blob
+            assert metadata_path(backend).stat().st_size == (i + 1) * blob
 
     def test_replica_messages_constant_size(self, tmp_path, key):
         trace = StorageTrace()
@@ -464,12 +469,12 @@ class TestCheckpointGc:
     def test_checkpoint_rotates_metadata_epoch(self, tmp_path, key):
         backend = make_backend(tmp_path, key)
         backend.persist_slot(b"\x05" * 100)
-        old = backend.metadata_path
+        old = metadata_path(backend)
         marker = backend.checkpoint(1)
         assert marker.lsn.file_id == backend.current_file_id == backend.last_checkpoint_id == 1
         assert not old.exists()
         backend.persist_slot(b"\x06" * 100)
-        assert sorted(tmp_path.iterdir()) == [tmp_path / SIDECAR_NAME, backend.metadata_path]
+        assert sorted(tmp_path.iterdir()) == [tmp_path / SIDECAR_NAME, metadata_path(backend)]
 
     def test_checkpoint_adds_one_sidecar_write_to_metadata_channel(self, tmp_path, key):
         trace = StorageTrace()
@@ -492,7 +497,7 @@ class TestCheckpointGc:
         backend = make_backend(tmp_path, key)
         backend.persist_slot(b"\x05" * 100)
         backup = tmp_path / "metadata.0000000000.bak"
-        backup.write_bytes(backend.metadata_path.read_bytes())
+        backup.write_bytes(metadata_path(backend).read_bytes())
         backend.checkpoint(1)
         assert backup.exists() and (tmp_path / "metadata.tmp").exists()
         assert not (tmp_path / "metadata.0000000000").exists()
@@ -562,9 +567,5 @@ class TestCheckpointGc:
 class TestConfig:
     def test_invariants(self):
         with pytest.raises(ValueError):
-            QuorumConfig(write_quorum=1, tolerable_failures=1).validate()
-        with pytest.raises(ValueError):
             QuorumConfig(segment_size=128, max_write_size=100).validate()
-        with pytest.raises(ValueError):
-            QuorumConfig(write_quorum=4).validate()
         assert QuorumConfig().validate().k_max == 8

@@ -9,24 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evenlog.errors import (
-    CorruptRecord,
-    MalformedHeader,
-    RecordTooLarge,
-    RecoveryCorruption,
-    TruncatedRecord,
-)
+from evenlog.errors import RecordTooLarge, RecoveryCorruption
 from evenlog.records import (
     FLAG_CHECKPOINT,
     HEADER_SIZE,
-    decode_record,
     encode_record,
     encoded_record_size,
     scan_padded_stream,
 )
 from evenlog.journal import PlainJournalBackend, recover_plain
 
-from .conftest import iter_records, pad4
+from .conftest import CorruptRecord, MalformedHeader, TruncatedRecord, decode_record, iter_records, pad4
 
 
 def format_encode(payload: bytes, flags: int = 0) -> bytes:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from evenlog.errors import InvalidSegmentSize
 from evenlog.records import encode_record, scan_padded_stream
-from evenlog.segmentation import check_segment_size, padding_overhead, segment_slot
+from evenlog.segmentation import padding_overhead, segment_slot
 
 from .conftest import iter_records, pad4
 
@@ -31,10 +31,6 @@ class TestSegmentSlot:
         for bad in (0, 4, 16, 31, 40, 100):
             with pytest.raises(InvalidSegmentSize):
                 segment_slot(b"\x00" * 64, bad)
-
-    def test_size_above_slot_capacity_rejected(self):
-        with pytest.raises(InvalidSegmentSize):
-            check_segment_size(256, slot_capacity=128)
 
 
 class TestPaddingOverhead:
