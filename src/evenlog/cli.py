@@ -139,6 +139,8 @@ def _emit(args, config, payload: dict, text_lines: list[str]) -> None:
 
 def cmd_bench(args, config) -> int:
     spec = workload.WorkloadSpec.parse(args.dist, args.ops, _setting(args, config, "seed", "seed", int, 0))
+    if args.mode == "conc" and args.workers < 1:  # refused before any backend creates files in --dir
+        raise WalError(f"--workers {args.workers}: need at least one")
     engine = _build_engine(args, config)
     try:
         if args.mode == "seq":
@@ -184,7 +186,7 @@ def cmd_leak_posterior(args, config) -> int:
     if scheme is SelectionScheme.VNOS:
         q = leakage.posterior_vnos(prior, args.candidates)
     else:
-        q = leakage.posterior_fnos(prior)
+        q = leakage.posterior_fnos(prior, args.candidates)
     print(",".join(_fmt_prob(x) for x in q))
     return 0
 

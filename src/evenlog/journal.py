@@ -29,7 +29,8 @@ scans each on its own, a chunk of whole units (``READ_SIZE``) at a time:
 each chunk is read, decoded and scanned before the next is read, so
 recovery holds a few chunks plus the largest record, not the journal.
 ``JournalFiles._append`` is the one write-and-sync path of every
-backend.
+backend, and every file effect of the layer, reads included, goes
+through one ``Disk`` (``JournalFiles.DISK``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import os
 import re
 import struct
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from . import crypto
 from .errors import DurabilityError, RecoveryCorruption, StorageNotFound, WalError
@@ -55,65 +56,109 @@ def epoch_filename(prefix: str, fid: int) -> str:
     return f"{prefix}.{fid:010d}"
 
 
+def _effect(method):
+    def effect(*args):
+        try:
+            return method(*args)
+        except OSError as exc:
+            raise DurabilityError(str(exc)) from exc
+    return effect
+
+
+class Disk:
+    """Every OS effect of the file layer, one method each, reached only through
+    ``JournalFiles.DISK`` (a test may put a double there). Here alone an ``OSError``
+    becomes a ``WalError``: ``StorageNotFound`` for a root that is no directory,
+    else ``DurabilityError`` (``_effect`` wraps every method but ``read_chunks``)."""
+
+    @_effect
+    def mkdir(self, root: Path) -> None:
+        root.mkdir(parents=True, exist_ok=True)
+
+    @_effect
+    def listdir(self, root: Path) -> list[str]:
+        try:
+            return os.listdir(root)
+        except (FileNotFoundError, NotADirectoryError) as exc:
+            raise StorageNotFound(f"{root} is not a directory") from exc
+
+    @_effect
+    def read(self, path: Path) -> bytes | None:
+        return path.read_bytes() if path.exists() else None
+
+    def read_chunks(self, path: Path, start: int, size: int, unit: int) -> Iterator[bytes]:
+        try:
+            with open(path, "rb") as f:
+                f.seek(start)
+                while len(chunk := f.read(size)) == size:
+                    yield chunk
+                if whole := len(chunk) - len(chunk) % unit:
+                    yield chunk[:whole]
+        except OSError as exc:
+            raise DurabilityError(str(exc)) from exc
+
+    @_effect
+    def open_append(self, path: Path) -> tuple[BinaryIO, int]:
+        fh = open(path, "ab")
+        return fh, fh.tell()
+
+    @_effect
+    def append(self, fh: BinaryIO, data: bytes) -> None:
+        """Write ``data`` in one ``write(2)``: the ``BufferedWriter`` is empty
+        on entry, so it passes ``data`` larger than its buffer straight
+        through and writes a smaller one out at ``flush``."""
+        fh.write(data)
+        fh.flush()
+
+    @_effect
+    def sync(self, fh: BinaryIO) -> None:
+        os.fdatasync(fh.fileno())
+
+    @_effect
+    def close(self, fh: BinaryIO) -> None:
+        fh.close()
+
+    @_effect
+    def replace(self, path: Path, data: bytes, sync: bool) -> None:
+        """Atomically make ``data`` the contents of ``path`` (write-temp-then-rename)."""
+        tmp = path.with_name(path.name + ".tmp")
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            if sync:
+                os.fsync(f.fileno())
+        os.replace(tmp, path)
+
+    @_effect
+    def sync_dir(self, root: Path) -> None:
+        """Make the directory's entries (created, renamed, unlinked files) durable."""
+        fd = os.open(root, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+    @_effect
+    def unlink(self, path: Path) -> None:
+        path.unlink()
+
+
 def list_epoch_fids(root: Path, prefix: str) -> list[int]:
     """Sorted fids of the ``<prefix>.<10-digit fid>`` files in ``root``.
     Any other name, such as a temp file or a backup copy, is ignored."""
-    try:
-        names = os.listdir(root)
-    except (FileNotFoundError, NotADirectoryError) as exc:
-        raise StorageNotFound(f"{root} is not a directory") from exc
+    names = JournalFiles.DISK.listdir(root)
     pattern = re.compile(rf"{re.escape(prefix)}\.(\d{{10}})")
     return sorted(int(m.group(1)) for name in names if (m := pattern.fullmatch(name)))
 
 
 def read_sidecar(root: Path) -> tuple[int, int, int] | None:
     """Return (ckpt_id, fid, offset) or None when no checkpoint exists."""
-    path = root / SIDECAR_NAME
-    if not path.exists():
+    data = JournalFiles.DISK.read(root / SIDECAR_NAME)
+    if data is None:
         return None
-    data = path.read_bytes()
     if len(data) != _SIDECAR.size:
         raise DurabilityError(f"sidecar is {len(data)} bytes, expected {_SIDECAR.size}")
     return _SIDECAR.unpack(data)
-
-
-def fsync_dir(root: Path) -> None:
-    """Make the directory's entries (created, renamed files) durable."""
-    fd = os.open(root, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def delete_epochs_before(root: Path, prefix: str, fid: int) -> None:
-    """Unlink every ``<prefix>.<fid>`` file below ``fid``. The caller has
-    already made epoch ``fid`` durable, so recovery no longer reads them."""
-    for old in list_epoch_fids(root, prefix):
-        if old >= fid:
-            break
-        (root / epoch_filename(prefix, old)).unlink()
-
-
-def durable_append(fh, data: bytes, sync: bool) -> None:
-    """Write ``data`` to ``fh`` with one write call, flush, and sync the
-    file's data when ``sync`` is set. Every backend appends here (through
-    ``JournalFiles._append``); an ``OSError`` anywhere on the way becomes
-    ``DurabilityError``.
-
-    What storage observes is one ``write(2)`` of all of ``data`` per
-    flush, then the sync: the ``BufferedWriter`` is empty on entry, so it
-    passes ``data`` larger than its buffer straight through and writes a
-    smaller one out at ``flush``. For the segmented journal ``data`` is
-    whole ``S + 16`` units, so the file grows by whole units at
-    unit-aligned offsets."""
-    try:
-        fh.write(data)
-        fh.flush()
-        if sync:
-            os.fdatasync(fh.fileno())
-    except OSError as exc:
-        raise DurabilityError(str(exc)) from exc
 
 
 class JournalFiles:
@@ -128,10 +173,11 @@ class JournalFiles:
 
     PREFIX = "journal"
     CHANNEL = StorageTrace.JOURNAL
+    DISK = Disk()
 
     def __init__(self, root: str | Path, trace: StorageTrace | None, sync: bool):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.DISK.mkdir(self.root)
         self.trace = trace if trace is not None else StorageTrace()
         self.sync = sync
         existing = list_epoch_fids(self.root, self.PREFIX)
@@ -141,11 +187,11 @@ class JournalFiles:
         self._open_file((existing[-1] + 1) if existing else 0)
 
     def _open_file(self, fid: int) -> None:
-        if self._fh is not None:
-            self._fh.close()
+        old = self._fh
+        self._fh, self._offset = self.DISK.open_append(self.root / epoch_filename(self.PREFIX, fid))
         self._fid = fid
-        self._fh = open(self.root / epoch_filename(self.PREFIX, fid), "ab")
-        self._offset = self._fh.tell()
+        if old is not None:
+            self.DISK.close(old)
 
     @property
     def current_file_id(self) -> int:
@@ -153,7 +199,7 @@ class JournalFiles:
 
     def close(self) -> None:
         if self._fh is not None:
-            self._fh.close()
+            self.DISK.close(self._fh)
             self._fh = None
 
     def _append(self, data: bytes, unit: int) -> Lsn:
@@ -163,7 +209,9 @@ class JournalFiles:
         whole flush at its sync). An empty flush writes and syncs nothing."""
         lsn = Lsn(self._fid, self._offset)
         if data:
-            durable_append(self._fh, data, self.sync)
+            self.DISK.append(self._fh, data)
+            if self.sync:
+                self.DISK.sync(self._fh)
             self.trace.record(self.CHANNEL, unit, len(data) // unit)
             self._offset += len(data)
         return lsn
@@ -176,36 +224,25 @@ class JournalFiles:
 
     def checkpoint(self, ckpt_id: int) -> CheckpointMarker:
         """Rotate to a fresh file, atomically commit the sidecar, then
-        delete the files below it.
+        delete the files below it, which recovery no longer reads.
 
         The caller must already have flushed the checkpoint record (see
         ``WalEngine.checkpoint``). The next file is created before the
         sidecar rename so the sidecar never names a missing file.
         """
         next_fid = self._fid + 1
-        self._create_file(next_fid)
-        self._write_sidecar(ckpt_id, next_fid, 0)
         self._open_file(next_fid)
-        self._ckpt_id = ckpt_id
-        delete_epochs_before(self.root, self.PREFIX, next_fid)
-        return CheckpointMarker(ckpt_id, Lsn(next_fid, 0))
-
-    def _create_file(self, fid: int) -> None:
-        (self.root / epoch_filename(self.PREFIX, fid)).touch()
         if self.sync:
-            fsync_dir(self.root)
-
-    def _write_sidecar(self, ckpt_id: int, fid: int, offset: int) -> None:
-        tmp = self.root / (SIDECAR_NAME + ".tmp")
-        with open(tmp, "wb") as f:
-            f.write(_SIDECAR.pack(ckpt_id, fid, offset))
-            f.flush()
-            if self.sync:
-                os.fsync(f.fileno())
-        os.replace(tmp, self.root / SIDECAR_NAME)
+            self.DISK.sync_dir(self.root)
+        self.DISK.replace(self.root / SIDECAR_NAME, _SIDECAR.pack(ckpt_id, next_fid, 0), self.sync)
         if self.sync:
-            fsync_dir(self.root)
+            self.DISK.sync_dir(self.root)
         self.trace.record(StorageTrace.METADATA, _SIDECAR.size)
+        self._ckpt_id = ckpt_id
+        for old in list_epoch_fids(self.root, self.PREFIX):
+            if old < next_fid:
+                self.DISK.unlink(self.root / epoch_filename(self.PREFIX, old))
+        return CheckpointMarker(ckpt_id, Lsn(next_fid, 0))
 
 
 class JournalBackend(JournalFiles):
@@ -293,16 +330,7 @@ def journal_files(root: str | Path, unit: int = 1, prefix: str = JournalFiles.PR
     for fid in list_epoch_fids(root, prefix):
         if fid >= start_fid:
             path = root / epoch_filename(prefix, fid)
-            yield fid, _read_chunks(path, start_off if fid == start_fid else 0, size, unit)
-
-
-def _read_chunks(path: Path, start: int, size: int, unit: int) -> Iterator[bytes]:
-    with open(path, "rb") as f:
-        f.seek(start)
-        while len(chunk := f.read(size)) == size:
-            yield chunk
-        if whole := len(chunk) - len(chunk) % unit:
-            yield chunk[:whole]
+            yield fid, JournalFiles.DISK.read_chunks(path, start_off if fid == start_fid else 0, size, unit)
 
 
 def plaintext_stream(root: str | Path, key: crypto.ReplicaKey, segment_size: int) -> Iterator[tuple[int, Iterator[bytes]]]:

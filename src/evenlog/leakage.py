@@ -39,7 +39,7 @@ from .quorum.selection import SelectionScheme, select_quorums
 # --- priors and closed-form posteriors ----------------------------------------
 
 
-def normalize_prior(prior: Sequence[float]) -> np.ndarray:
+def normalize_prior(prior: Sequence[float], n_candidates: int | None = None) -> np.ndarray:
     p = np.asarray(prior, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise InvalidPrior("prior must be a non-empty vector")
@@ -48,6 +48,8 @@ def normalize_prior(prior: Sequence[float]) -> np.ndarray:
     total = p.sum()
     if total <= 0:
         raise InvalidPrior("prior sums to zero")
+    if n_candidates is not None and p.size > n_candidates:
+        raise InvalidConfig(f"{p.size} groups but only {n_candidates} candidate quorums")
     return p / total
 
 
@@ -55,16 +57,14 @@ def posterior_vnos(prior: Sequence[float], n_candidates: int | None = None) -> n
     """Posterior over write-size groups after a quorum sees one segment,
     under variable-count selection: q_k proportional to k * p_k. The
     candidate-set size cancels; it is accepted only to check K <= N."""
-    p = normalize_prior(prior)
-    if n_candidates is not None and len(p) > n_candidates:
-        raise InvalidConfig(f"{len(p)} groups but only {n_candidates} candidate quorums")
+    p = normalize_prior(prior, n_candidates)
     weights = np.arange(1, len(p) + 1) * p
     return weights / weights.sum()
 
 
-def posterior_fnos(prior: Sequence[float]) -> np.ndarray:
-    """Fixed-count selection: the posterior is the prior, exactly."""
-    return normalize_prior(prior)
+def posterior_fnos(prior: Sequence[float], n_candidates: int | None = None) -> np.ndarray:
+    """Fixed-count selection: the posterior is the prior, exactly (``n_candidates`` as for vnos)."""
+    return normalize_prior(prior, n_candidates)
 
 
 @dataclass
@@ -89,12 +89,10 @@ def simulate_posterior(
     fixed designated quorum (index 0; selection is symmetric) having
     received a segment, real or fake.
     """
-    p = normalize_prior(prior)
+    p = normalize_prior(prior, n_candidates)
     k_groups = len(p)
     if trials < 10_000:
         raise InvalidConfig(f"{trials} trials: need at least 10^4 for a meaningful posterior")
-    if k_groups > n_candidates:
-        raise InvalidConfig(f"{k_groups} groups but only {n_candidates} candidate quorums")
     rng = random.Random(seed)
     quorums = list(range(n_candidates))
     draws = rng.choices(range(k_groups), weights=p.tolist(), k=trials)

@@ -111,6 +111,8 @@ def planted_length_trace(groups: list[LengthGroup], per_group: int, seed: int = 
     with another group's, for building imperfect training sets; 0 gives
     a perfectly separable corpus.
     """
+    if not 0 <= confusion <= 1:
+        raise InvalidSpec(f"confusion {confusion} is not a fraction in [0, 1]")
     for g in groups:
         if g.lo > g.hi or per_group < g.hi - g.lo + 1:
             raise InvalidSpec(f"group {g.lo}-{g.hi}: need lo <= hi and per_group >= {g.hi - g.lo + 1}, got {per_group}")

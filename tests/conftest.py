@@ -6,7 +6,8 @@ import zlib
 import pytest
 
 from evenlog.crypto import StaticKeyProvider
-from evenlog.journal import JournalBackend, JournalFiles, PlainJournalBackend
+from evenlog.errors import DurabilityError
+from evenlog.journal import Disk, JournalBackend, JournalFiles, PlainJournalBackend
 from evenlog.quorum import QuorumBackend, build_cluster  # noqa: F401  (re-exported for the test modules)
 from evenlog.records import HEADER_SIZE, LogRecord
 
@@ -70,36 +71,35 @@ def reopen(backend, seed: int = 0):
                          client_id=backend.client_id, sync=backend.sync)
 
 
-class FailingWrites:
-    """A file handle whose writes raise, as a full disk or an I/O error
-    would; everything else goes to the real file. Put it in place of a
-    backend's open file to fail that backend's next durable write."""
+class DiskDouble(Disk):
+    """Stands in for ``JournalFiles.DISK``: logs each effect as ``(name, args)``
+    in ``events`` and makes it, but an effect named in ``fail`` does nothing
+    and raises what ``Disk`` raises for an I/O error."""
 
-    def __init__(self, fh):
-        self.real = fh
-
-    def write(self, data):
-        raise OSError(errno.EIO, "injected write failure")
-
-    def __getattr__(self, name):
-        return getattr(self.real, name)
+    def __init__(self, fail=()):
+        self.events, self.fail = [], set(fail)
 
 
-class CountingWrites:
-    """A file handle that passes every write to the real file and keeps
-    the size of each write call. Put it in place of a backend's open file
-    to see how many calls a durable write makes."""
+def _logged(name):
+    def effect(self, *args):
+        self.events.append((name, args))
+        if name in self.fail:
+            raise DurabilityError(f"injected {name} failure") from OSError(errno.EIO, "injected")
+        return getattr(Disk, name)(self, *args)
+    return effect
 
-    def __init__(self, fh):
-        self.real = fh
-        self.sizes = []
 
-    def write(self, data):
-        self.sizes.append(len(data))
-        return self.real.write(data)
+for _name in [name for name in vars(Disk) if not name.startswith("_")]:
+    setattr(DiskDouble, _name, _logged(_name))
+MUTATING = {"mkdir", "open_append", "append", "sync", "replace", "sync_dir", "unlink"}
 
-    def __getattr__(self, name):
-        return getattr(self.real, name)
+
+@pytest.fixture
+def disk(monkeypatch):
+    """A ``DiskDouble`` under every backend of the test."""
+    double = DiskDouble()
+    monkeypatch.setattr(JournalFiles, "DISK", double)
+    return double
 
 
 @pytest.fixture(autouse=True)

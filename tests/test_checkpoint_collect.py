@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 from evenlog.crypto import StaticKeyProvider
 from evenlog.engine import WalEngine
 from evenlog.errors import DurabilityError
-from evenlog.journal import JournalBackend, PlainJournalBackend, list_epoch_fids, read_sidecar
+from evenlog.journal import JournalBackend, JournalFiles, PlainJournalBackend, list_epoch_fids, read_sidecar
 from evenlog.quorum import QuorumBackend, QuorumConfig, SelectionScheme
 from evenlog.records import encoded_record_size
 
-from .conftest import MASTER, FailingWrites, build_cluster, pad4, reopen
+from .conftest import MASTER, DiskDouble, build_cluster, pad4, reopen
 
 KEY = StaticKeyProvider(MASTER).get("default")
 SLOT = 1024  # equal to the quorum's max write size, so every flush fits one write
@@ -88,8 +88,8 @@ def run(backend, steps) -> None:
             model.crash()
         elif step[0] == "fail":
             # the failed flush and everything still buffered are lost
-            engine.backend._fh = FailingWrites(engine.backend._fh)
-            with pytest.raises(DurabilityError):
+            with pytest.MonkeyPatch.context() as mp, pytest.raises(DurabilityError):
+                mp.setattr(JournalFiles, "DISK", DiskDouble(fail={"append"}))
                 engine.append((i.to_bytes(4, "little") * 150)[: step[1]], full_sync=True)
             engine = engine_on(reopen(engine.backend))
             model.crash()

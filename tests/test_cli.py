@@ -13,7 +13,7 @@ from evenlog.engine import WalEngine
 from evenlog.journal import JournalBackend
 from evenlog.records import FLAG_CHECKPOINT, encoded_record_size
 
-from .conftest import MASTER
+from .conftest import MASTER, MUTATING
 
 
 def run_cli(capsys, *argv):
@@ -188,7 +188,7 @@ class TestRecover:
         assert not missing.exists()
 
     @pytest.mark.parametrize("scheme", ["journal", "plain"])
-    def test_recover_leaves_tree_unchanged(self, capsys, tmp_path, monkeypatch, scheme):
+    def test_recover_leaves_tree_unchanged(self, capsys, tmp_path, monkeypatch, disk, scheme):
         monkeypatch.setenv("EVENLOG_KEY", MASTER.hex())
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -204,6 +204,7 @@ class TestRecover:
                           for p in tmp_path.rglob("*"))
 
         before = tree()
+        disk.fail = set(MUTATING)  # and makes no call that could change it
         for root, records in ((empty, 0), (full, 5)):
             code, out, _ = run_cli(capsys, "recover", "--scheme", scheme, "--dir", str(root), "--out", "json")
             assert code == 0 and json.loads(out)["records"] == records
@@ -279,14 +280,18 @@ class TestConfigFile:
 # one ``error:`` line and exit 1. "{dir}" is the test's directory.
 BAD_INPUTS = {
     "bench-conc-no-workers": ("bench conc --workers 0 --ops 5 --dir {dir}/wal", None),
+    "bench-dir-is-a-file": ("bench seq --ops 3 --dir {dir}/bad-seed.conf", None),
     "bench-conc-zero-flush-interval": ("bench conc --flush-interval-ms 0 --ops 5 --dir {dir}/wal", None),
     "bench-conc-negative-flush-interval": ("bench conc --flush-interval-ms -5 --ops 5 --dir {dir}/wal", None),
     "simulate-fewer-candidates-than-groups": ("leak simulate --scheme vnos --prior 1,1 --candidates 1", None),
     "simulate-too-few-trials": ("leak simulate --scheme vnos --prior 1,1 --trials 10", None),
     "posterior-fewer-candidates-than-groups": ("leak posterior --scheme vnos --prior 1,1,1 --candidates 2", None),
+    "posterior-fnos-no-candidates": ("leak posterior --scheme fnos --prior 0.5,0.5 --candidates 0", None),
     "gen-attack-group-not-a-number": ("gen --attack-groups 1-x:3 --out-file {dir}/t.csv", None),
     "gen-attack-group-backwards": ("gen --attack-groups 5-1:3 --out-file {dir}/t.csv", None),
     "gen-attack-group-wider-than-per-group": ("gen --attack-groups 1-15:128 --per-group 5 --out-file {dir}/t.csv", None),
+    "gen-confusion-above-one": ("gen --attack-groups 1-3:128,4-6:256 --per-group 5 --confusion 2 --out-file {dir}/t.csv", None),
+    "gen-confusion-below-zero": ("gen --attack-groups 1-3:128,4-6:256 --per-group 5 --confusion -1 --out-file {dir}/t.csv", None),
     "config-seed-not-a-number": ("--config {dir}/bad-seed.conf gen --ops 3 --out-file {dir}/t.csv", None),
     "key-not-hex": ("bench seq --ops 3 --dir {dir}/wal", "not-hex"),
     "attack-trace-missing": ("attack train --trace {dir}/missing.csv", None),
@@ -301,6 +306,7 @@ def test_bad_input_is_an_error_line_not_a_traceback(capsys, tmp_path, monkeypatc
     code, out, err = run_cli(capsys, *shlex.split(argv.format(dir=tmp_path)))
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1, err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad-seed.conf"]  # refused before any file is made
 
 
 def test_demo_quorum_runs_clean(capsys, tmp_path):

@@ -2,7 +2,6 @@
 
 import os
 import random
-import struct
 import tracemalloc
 
 import pytest
@@ -14,15 +13,17 @@ from evenlog.journal import (
     JournalBackend,
     PlainJournalBackend,
     READ_SIZE,
+    SIDECAR_NAME,
     epoch_filename,
     list_epoch_fids,
     read_sidecar,
     recover_journal,
+    recover_plain,
 )
 from evenlog.observe import StorageTrace
 from evenlog.records import HEADER_SIZE, encode_record
 
-from .conftest import CountingWrites, FailingWrites, iter_records, pad4, reopen
+from .conftest import MUTATING, iter_records, pad4, reopen
 
 
 def make_backend(tmp_path, key, segment_size=128, **kw):
@@ -77,11 +78,12 @@ class TestWritePath:
 
     SLOT_UNITS = 1024  # a full 128 KiB slot of 128-byte segments
 
-    def test_full_slot_flush_is_one_write_call(self, tmp_path, key):
+    def test_full_slot_flush_is_one_write_call(self, tmp_path, key, disk):
         backend = make_backend(tmp_path, key)
-        backend._fh = counting = CountingWrites(backend._fh)
+        disk.events.clear()
         backend.persist_slot(os.urandom(self.SLOT_UNITS * 128))
-        assert counting.sizes == [self.SLOT_UNITS * 144]
+        assert [name for name, _ in disk.events] == ["append", "sync"]
+        assert len(disk.events[0][1][1]) == self.SLOT_UNITS * 144
         assert backend.trace.write_count(StorageTrace.JOURNAL) == self.SLOT_UNITS
 
     def test_file_is_the_stored_units_in_flush_order(self, tmp_path, key, monkeypatch):
@@ -113,13 +115,75 @@ class TestWritePath:
         kept = (self.SLOT_UNITS - 1) * 128 // 1016  # records wholly inside the whole units
         assert [r.payload for r in recover_journal(tmp_path, key, 128)] == payloads[:kept]
 
-    def test_failed_write_is_a_durability_error(self, tmp_path, key):
+    def test_failed_write_is_a_durability_error(self, tmp_path, key, disk):
         backend = make_backend(tmp_path, key)
-        backend._fh = FailingWrites(backend._fh)
+        disk.fail = {"append"}
         with pytest.raises(DurabilityError):
             backend.persist_slot(os.urandom(self.SLOT_UNITS * 128))
         assert (tmp_path / epoch_filename("journal", backend.current_file_id)).stat().st_size == 0
         assert backend.trace.write_count(StorageTrace.JOURNAL) == 0
+
+    def test_failed_sync_is_a_durability_error(self, tmp_path, key, disk):
+        backend = make_backend(tmp_path, key)
+        disk.fail = {"sync"}
+        with pytest.raises(DurabilityError):
+            backend.persist_slot(os.urandom(3 * 128))
+        assert backend.trace.write_count(StorageTrace.JOURNAL) == 0
+
+
+class TestDiskFaults:
+    """A file fault anywhere in a backend or a recovery is a ``WalError``,
+    and recovery changes no file."""
+
+    @pytest.mark.parametrize("kind", ["journal", "plain"])
+    @pytest.mark.parametrize("effect", ["open_append", "sync_dir", "replace"])
+    def test_failed_checkpoint_is_a_durability_error(self, tmp_path, key, disk, kind, effect):
+        engine = make_engine(open_backend(kind, tmp_path, key))
+        engine.append(b"kept" * 10, full_sync=True)
+        disk.fail = {effect}
+        with pytest.raises(DurabilityError):
+            engine.checkpoint()
+        assert read_sidecar(tmp_path) is None and engine.backend.last_checkpoint_id == 0
+        assert [r.payload for r in engine.backend.recover() if not r.is_checkpoint] == [pad4(b"kept" * 10)]
+
+    def test_sidecar_rename_that_fails_on_disk_is_a_durability_error(self, tmp_path, key):
+        engine = make_engine(make_backend(tmp_path, key))
+        engine.append(b"kept" * 10, full_sync=True)
+        (tmp_path / SIDECAR_NAME / "entry").mkdir(parents=True)  # rename(2) onto it fails
+        with pytest.raises(DurabilityError):
+            engine.checkpoint()
+
+    @pytest.mark.parametrize("kind", ["journal", "plain"])
+    def test_failed_recovery_read_is_a_durability_error(self, tmp_path, key, disk, kind):
+        backend = open_backend(kind, tmp_path, key)
+        make_engine(backend).append(b"kept" * 10, full_sync=True)
+        disk.fail = {"read_chunks"}
+        with pytest.raises(DurabilityError):
+            backend.recover()
+
+    def test_unreadable_journal_file_is_a_durability_error(self, tmp_path, key):
+        make_engine(make_backend(tmp_path, key)).append(b"kept" * 10, full_sync=True)
+        (tmp_path / epoch_filename("journal", 5)).mkdir()  # open(2) of it fails
+        with pytest.raises(DurabilityError):
+            recover_journal(tmp_path, key, 128)
+
+    @pytest.mark.parametrize("kind", ["journal", "plain"])
+    def test_root_that_is_a_file_is_a_durability_error(self, tmp_path, key, kind):
+        (tmp_path / "file").write_bytes(b"x")
+        with pytest.raises(DurabilityError):
+            open_backend(kind, tmp_path / "file", key)
+
+    @pytest.mark.parametrize("kind", ["journal", "plain"])
+    def test_recovery_makes_no_mutating_call(self, tmp_path, key, disk, kind):
+        engine = make_engine(open_backend(kind, tmp_path, key))
+        engine.append(b"one" * 10, full_sync=True)
+        engine.checkpoint()
+        engine.append(b"two" * 10, full_sync=True)
+        engine.close()
+        disk.fail, disk.events = set(MUTATING), []
+        records = recover_journal(tmp_path, key, 128) if kind == "journal" else recover_plain(tmp_path)
+        assert [r.payload for r in records] == [pad4(b"two" * 10)]
+        assert {name for name, _ in disk.events} == {"listdir", "read", "read_chunks"}
 
 
 class TestRecovery:
@@ -363,19 +427,19 @@ class TestCheckpoint:
         second = engine.checkpoint()
         assert (first.ckpt_id, second.ckpt_id) == (1, 2)
 
-    def test_crash_before_sidecar_rename_keeps_old_checkpoint(self, tmp_path, key):
+    def test_crash_before_sidecar_rename_keeps_old_checkpoint(self, tmp_path, key, disk):
         backend = make_backend(tmp_path, key)
         engine = make_engine(backend)
         engine.append(b"epoch1" * 4, full_sync=True)
         engine.checkpoint()
         engine.append(b"epoch2" * 4, full_sync=True)
 
-        # drive the second checkpoint's steps manually and crash between them
-        ckpt_id = backend.last_checkpoint_id + 1
-        engine.append(struct.pack("<Q", ckpt_id), flags=1, full_sync=True)
-        backend._create_file(backend.current_file_id + 1)
-        # crash here: sidecar never renamed; new engine must see checkpoint 1
-        assert read_sidecar(tmp_path)[0] == 1
+        # the second checkpoint flushes its record and creates the next
+        # file, then fails to rename the sidecar: checkpoint 1 stays
+        disk.fail = {"replace"}
+        with pytest.raises(DurabilityError):
+            engine.checkpoint()
+        assert read_sidecar(tmp_path)[0] == 1 and backend.last_checkpoint_id == 1
         recovered = recover_journal(tmp_path, key, 128)
         payloads = [r.payload for r in recovered if not r.is_checkpoint]
         assert payloads == [pad4(b"epoch2" * 4)]

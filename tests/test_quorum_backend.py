@@ -28,7 +28,7 @@ from evenlog.quorum.metadata import MetadataArray, serialized_size
 from evenlog.quorum.replica import store_frame_size
 from evenlog.records import encode_record
 
-from .conftest import FailingWrites, build_cluster, pad4, reopen
+from .conftest import MUTATING, build_cluster, pad4, reopen
 
 
 def make_backend(tmp_path, key, n_replicas=15, scheme=SelectionScheme.VNOS,
@@ -275,6 +275,23 @@ class TestRecovery:
         backend, payloads = self.commit_some(tmp_path, key, scheme=SelectionScheme.FNOS)
         assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
 
+    def test_failed_metadata_read_is_a_durability_error(self, tmp_path, key, disk):
+        backend, _ = self.commit_some(tmp_path, key, n_slots=2)
+        disk.fail = {"read_chunks"}
+        with pytest.raises(DurabilityError):
+            backend.recover()
+
+    def test_recovery_makes_no_mutating_call(self, tmp_path, key, disk):
+        backend, payloads = self.commit_some(tmp_path, key, n_slots=2)
+        disk.fail, disk.events = set(MUTATING), []
+        assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
+        assert {name for name, _ in disk.events} == {"listdir", "read", "read_chunks"}
+
+    def test_root_that_is_a_file_is_a_durability_error(self, tmp_path, key):
+        (tmp_path / "file").write_bytes(b"x")
+        with pytest.raises(DurabilityError):
+            make_backend(tmp_path / "file", key)
+
     def test_empty_metadata_empty_stream(self, tmp_path, key):
         backend = make_backend(tmp_path, key)
         assert backend.recover_assemble() == b""
@@ -355,28 +372,28 @@ class TestRecovery:
         assert f"metadata file 1, offset {len(first)}" in str(exc_info.value)
 
     @staticmethod
-    def fail_metadata_write_of_b(tmp_path, key):
+    def fail_metadata_write_of_b(tmp_path, key, disk):
         """Three replicas form one group, so every segment lands on the
         same replicas. ``a`` commits; ``b`` reaches the replicas but its
         metadata write fails."""
         backend = make_backend(tmp_path, key, n_replicas=3)
         engine = make_engine(backend)
         engine.append(b"a" * 40, full_sync=True)
-        backend._fh = FailingWrites(backend._fh)
+        disk.fail = {"append"}
         with pytest.raises(DurabilityError):
             engine.append(b"b" * 40, full_sync=True)
+        disk.fail = set()
         return engine
 
-    def test_restart_after_half_written_write_reuses_no_segment_id(self, tmp_path, key):
-        engine = self.fail_metadata_write_of_b(tmp_path, key)
+    def test_restart_after_half_written_write_reuses_no_segment_id(self, tmp_path, key, disk):
+        engine = self.fail_metadata_write_of_b(tmp_path, key, disk)
         engine = make_engine(reopen(engine.backend))
         engine.append(b"c" * 40, full_sync=True)
         assert [r.payload for r in engine.backend.recover()] == [b"a" * 40, b"c" * 40]
 
-    def test_failed_metadata_write_uses_up_its_ssn(self, tmp_path, key):
-        engine = self.fail_metadata_write_of_b(tmp_path, key)
+    def test_failed_metadata_write_uses_up_its_ssn(self, tmp_path, key, disk):
+        engine = self.fail_metadata_write_of_b(tmp_path, key, disk)
         backend = engine.backend
-        backend._fh = backend._fh.real
         engine.append(b"c" * 40, full_sync=True)
         records = [r.payload for r in backend.recover()]
         # The slot kept b after its failed flush and wrote it again with c,
@@ -545,23 +562,30 @@ class TestCheckpointGc:
         assert held_fids(backend) == set() and len(down) == 0
 
     @pytest.mark.parametrize("sync", [True, False])
-    def test_directory_fsync_precedes_every_deletion(self, tmp_path, key, monkeypatch, sync):
+    def test_directory_fsync_precedes_every_deletion(self, tmp_path, key, monkeypatch, disk, sync):
         backend = make_backend(tmp_path, key, sync=sync)
         backend.persist_slot(b"\x0b" * 300)
-        events = []
-        monkeypatch.setattr(journal, "fsync_dir", lambda root: events.append("fsync"))
-
-        def unlink(path, real=Path.unlink):
-            events.append("unlink")
-            real(path)
-
-        monkeypatch.setattr(Path, "unlink", unlink)
+        disk.events.clear()
         for rep in backend.replicas.values():
-            monkeypatch.setattr(rep, "drop_before", lambda fid: events.append("drop"))
+            monkeypatch.setattr(rep, "drop_before", lambda fid: disk.events.append(("drop", fid)))
         backend.checkpoint(1)
+        events = [name for name, _ in disk.events if name in ("sync_dir", "replace", "unlink", "drop")]
         drops = ["drop"] * len(backend.replicas)
-        # one fsync makes the new file durable, one the sidecar's rename
-        assert events == (["fsync", "fsync"] if sync else []) + ["unlink"] + drops
+        # one directory fsync makes the new file durable, one the sidecar's rename
+        syncs = ["sync_dir"] if sync else []
+        assert events == syncs + ["replace"] + syncs + ["unlink"] + drops
+
+    @pytest.mark.parametrize("effect", ["open_append", "sync_dir", "replace"])
+    def test_failed_checkpoint_is_a_durability_error_and_drops_nothing(self, tmp_path, key, disk, effect):
+        backend = make_backend(tmp_path, key)
+        engine = make_engine(backend)
+        engine.append(b"kept" * 10, full_sync=True)
+        held = held_fids(backend)
+        disk.fail = {effect}
+        with pytest.raises(DurabilityError):
+            engine.checkpoint()
+        assert held_fids(backend) == held == {0}
+        assert [r.payload for r in backend.recover() if not r.is_checkpoint] == [pad4(b"kept" * 10)]
 
 
 class TestConfig:
