@@ -31,15 +31,26 @@ recovery holds a few chunks plus the largest record, not the journal.
 ``JournalFiles._append`` is the one write-and-sync path of every
 backend, and every file effect of the layer, reads included, goes
 through one ``Disk`` (``JournalFiles.DISK``).
+
+An open file is sized ahead of its writes: ``_append`` grows it in
+``RESERVE_SIZE`` steps and writes each flush at its offset, so a sync
+seldom has a new file size to commit, and closing the file cuts it back
+to its last flush. A file left by a crash may therefore end in zeros:
+recovery ends it at the first unit whose last cipher block is zero
+(``_written_units``), and the plain baseline's scan skips them as
+padding.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 import struct
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
+
+import numpy as np
 
 from . import crypto
 from .errors import DurabilityError, RecoveryCorruption, StorageNotFound, WalError
@@ -50,6 +61,10 @@ from .slots import BackendStats, CheckpointMarker
 
 SIDECAR_NAME = "CHECKPOINT"
 _SIDECAR = struct.Struct("<QIQ")
+
+# An open file grows this many bytes at a time, ahead of the flushes
+# written into it, and is cut back to its last flush when closed.
+RESERVE_SIZE = 1 << 20
 
 
 def epoch_filename(prefix: str, fid: int) -> str:
@@ -99,16 +114,24 @@ class Disk:
 
     @_effect
     def open_append(self, path: Path) -> tuple[BinaryIO, int]:
-        fh = open(path, "ab")
-        return fh, fh.tell()
+        """Open ``path`` for positional writes, unbuffered, and return it
+        with its size; created if missing. Not ``O_APPEND``: Linux would
+        then ignore the offset of every ``pwrite``."""
+        fh = open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b", buffering=0)
+        return fh, fh.seek(0, os.SEEK_END)
 
     @_effect
-    def append(self, fh: BinaryIO, data: bytes) -> None:
-        """Write ``data`` in one ``write(2)``: the ``BufferedWriter`` is empty
-        on entry, so it passes ``data`` larger than its buffer straight
-        through and writes a smaller one out at ``flush``."""
-        fh.write(data)
-        fh.flush()
+    def append(self, fh: BinaryIO, data: bytes, offset: int) -> None:
+        """Write ``data`` at ``offset`` in one ``pwrite(2)``, and the rest
+        again should the write come back short."""
+        done = os.pwrite(fh.fileno(), data, offset)
+        while done < len(data):
+            done += os.pwrite(fh.fileno(), memoryview(data)[done:], offset + done)
+
+    @_effect
+    def resize(self, fh: BinaryIO, size: int) -> None:
+        """Grow (with zeros) or cut back the file to ``size`` bytes."""
+        os.ftruncate(fh.fileno(), size)
 
     @_effect
     def sync(self, fh: BinaryIO) -> None:
@@ -120,14 +143,20 @@ class Disk:
 
     @_effect
     def replace(self, path: Path, data: bytes, sync: bool) -> None:
-        """Atomically make ``data`` the contents of ``path`` (write-temp-then-rename)."""
+        """Atomically make ``data`` the contents of ``path`` (write-temp-then-rename).
+        A failure removes the temp file before it is raised."""
         tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as f:
-            f.write(data)
-            f.flush()
-            if sync:
-                os.fsync(f.fileno())
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as f:
+                f.write(data)
+                f.flush()
+                if sync:
+                    os.fsync(f.fileno())
+            os.replace(tmp, path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
+            raise
 
     @_effect
     def sync_dir(self, root: Path) -> None:
@@ -187,33 +216,63 @@ class JournalFiles:
         self._open_file((existing[-1] + 1) if existing else 0)
 
     def _open_file(self, fid: int) -> None:
-        old = self._fh
-        self._fh, self._offset = self.DISK.open_append(self.root / epoch_filename(self.PREFIX, fid))
-        self._fid = fid
+        """Make a fresh ``fid`` file the one appended to. The current file
+        is cut back to its last flush first, and closed only once the new
+        one is open, so a failure leaves the backend appending as before."""
+        if self._fh is not None:
+            self._cut_back()
+        fh, size = self.DISK.open_append(self.root / epoch_filename(self.PREFIX, fid))
+        old, self._fh = self._fh, fh
+        self._fid, self._offset, self._reserved = fid, size, size
+        # the new name is made durable by the first synced flush into the
+        # file (or by the checkpoint that made it), so opening makes no
+        # extra syscall
+        self._entry_synced = False
         if old is not None:
             self.DISK.close(old)
+
+    def _cut_back(self) -> None:
+        """Shrink the file from its reserved end to its last flush."""
+        if self._reserved > self._offset:
+            self.DISK.resize(self._fh, self._offset)
+            self._reserved = self._offset
 
     @property
     def current_file_id(self) -> int:
         return self._fid
 
     def close(self) -> None:
+        """Cut the file back to its last flush and close it."""
         if self._fh is not None:
-            self.DISK.close(self._fh)
-            self._fh = None
+            try:
+                self._cut_back()
+            finally:
+                self.DISK.close(self._fh)
+                self._fh = None
 
     def _append(self, data: bytes, unit: int) -> Lsn:
         """Durably append ``data``, a whole number of ``unit``-byte units,
         and record it on the trace as ``len(data) // unit`` writes of
-        ``unit`` bytes (the model view: storage sees the file grow by the
-        whole flush at its sync). An empty flush writes and syncs nothing."""
+        ``unit`` bytes (the model view: storage sees one write of the
+        whole flush, at its offset, before its sync). The file first grows
+        to the next ``RESERVE_SIZE`` multiple when the flush would pass its
+        reserved end. With ``sync`` on, the first flush into a start's file
+        also syncs the directory. An empty flush writes and syncs nothing."""
         lsn = Lsn(self._fid, self._offset)
         if data:
-            self.DISK.append(self._fh, data)
+            end = self._offset + len(data)
+            if end > self._reserved:
+                reserved = -(-end // RESERVE_SIZE) * RESERVE_SIZE
+                self.DISK.resize(self._fh, reserved)
+                self._reserved = reserved
+            self.DISK.append(self._fh, data, self._offset)
             if self.sync:
                 self.DISK.sync(self._fh)
+                if not self._entry_synced:
+                    self.DISK.sync_dir(self.root)
+                    self._entry_synced = True
             self.trace.record(self.CHANNEL, unit, len(data) // unit)
-            self._offset += len(data)
+            self._offset = end
         return lsn
 
     # -- checkpoints: the one place files are deleted ------------------------
@@ -234,6 +293,7 @@ class JournalFiles:
         self._open_file(next_fid)
         if self.sync:
             self.DISK.sync_dir(self.root)
+            self._entry_synced = True
         self.DISK.replace(self.root / SIDECAR_NAME, _SIDECAR.pack(ckpt_id, next_fid, 0), self.sync)
         if self.sync:
             self.DISK.sync_dir(self.root)
@@ -322,7 +382,8 @@ def journal_files(root: str | Path, unit: int = 1, prefix: str = JournalFiles.PR
     whole, and every file whole when no checkpoint exists. ``chunks``
     reads the file lazily, ``read_size`` bytes rounded down to whole
     ``unit``-byte units (at least one) at a time, and drops a trailing
-    partial unit."""
+    partial unit. A file of cipher units (``unit`` > 1) ends before its
+    first unit whose last 16 bytes are zero (see ``_written_units``)."""
     root = Path(root)
     sidecar = read_sidecar(root)
     start_fid, start_off = (sidecar[1], sidecar[2]) if sidecar else (0, 0)
@@ -330,7 +391,24 @@ def journal_files(root: str | Path, unit: int = 1, prefix: str = JournalFiles.PR
     for fid in list_epoch_fids(root, prefix):
         if fid >= start_fid:
             path = root / epoch_filename(prefix, fid)
-            yield fid, JournalFiles.DISK.read_chunks(path, start_off if fid == start_fid else 0, size, unit)
+            chunks = JournalFiles.DISK.read_chunks(path, start_off if fid == start_fid else 0, size, unit)
+            yield fid, _written_units(chunks, unit) if unit > 1 else chunks
+
+
+def _written_units(chunks: Iterator[bytes], unit: int) -> Iterator[bytes]:
+    """``chunks`` up to the first unit whose last cipher block (16 bytes)
+    is zero: a unit never written into the reserved end of a file left
+    by a crash, or one torn there at a 16-byte boundary, which every
+    sector boundary is. No whole unit has a zero block, since each block
+    of a stored unit or metadata blob is a cipher output."""
+    for chunk in chunks:
+        tail = np.frombuffer(chunk, np.uint64).reshape(-1, unit // 8)[:, -2:]
+        written = tail[:, 0] | tail[:, 1]
+        if not written.all():
+            if end := int(written.argmin()) * unit:  # argmin: the first zero
+                yield chunk[:end]
+            return
+        yield chunk
 
 
 def plaintext_stream(root: str | Path, key: crypto.ReplicaKey, segment_size: int) -> Iterator[tuple[int, Iterator[bytes]]]:

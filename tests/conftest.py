@@ -56,12 +56,20 @@ def iter_records(buf):
         yield record
 
 
+def crash(backend):
+    """Drop ``backend`` as a crash would: its file is closed but keeps the
+    zero-filled reserve past its last flush, which ``close`` cuts back."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(JournalFiles.DISK, "resize", lambda fh, size: None)
+        backend.close()
+
+
 def reopen(backend, seed: int = 0):
-    """Crash and restart: drop ``backend`` and build a new one of the same
-    kind on the same directory (and, for quorum, the same replicas and
-    registry). Every flush has already reached the files, so closing the
-    old handles writes nothing that a crash would have lost."""
-    backend.close()
+    """Crash and restart: drop ``backend`` as a crash would (``crash``) and
+    build a new one of the same kind on the same directory (and, for
+    quorum, the same replicas and registry). Every flush has already
+    reached the file, so the crash loses none of it."""
+    crash(backend)
     if isinstance(backend, JournalBackend):
         return JournalBackend(backend.root, backend.key, backend.segment_size, sync=backend.sync)
     if isinstance(backend, PlainJournalBackend):
@@ -91,7 +99,7 @@ def _logged(name):
 
 for _name in [name for name in vars(Disk) if not name.startswith("_")]:
     setattr(DiskDouble, _name, _logged(_name))
-MUTATING = {"mkdir", "open_append", "append", "sync", "replace", "sync_dir", "unlink"}
+MUTATING = {"mkdir", "open_append", "append", "resize", "sync", "replace", "sync_dir", "unlink"}
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import evenlog
 
 PACKAGE = Path(evenlog.__file__).parent
 EXEMPT = {"cli.py", "leakage.py"}
-OS_FUNCTIONS = {"fsync", "fdatasync", "replace", "listdir", "open"}
+OS_FUNCTIONS = {"fsync", "fdatasync", "replace", "listdir", "open", "pwrite", "write", "ftruncate", "posix_fallocate"}
 PATH_METHODS = {"touch", "unlink", "mkdir", "read_bytes"}
 
 
@@ -61,7 +61,10 @@ def test_the_guard_sees_every_call_form_inside_disk():
     disk = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Disk")
     assert {call for _, call in file_calls(disk, skip_class=None)} == {
         "os.fsync", "os.fdatasync", "os.replace", "os.listdir", "os.open", "open",
-        ".mkdir", ".unlink", ".read_bytes",
+        "os.pwrite", "os.ftruncate", ".mkdir", ".unlink", ".read_bytes",
     }
-    calls = "from os import fsync\nPath('x').touch()\nself.DISK.unlink(p)\nos.path.join('a')\n"
-    assert file_calls(ast.parse(calls)) == [(1, "os.fsync"), (2, ".touch")]
+    calls = ("from os import fsync, posix_fallocate\nPath('x').touch()\nself.DISK.unlink(p)\n"
+             "os.path.join('a')\nos.write(fd, b'')\n")
+    assert file_calls(ast.parse(calls)) == [
+        (1, "os.fsync"), (1, "os.posix_fallocate"), (2, ".touch"), (5, "os.write"),
+    ]

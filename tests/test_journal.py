@@ -13,6 +13,7 @@ from evenlog.journal import (
     JournalBackend,
     PlainJournalBackend,
     READ_SIZE,
+    RESERVE_SIZE,
     SIDECAR_NAME,
     epoch_filename,
     list_epoch_fids,
@@ -23,7 +24,7 @@ from evenlog.journal import (
 from evenlog.observe import StorageTrace
 from evenlog.records import HEADER_SIZE, encode_record
 
-from .conftest import MUTATING, iter_records, pad4, reopen
+from .conftest import MUTATING, crash, iter_records, pad4, reopen
 
 
 def make_backend(tmp_path, key, segment_size=128, **kw):
@@ -46,6 +47,7 @@ class TestAppendSegments:
         backend = make_backend(tmp_path, key)
         path = tmp_path / epoch_filename("journal", backend.current_file_id)
         backend.persist_slot(os.urandom(3 * 128))
+        backend.close()
         assert path.stat().st_size == 3 * (128 + 16)
 
     def test_empty_list_no_size_change(self, tmp_path, key):
@@ -80,11 +82,13 @@ class TestWritePath:
 
     def test_full_slot_flush_is_one_write_call(self, tmp_path, key, disk):
         backend = make_backend(tmp_path, key)
+        backend.persist_slot(os.urandom(128))  # the first flush also grows the file and syncs the directory
         disk.events.clear()
         backend.persist_slot(os.urandom(self.SLOT_UNITS * 128))
         assert [name for name, _ in disk.events] == ["append", "sync"]
-        assert len(disk.events[0][1][1]) == self.SLOT_UNITS * 144
-        assert backend.trace.write_count(StorageTrace.JOURNAL) == self.SLOT_UNITS
+        _, data, offset = disk.events[0][1]
+        assert (len(data), offset) == (self.SLOT_UNITS * 144, 144)
+        assert backend.trace.write_count(StorageTrace.JOURNAL) == 1 + self.SLOT_UNITS
 
     def test_file_is_the_stored_units_in_flush_order(self, tmp_path, key, monkeypatch):
         made, encrypt = [], crypto.encrypt_stream
@@ -98,6 +102,7 @@ class TestWritePath:
         slots = [os.urandom(n * 128) for n in (self.SLOT_UNITS, 3, self.SLOT_UNITS)]
         for slot in slots:
             backend.persist_slot(slot)
+        backend.close()
         data = (tmp_path / epoch_filename("journal", backend.current_file_id)).read_bytes()
         assert data == b"".join(made)
         assert crypto.decrypt_stream(key, data, 128) == b"".join(slots)
@@ -120,6 +125,7 @@ class TestWritePath:
         disk.fail = {"append"}
         with pytest.raises(DurabilityError):
             backend.persist_slot(os.urandom(self.SLOT_UNITS * 128))
+        backend.close()
         assert (tmp_path / epoch_filename("journal", backend.current_file_id)).stat().st_size == 0
         assert backend.trace.write_count(StorageTrace.JOURNAL) == 0
 
@@ -129,6 +135,35 @@ class TestWritePath:
         with pytest.raises(DurabilityError):
             backend.persist_slot(os.urandom(3 * 128))
         assert backend.trace.write_count(StorageTrace.JOURNAL) == 0
+
+    @pytest.mark.parametrize("kind", ["journal", "plain"])
+    def test_first_synced_flush_makes_the_start_file_durable(self, tmp_path, key, disk, kind):
+        engine = make_engine(open_backend(kind, tmp_path, key))
+        names = []
+        for payload in (b"one", b"two"):
+            disk.events.clear()
+            engine.append(payload * 10, full_sync=True)
+            names.append([name for name, _ in disk.events])
+        # the first flush grows the new file, writes, syncs it, then syncs
+        # the directory that names it; the second only writes and syncs
+        assert names == [["resize", "append", "sync", "sync_dir"], ["append", "sync"]]
+        engine.checkpoint()  # its file is made durable by the checkpoint itself
+        disk.events.clear()
+        engine.append(b"three" * 10, full_sync=True)
+        assert "sync_dir" not in [name for name, _ in disk.events]
+
+    def test_file_grows_in_reserve_steps_and_closes_at_its_last_flush(self, tmp_path, key, disk):
+        backend = make_backend(tmp_path, key, sync=False)
+        unit = 144
+        per_reserve = RESERVE_SIZE // unit + 1  # flushes of one unit that pass the first reserve
+        for _ in range(per_reserve):
+            backend.persist_slot(os.urandom(128))
+        resizes = [args[1] for name, args in disk.events if name == "resize"]
+        assert resizes == [RESERVE_SIZE, 2 * RESERVE_SIZE]
+        path = tmp_path / epoch_filename("journal", 0)
+        assert path.stat().st_size == 2 * RESERVE_SIZE
+        backend.close()
+        assert path.stat().st_size == per_reserve * unit
 
 
 class TestDiskFaults:
@@ -152,6 +187,7 @@ class TestDiskFaults:
         (tmp_path / SIDECAR_NAME / "entry").mkdir(parents=True)  # rename(2) onto it fails
         with pytest.raises(DurabilityError):
             engine.checkpoint()
+        assert SIDECAR_NAME + ".tmp" not in os.listdir(tmp_path)
 
     @pytest.mark.parametrize("kind", ["journal", "plain"])
     def test_failed_recovery_read_is_a_durability_error(self, tmp_path, key, disk, kind):
@@ -225,7 +261,7 @@ class TestRecovery:
         engine = make_engine(backend)
         engine.append(b"first" * 8, full_sync=False)
         engine.append(b"second" * 8, full_sync=False)
-        engine.flush()
+        engine.close()
         path = tmp_path / epoch_filename("journal", backend.current_file_id)
         # rewrite the second record's length word to an implausible value
         plain = bytearray(crypto.decrypt_stream(key, path.read_bytes(), 128))
@@ -317,6 +353,60 @@ class TestCrashTruncation:
         assert engine.backend.current_file_id == 1
 
 
+class TestReservedTail:
+    """An open file runs on past its last flush in zeros; a crash leaves
+    them, and recovery ends the file where the written units end."""
+
+    @pytest.mark.parametrize("kind", ["journal", "plain"])
+    def test_crash_keeps_the_zero_tail_and_every_record(self, tmp_path, key, kind):
+        backend = open_backend(kind, tmp_path, key)
+        engine = make_engine(backend)
+        payloads = [bytes([i + 1]) * (40 + 37 * i) for i in range(6)]
+        for p in payloads:
+            engine.append(p, full_sync=True)
+        crash(backend)
+        assert (tmp_path / epoch_filename("journal", 0)).stat().st_size == RESERVE_SIZE
+        assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
+
+    def test_zero_unit_mid_file_ends_the_file(self, tmp_path, key):
+        a, b, c = b"a" * 40, b"b" * 40, b"c" * 40  # one unit each
+        engine = make_engine(make_backend(tmp_path, key))
+        for p in (a, b, c):
+            engine.append(p, full_sync=True)
+        engine.close()
+        path = tmp_path / epoch_filename("journal", 0)
+        data = path.read_bytes()
+        path.write_bytes(data[:144] + bytes(144) + data[288:])
+        assert [r.payload for r in recover_journal(tmp_path, key, 128)] == [a]
+
+    def test_unit_torn_before_zeros_is_a_torn_tail(self, tmp_path, key):
+        """A flush torn at any 16-byte boundary (a sector boundary is one)
+        with zeros after it: recovery keeps the records of the whole units
+        before the torn one, and raises nothing."""
+        rng = random.Random(5)
+        first = [rng.randbytes(rng.randint(1, 60)) for _ in range(3)]
+        torn = [rng.randbytes(rng.randint(1, 60)) for _ in range(12)]
+        backend = make_backend(tmp_path, key)
+        engine = make_engine(backend)
+        for group in (first, torn):  # one flush each
+            for p in group:
+                engine.append(p)
+            engine.flush()
+        start = -(-sum(len(encode_record(p)) for p in first) // 128)  # units of the first flush
+        ends, pos = [], start * 128
+        for p in torn:
+            pos += len(encode_record(p))
+            ends.append(pos)
+        crash(backend)
+        path = tmp_path / epoch_filename("journal", 0)
+        data = path.read_bytes()
+        for cut in range(start * 144, -(-ends[-1] // 128) * 144, 16):
+            path.write_bytes(data[:cut] + bytes(len(data) - cut))
+            whole = cut // 144 * 128  # plaintext bytes in units before the torn one
+            expected = [pad4(p) for p in first] + [pad4(p) for p, end in zip(torn, ends) if end <= whole]
+            assert [r.payload for r in recover_journal(tmp_path, key, 128)] == expected, f"cut at {cut}"
+
+
 class TestChunkedRecovery:
     """Recovery reads, decrypts and scans each file in bounded chunks."""
 
@@ -399,24 +489,17 @@ class TestCheckpoint:
         recovered = recover_journal(tmp_path, key, 128)
         assert [r.payload for r in recovered] == [pad4(b"new-data" * 5)]
 
-    def test_checkpoint_record_flagged_in_prior_epoch(self, tmp_path, key):
-        backend = make_backend(tmp_path, key)
-        engine = make_engine(backend)
+    def test_checkpoint_record_flagged_in_prior_epoch(self, tmp_path, key, disk):
+        engine = make_engine(make_backend(tmp_path, key))
         engine.append(b"data" * 8, full_sync=True)
-        old_path = tmp_path / epoch_filename("journal", backend.current_file_id)
-        seen = []
-
-        def checkpoint(ckpt_id, real=backend.checkpoint):
-            # the checkpoint deletes the old file, so read it on entry
-            seen.append(old_path.read_bytes())
-            return real(ckpt_id)
-
-        backend.checkpoint = checkpoint
         engine.checkpoint()
-        # the pre-checkpoint epoch holds the flagged record
+        # the checkpoint deletes the old file: its last write, just before
+        # the next file opens, holds the flagged record
+        rotated = [i for i, (name, _) in enumerate(disk.events) if name == "open_append"][1]
+        _, data, _ = [args for name, args in disk.events[:rotated] if name == "append"][-1]
         from evenlog.records import scan_padded_stream
 
-        records = scan_padded_stream(crypto.decrypt_stream(key, seen[0], 128))
+        records = scan_padded_stream(crypto.decrypt_stream(key, data, 128))
         assert records[-1].is_checkpoint
 
     def test_two_checkpoints_increment_id(self, tmp_path, key):

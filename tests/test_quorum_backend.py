@@ -20,7 +20,7 @@ from evenlog.errors import (
     SegmentNotFound,
     UnrecoverableSegment,
 )
-from evenlog.journal import SIDECAR_NAME
+from evenlog.journal import RESERVE_SIZE, SIDECAR_NAME
 from evenlog.observe import StorageTrace
 from evenlog.quorum import QuorumBackend, QuorumConfig, Replica, SegmentId, SelectionScheme
 from evenlog.quorum import backend as backend_module
@@ -28,7 +28,7 @@ from evenlog.quorum.metadata import MetadataArray, serialized_size
 from evenlog.quorum.replica import store_frame_size
 from evenlog.records import encode_record
 
-from .conftest import MUTATING, build_cluster, pad4, reopen
+from .conftest import MUTATING, build_cluster, crash, pad4, reopen
 
 
 def make_backend(tmp_path, key, n_replicas=15, scheme=SelectionScheme.VNOS,
@@ -106,12 +106,25 @@ class TestPersist:
         assert receipt.real_segments == 0
         assert metadata_path(backend).stat().st_size == 0
 
-    def test_metadata_grows_by_constant_blob(self, tmp_path, key):
+    def test_metadata_grows_by_constant_blob(self, tmp_path, key, disk):
         backend = make_backend(tmp_path, key)
         blob = IV_SIZE + serialized_size(backend.config.k_max)
         for i, n in enumerate((4, 300, 512, 128)):
+            disk.events.clear()
             backend.persist_slot(os.urandom(n))
-            assert metadata_path(backend).stat().st_size == (i + 1) * blob
+            appends = [args[1:] for name, args in disk.events if name == "append"]
+            assert [(len(data), offset) for data, offset in appends] == [(blob, i * blob)]
+        backend.close()
+        assert metadata_path(backend).stat().st_size == 4 * blob
+
+    def test_first_synced_flush_makes_the_start_file_durable(self, tmp_path, key, disk):
+        engine = make_engine(make_backend(tmp_path, key))
+        names = []
+        for payload in (b"one", b"two"):
+            disk.events.clear()
+            engine.append(payload * 10, full_sync=True)
+            names.append([name for name, _ in disk.events])
+        assert names == [["resize", "append", "sync", "sync_dir"], ["append", "sync"]]
 
     def test_replica_messages_constant_size(self, tmp_path, key):
         trace = StorageTrace()
@@ -286,11 +299,33 @@ class TestRecovery:
         disk.fail, disk.events = set(MUTATING), []
         assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
         assert {name for name, _ in disk.events} == {"listdir", "read", "read_chunks"}
+        disk.fail = set()  # the open backend's close cuts its file back
 
     def test_root_that_is_a_file_is_a_durability_error(self, tmp_path, key):
         (tmp_path / "file").write_bytes(b"x")
         with pytest.raises(DurabilityError):
             make_backend(tmp_path / "file", key)
+
+    def test_crash_keeps_the_zero_tail_and_every_record(self, tmp_path, key):
+        backend, payloads = self.commit_some(tmp_path, key)
+        crash(backend)
+        assert metadata_path(backend).stat().st_size == RESERVE_SIZE
+        assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
+
+    @pytest.mark.parametrize("zeroed", [(1, 0), (4, 48)], ids=["zero-blob-mid-file", "torn-last-blob"])
+    def test_blob_with_zero_tail_ends_the_file(self, tmp_path, key, zeroed):
+        """A zero blob in mid-file, or the last blob torn at a 16-byte
+        boundary with zeros after it, ends the file with no error: the
+        blobs before it are recovered."""
+        backend, payloads = self.commit_some(tmp_path, key)
+        crash(backend)
+        index, keep = zeroed
+        blob = IV_SIZE + serialized_size(backend.config.k_max)
+        path = metadata_path(backend)
+        data = bytearray(path.read_bytes())
+        data[index * blob + keep : (index + 1) * blob] = bytes(blob - keep)
+        path.write_bytes(bytes(data))
+        assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads[:index]]
 
     def test_empty_metadata_empty_stream(self, tmp_path, key):
         backend = make_backend(tmp_path, key)
