@@ -111,9 +111,6 @@ def _build_engine(args, config) -> WalEngine:
         selection = SelectionScheme.parse(_setting(args, config, "selection", "selection", str, "vnos"))
         n_replicas = _setting(args, config, "replicas", "replicas", int, 48)
         mws = _setting(args, config, "max_write_size", "max_write_size", int, 2048)
-        if args.mode == "conc" and capacity > mws:  # a buffered flush is one quorum write
-            raise WalError(f"bench conc flushes up to --capacity {capacity} B at once, over the quorum "
-                           f"--max-write-size {mws} B; set --capacity to at most --max-write-size")
         registry, replicas = build_cluster(n_replicas)
         backend = QuorumBackend(
             root, _key_provider().get("default"), replicas, registry,

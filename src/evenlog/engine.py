@@ -13,7 +13,11 @@ class WalEngine:
     Thread-safe for concurrent appenders; the slot serializes appends,
     flushes and checkpoints. A periodic flusher runs iff ``flush_interval_ms``
     is given; it mirrors the buffered-write mode where durability is
-    deferred to the next timer tick or full-sync write.
+    deferred to the next timer tick or full-sync write. A flusher whose
+    flush fails stops, and the next ``append``, ``flush`` or ``close``
+    raises its error. The slot holds at most the backend's largest flush
+    (``max_flush``), and a record larger than that raises
+    ``RecordTooLarge`` before it is buffered.
     """
 
     def __init__(self, backend: DurabilityBackend, slot_capacity: int = DEFAULT_SLOT_CAPACITY,
@@ -21,16 +25,20 @@ class WalEngine:
         if flush_interval_ms is not None and not flush_interval_ms > 0:
             raise InvalidConfig(f"flush interval {flush_interval_ms} ms is not positive")
         self.backend = backend
-        self.slot = Slot(slot_capacity)
+        self.slot = Slot(slot_capacity, backend.max_flush)
         self._flusher = None
         if flush_interval_ms is not None:
             self._flusher = PeriodicFlusher(self.flush, flush_interval_ms)
             self._flusher.start()
 
     def append(self, payload: bytes, flags: int = 0, full_sync: bool = False) -> AppendResult:
+        if self._flusher is not None:
+            self._flusher.check()
         return self.slot.append(encode_record(payload, flags), self.backend, full_sync)
 
     def flush(self) -> None:
+        if self._flusher is not None:
+            self._flusher.check()
         self.slot.flush(self.backend)
 
     def checkpoint(self) -> CheckpointMarker:
@@ -38,8 +46,11 @@ class WalEngine:
         return self.slot.checkpoint(self.backend)
 
     def close(self) -> None:
-        if self._flusher is not None:
-            self._flusher.stop()
-            self._flusher = None
-        self.flush()
-        self.backend.close()
+        """Stop the flusher, flush and close the backend. The backend is
+        closed even when the flush raises, or a failed flusher's error is."""
+        try:
+            if self._flusher is not None:
+                self._flusher.stop()
+            self.flush()
+        finally:
+            self.backend.close()

@@ -13,7 +13,8 @@ class InvalidConfig(WalError, ValueError):
 # --- record codec ---
 
 class RecordTooLarge(WalError):
-    """Payload cannot be represented in a 32-bit record length field."""
+    """A record cannot be represented in a 32-bit record length field, or
+    is larger than the largest flush its backend takes."""
 
 
 # --- segmentation ---

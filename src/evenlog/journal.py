@@ -203,6 +203,7 @@ class JournalFiles:
     PREFIX = "journal"
     CHANNEL = StorageTrace.JOURNAL
     DISK = Disk()
+    max_flush: int | None = None  # the largest flush ``persist_slot`` takes; None: any
 
     def __init__(self, root: str | Path, trace: StorageTrace | None, sync: bool):
         self.root = Path(root)
@@ -343,20 +344,19 @@ class PlainJournalBackend(JournalFiles):
     write size, but two orders of magnitude of write amplification for
     small sequential writes. ``pad_to`` must be a positive multiple of 4:
     recovery skips the zero padding a 4-byte word at a time, so a partial
-    word would shift the next flush's header and lose its records.
+    word would shift the next flush's header and lose its records. It is
+    also the largest flush the backend takes (``max_flush``).
     """
 
     def __init__(self, root: str | Path, pad_to: int | None = None,
                  trace: StorageTrace | None = None, sync: bool = True):
         if pad_to is not None and (pad_to <= 0 or pad_to % 4):
             raise WalError(f"pad size {pad_to} is not a positive multiple of 4 bytes")
-        self.pad_to = pad_to
+        self.pad_to = self.max_flush = pad_to
         super().__init__(root, trace, sync)
 
     def persist_slot(self, slot_bytes: bytes) -> Lsn:
         if self.pad_to is not None:
-            if len(slot_bytes) > self.pad_to:
-                raise DurabilityError(f"flush of {len(slot_bytes)} bytes exceeds the slot size")
             slot_bytes += b"\x00" * (self.pad_to - len(slot_bytes))
         return self._append(slot_bytes, len(slot_bytes))
 

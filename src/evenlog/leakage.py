@@ -101,8 +101,7 @@ def simulate_posterior(
     seen = np.zeros(k_groups, dtype=np.int64)
     for group in draws:
         drawn[group] += 1
-        placements = select_quorums(scheme, group + 1, quorums, k_groups, rng)
-        if any(pl.index == 0 for pl in placements):
+        if 0 in select_quorums(scheme, group + 1, quorums, k_groups, rng):
             seen[group] += 1
     events = int(seen.sum())
     if events == 0:

@@ -5,11 +5,10 @@ from .backend import QuorumBackend, QuorumConfig
 from .metadata import MetadataArray, SENTINEL
 from .registry import Registry
 from .replica import Replica, SegmentId, build_cluster
-from .selection import Placement, SelectionScheme, form_quorums, select_quorums
+from .selection import SelectionScheme, form_quorums, select_quorums
 
 __all__ = [
     "MetadataArray",
-    "Placement",
     "QuorumBackend",
     "QuorumConfig",
     "Registry",

@@ -9,10 +9,30 @@ are never awaited. One fixed-size encrypted metadata array per slot is
 appended to the metadata file and synced before the commit is reported.
 
 Replicas and the network are simulated in process. The backend calls
-each ``Replica`` directly, and deliveries are ordered by seeded
+each ``Replica`` directly, and acknowledgements are ordered by seeded
 pseudo-random latencies, so a run is reproducible given its seed. The
 replica trace charges each STORE the size of its wire frame
 (``store_frame_size``, FORMAT.md); no message crosses a socket.
+
+Only real segments are encrypted and hashed. A fake STORE carries a unit
+of 16 + S uniformly random bytes and a digest of 32 uniformly random
+bytes, both drawn from ``os.urandom``. To a replica, or anyone else
+without the key, that is the STORE an encrypted and hashed random
+segment would make:
+
+* a unit is AES-CBC under an unpredictable IV, which is
+  indistinguishable from random bytes of its length (IND$-CPA);
+* the SHA-256 digest of a random segment that is never revealed is
+  pseudorandom.
+
+So a fake is stored by the three replicas of its group under a fresh
+segment id, in a frame of the same size, as a real segment is, and no
+keyless observer can tell its bytes from those of an encrypted and
+hashed random segment. An observer holding
+the key is out of scope: the key also decrypts the metadata blob, and
+the blob names the real segments outright. A real segment's digest is
+SHA-256 of its plaintext, so whoever can guess that plaintext can
+confirm it; drawing fakes at random changes nothing there.
 
 The metadata files are ``metadata.<fid>`` files on ``JournalFiles``, the
 journals' epoch-file layer: a start opens a fresh file, a checkpoint
@@ -133,6 +153,11 @@ class QuorumBackend(JournalFiles):
         self.fake_segments = 0
         super().__init__(root, trace, sync)
 
+    @property
+    def max_flush(self) -> int:
+        """A flush of at most K segments is one quorum write."""
+        return self.config.max_write_size
+
     def stats(self) -> BackendStats:
         seg = self.config.segment_size
         units = self.real_segments + self.fake_segments
@@ -148,61 +173,74 @@ class QuorumBackend(JournalFiles):
             return CommitReceipt(self._ssn, 0, 0, 0.0)
         padded = pad_to_segments(slot_bytes, seg)
         n_real = len(padded) // seg
-        placements = select_quorums(self.scheme, n_real, self.groups, cfg.k_max, self._rng)
+        picks = select_quorums(self.scheme, n_real, self.groups, cfg.k_max, self._rng)
 
         # used up before delivery: replicas keep the first unit stored
         # under an id, so a write that fails after delivery must not lend
         # its ssn to the next one
         ssn = self._ssn
         self._ssn += 1
-        n_fake = len(placements) - n_real
-        plaintexts = memoryview(padded + os.urandom(n_fake * seg))
-        units = crypto.split_units(crypto.encrypt_stream(self.key, plaintexts, seg), seg)
-        digests = [crypto.digest_segment(plaintexts[i : i + seg]) for i in range(0, len(plaintexts), seg)]
+        n_fake = len(picks) - n_real
+        view = memoryview(padded)
+        digests = [crypto.digest_segment(view[i : i + seg]) for i in range(0, len(padded), seg)]
+        units = crypto.encrypt_stream(self.key, padded, seg)
+        if n_fake:
+            # a fake's unit and digest are random bytes, as a real one's look
+            # to a replica without the key (module docstring)
+            fakes = os.urandom(n_fake * (crypto.IV_SIZE + seg + crypto.DIGEST_SIZE))
+            cut = n_fake * (crypto.IV_SIZE + seg)
+            units += fakes[:cut]
+            digests += [fakes[i : i + crypto.DIGEST_SIZE] for i in range(cut, len(fakes), crypto.DIGEST_SIZE)]
+        units = crypto.split_units(units, seg)
 
+        triplets, commit_latency = self._deliver(picks, units, digests, ssn, n_real)
         array = MetadataArray(ssn, cfg.k_max)
-        for i in range(n_real):
-            array.assign(i, placements[i].quorum, digests[i])
-
-        commit_latency = self._deliver(array, placements, units, digests, ssn, n_real)
+        array.ids[:n_real] = triplets
+        array.digests[:n_real] = np.frombuffer(b"".join(digests[:n_real]), array.digests.dtype)
 
         self._append(crypto.encrypt_segment(self.key, array.to_bytes()), self._blob_size)
         self.real_segments += n_real
         self.fake_segments += n_fake
         return CommitReceipt(ssn, n_real, n_fake, commit_latency)
 
-    def _deliver(self, array, placements, units, digests, ssn, n_real) -> float:
+    def _deliver(self, picks, units, digests, ssn, n_real) -> tuple[list, float]:
         """Simulated concurrent replication: one send per (segment, replica),
-        delivered in seeded-latency order. Acknowledgements for real
-        segments update the metadata array until every real segment is
-        committed; fake-segment responses are never waited on. Returns
-        the latency at which the last real segment committed."""
+        each with a seeded latency, drawn segment by segment and, within a
+        segment, in group order. Every send is stored as it is drawn: no
+        (replica, segment id) pair repeats within a write and liveness
+        does not change during it, so the order of the stores changes no
+        replica's state. The acknowledged real sends are then taken in
+        (latency, send order) order until every real segment holds a
+        write quorum. Returns the real segments' triplets, holding those
+        acks and no later one, and the latency of the last of them, the
+        commit. Fake-segment responses are never waited on."""
         cfg = self.config
-        # (latency, send order, segment position, replica): the unique order settles ties
-        deliveries = []
-        for pos, placement in enumerate(placements):
-            for replica_id in placement.quorum:
-                deliveries.append((self._rng.random(), len(deliveries), pos, replica_id))
-        deliveries.sort()
-        sids = [SegmentId(self._fid, ssn, pos) for pos in range(len(placements))]
+        replicas, groups, draw = self.replicas, self.groups, self._rng.random
+        fid = self._fid
+        self.trace.record(StorageTrace.REPLICA, store_frame_size(cfg.segment_size), GROUP_SIZE * len(picks))
+        acked = []  # (latency, send order, segment position, triplet element, replica) per real ack
+        for pos, pick in enumerate(picks):
+            sid, unit, digest = SegmentId(fid, ssn, pos), units[pos], digests[pos]
+            for element, replica_id in enumerate(groups[pick]):
+                latency = draw()
+                if replicas[replica_id].store(sid, unit, digest) and pos < n_real:  # picks past n_real are fake
+                    acked.append((latency, GROUP_SIZE * pos + element, pos, element, replica_id))
+        acked.sort()
 
-        self.trace.record(StorageTrace.REPLICA, store_frame_size(cfg.segment_size), len(deliveries))
+        triplets = [[SENTINEL] * GROUP_SIZE for _ in range(n_real)]
         acks = [0] * n_real
         pending = n_real
-        committed_at = None
-        for latency, _, pos, replica_id in deliveries:
-            acked = self.replicas[replica_id].store(sids[pos], units[pos], digests[pos])
-            if acked and pos < n_real and committed_at is None:  # placements past n_real are fake
-                array.update(pos, replica_id)
-                acks[pos] += 1
-                if acks[pos] == cfg.write_quorum:
-                    pending -= 1
-                    if not pending:
-                        committed_at = latency
-        if pending:
+        for latency, _, pos, element, replica_id in acked:
+            triplets[pos][element] = replica_id
+            acks[pos] += 1
+            if acks[pos] == cfg.write_quorum:
+                pending -= 1
+                if not pending:
+                    break
+        else:
             short = [pos for pos, n in enumerate(acks) if n < cfg.write_quorum]
             raise CommitTimeout(f"segments {short} of slot {ssn} never reached {cfg.write_quorum} acks")
-        return committed_at if committed_at is not None else 0.0
+        return triplets, latency
 
     # -- checkpointing: the one place anything is deleted ---------------------
 

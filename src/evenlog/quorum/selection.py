@@ -6,15 +6,20 @@ the same write:
 
 * variable-count: exactly one group per real segment;
 * fixed-count: always the maximum K groups, the tail beyond the real
-  segments carrying fake (random) segments so the number of touched
-  groups is independent of the write size.
+  segments carrying fake segments so the number of touched groups is
+  independent of the write size.
+
+A selection is the list of chosen group indices, in segment order: entry
+i is segment i's group, and under the fixed-count scheme the entries
+from ``n_real`` on carry the fakes. A fake's STORE holds uniformly random
+unit and digest bytes (see ``quorum.backend``), which a replica without
+the key cannot tell from a real segment's.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from typing import NamedTuple
 
 from ..errors import InsufficientQuorums, InsufficientReplicas
 
@@ -28,14 +33,6 @@ class SelectionScheme(enum.Enum):
     @classmethod
     def parse(cls, name: str) -> "SelectionScheme":
         return cls(name.lower())
-
-
-class Placement(NamedTuple):
-    """One segment's destination: index into the candidate quorum list."""
-
-    index: int
-    quorum: tuple
-    fake: bool
 
 
 def form_quorums(active, rng: random.Random) -> list[tuple]:
@@ -58,11 +55,12 @@ def select_quorums(
     quorums: list,
     k_max: int,
     rng: random.Random,
-) -> list[Placement]:
+) -> list[int]:
     """Pick destination groups for one write, without replacement.
 
-    Entry i of the result is segment i's destination; under the
-    fixed-count scheme entries past ``n_real`` are marked fake.
+    Entry i of the result is the index into ``quorums`` of segment i's
+    group; under the fixed-count scheme entries from ``n_real`` on carry
+    fakes.
     """
     n = len(quorums)
     if n_real > k_max:
@@ -70,9 +68,7 @@ def select_quorums(
     if scheme is SelectionScheme.VNOS:
         if n_real > n:
             raise InsufficientQuorums(f"write needs {n_real} quorums, only {n} candidates")
-        picks = rng.sample(range(n), n_real)
-        return [Placement(i, quorums[i], False) for i in picks]
+        return rng.sample(range(n), n_real)
     if k_max > n:
         raise InsufficientQuorums(f"fixed count {k_max} exceeds the {n} candidate quorums")
-    picks = rng.sample(range(n), k_max)
-    return [Placement(i, quorums[i], pos >= n_real) for pos, i in enumerate(picks)]
+    return rng.sample(range(n), k_max)

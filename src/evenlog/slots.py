@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from typing import NamedTuple, Protocol
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, RecordTooLarge
 from .records import FLAG_CHECKPOINT, LogRecord, Lsn, encode_record
 
 DEFAULT_SLOT_CAPACITY = 128 * 1024
@@ -41,7 +41,10 @@ class DurabilityBackend(Protocol):
     durable deletes everything written before it; ``recover`` returns
     the records written since the last checkpoint. Deletions happen only
     at a checkpoint, so they reveal the checkpoint cadence, never a
-    record size."""
+    record size. ``max_flush`` is the largest flush ``persist_slot``
+    takes, or None when any size goes."""
+
+    max_flush: int | None
 
     @property
     def current_file_id(self) -> int: ...
@@ -68,12 +71,17 @@ class AppendResult(NamedTuple):
 class Slot:
     """Bounded record buffer. Appends are linearizable; a flush drains the
     buffer atomically while holding the same lock, so appenders observe
-    either the pre- or post-flush state."""
+    either the pre- or post-flush state.
 
-    def __init__(self, capacity: int = DEFAULT_SLOT_CAPACITY):
+    ``max_flush``, the backend's largest flush, bounds the capacity too,
+    and a record larger than it is refused (``RecordTooLarge``) before
+    anything is buffered or flushed."""
+
+    def __init__(self, capacity: int = DEFAULT_SLOT_CAPACITY, max_flush: int | None = None):
         if capacity <= 0:
             raise InvalidConfig(f"slot capacity {capacity} is not positive")
-        self.capacity = capacity
+        self.capacity = capacity if max_flush is None else min(capacity, max_flush)
+        self._max_flush = max_flush
         self._buf = bytearray()
         self._ssn = 0  # sequence number of the next flush
         self._stream_offset = 0  # total record bytes ever appended
@@ -91,12 +99,16 @@ class Slot:
         """Buffer one encoded record, flushing first if it would overflow.
 
         Records larger than the whole slot are persisted as a dedicated
-        flush of their own. ``flushed`` in the result reports whether
-        *this record* is durable on return, which is the case for
-        full-sync appends and oversize records.
+        flush of their own, unless they exceed the backend's largest
+        flush. ``flushed`` in the result reports whether *this record* is
+        durable on return, which is the case for full-sync appends and
+        oversize records.
         """
         with self._lock:
             if len(self._buf) + len(record) > self.capacity:
+                if self._max_flush is not None and len(record) > self._max_flush:
+                    raise RecordTooLarge(f"record of {len(record)} bytes exceeds the backend's "
+                                         f"largest flush of {self._max_flush} bytes")
                 self._flush_locked(backend)
             lsn = Lsn(backend.current_file_id, self._stream_offset)
             self._stream_offset += len(record)
@@ -138,20 +150,31 @@ class Slot:
 
 
 class PeriodicFlusher:
-    """Background thread driving ``flush`` every ``interval_ms``."""
+    """Background thread driving ``flush`` every ``interval_ms``. The first
+    flush that raises stops it, and ``check`` raises what it raised."""
 
     def __init__(self, flush, interval_ms: float):
         self._flush = flush
         self._interval = interval_ms / 1000.0
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
+        self._error: Exception | None = None
 
     def start(self) -> None:
         self._thread.start()
 
     def _run(self) -> None:
         while not self._stop.wait(self._interval):
-            self._flush()
+            try:
+                self._flush()
+            except Exception as exc:  # noqa: BLE001  (raised by the owner's next ``check``)
+                self._error = exc
+                return
+
+    def check(self) -> None:
+        """Raise the error that stopped the flusher, if one did."""
+        if self._error is not None:
+            raise self._error
 
     def stop(self) -> None:
         self._stop.set()

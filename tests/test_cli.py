@@ -132,13 +132,14 @@ class TestBench:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "Traceback" not in err and "multiple of the segment size" in err
 
-    def test_conc_quorum_refuses_a_slot_over_max_write_size(self, capsys, tmp_path):
-        # the default 128 KiB slot would flush as one write of far more than MS
-        code, out, err = run_cli(
-            capsys, "bench", "conc", "--scheme", "quorum", "--ops", "200", "--dir", str(tmp_path),
+    def test_conc_quorum_bounds_the_default_slot_by_max_write_size(self, capsys, tmp_path):
+        # the default 128 KiB slot holds at most one quorum write of MS bytes
+        code, out, _ = run_cli(
+            capsys, "bench", "conc", "--scheme", "quorum", "--ops", "200",
+            "--dir", str(tmp_path), "--out", "json",
         )
-        assert code == 1 and out == ""
-        assert "--capacity" in err and "--max-write-size" in err
+        assert code == 0
+        assert json.loads(out)["ops"] == 200
 
     def test_conc_quorum_with_slot_within_max_write_size(self, capsys, tmp_path):
         code, out, _ = run_cli(

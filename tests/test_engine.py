@@ -9,7 +9,7 @@ import pytest
 
 from evenlog.crypto import IV_SIZE
 from evenlog.engine import WalEngine
-from evenlog.errors import InvalidConfig
+from evenlog.errors import DurabilityError, InvalidConfig, RecordTooLarge
 from evenlog.journal import JournalBackend, PlainJournalBackend, epoch_filename, recover_journal
 from evenlog.observe import StorageTrace
 from evenlog.quorum import QuorumBackend, QuorumConfig, SelectionScheme
@@ -208,3 +208,63 @@ def test_checkpoints_under_concurrent_writers_and_flushes(tmp_path, key, make_ba
     assert errors == []
     epoch = markers[-1].lsn.file_id
     assert [r.payload for r in backend.recover()] == [p for lsn, p in sorted(acked) if lsn.file_id >= epoch]
+
+
+def test_backends_state_the_largest_flush_they_take(tmp_path, key):
+    assert journal(tmp_path / "j", key, None).max_flush is None
+    assert plain(tmp_path / "p", key, None).max_flush is None
+    assert plain_padded(tmp_path / "pp", key, None).max_flush == SLOT
+    assert quorum(SelectionScheme.FNOS)(tmp_path / "q", key, None).max_flush == 512
+
+
+class TestRecordOverTheLargestFlush:
+    """A record the backend can never take is refused before it is
+    buffered, so it cannot wedge the engine."""
+
+    def fnos(self, root, key):
+        registry, replicas = build_cluster(30)
+        return QuorumBackend(root, key, replicas, registry,
+                             config=QuorumConfig(segment_size=128, max_write_size=512),
+                             scheme=SelectionScheme.FNOS, seed=1)
+
+    def test_quorum_refuses_it_and_keeps_working(self, tmp_path, key, disk):
+        backend = self.fnos(tmp_path, key)
+        engine = WalEngine(backend)
+        engine.append(b"before" * 5, full_sync=True)
+        disk.events.clear()
+        with pytest.raises(RecordTooLarge):
+            engine.append(b"x" * 500, full_sync=True)  # 516 B encoded, over MS = 512
+        assert disk.events == [] and engine.slot.buffered_bytes == 0
+        engine.append(b"y" * 40, full_sync=True)
+        engine.close()
+        assert [name for name, _ in disk.events][-1] == "close"
+        assert [r.payload for r in backend.recover()] == [pad4(b"before" * 5), b"y" * 40]
+
+    def test_quorum_buffered_appends_flush_within_the_largest_flush(self, tmp_path, key):
+        backend = self.fnos(tmp_path, key)
+        engine = WalEngine(backend)  # the default 128 KiB slot
+        for i in range(20):
+            engine.append(bytes([i]) * 40)
+        engine.close()
+        assert [r.payload for r in backend.recover()] == [bytes([i]) * 40 for i in range(20)]
+
+
+def test_a_failed_periodic_flush_is_raised_by_the_next_call(tmp_path, key, disk):
+    backend = journal(tmp_path, key, None)
+    engine = WalEngine(backend, flush_interval_ms=5)
+    disk.fail = {"sync"}
+    engine.append(b"buffered" * 4)
+    deadline = time.monotonic() + 5
+    while not any(name == "sync" for name, _ in disk.events) and time.monotonic() < deadline:
+        time.sleep(0.005)
+    time.sleep(0.1)  # time for the flusher to keep its error and stop
+    syncs = [name for name, _ in disk.events].count("sync")
+    assert syncs == 1
+    with pytest.raises(DurabilityError):
+        engine.append(b"later")
+    with pytest.raises(DurabilityError):
+        engine.flush()
+    disk.events.clear()
+    with pytest.raises(DurabilityError):
+        engine.close()
+    assert [name for name, _ in disk.events] == ["resize", "close"]  # closed all the same

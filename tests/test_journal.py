@@ -8,7 +8,7 @@ import pytest
 
 from evenlog import crypto
 from evenlog.engine import WalEngine
-from evenlog.errors import DurabilityError, InvalidSegmentSize, RecoveryCorruption, WalError
+from evenlog.errors import DurabilityError, InvalidSegmentSize, RecordTooLarge, RecoveryCorruption, WalError
 from evenlog.journal import (
     JournalBackend,
     PlainJournalBackend,
@@ -621,7 +621,14 @@ class TestBaselines:
         assert list_epoch_fids(tmp_path, "journal") == []
 
     def test_padded_backend_rejects_flush_over_pad_size(self, tmp_path):
+        # pad_to is the backend's largest flush: the engine refuses a larger
+        # record before it buffers it or flushes what is buffered
         backend = PlainJournalBackend(tmp_path, pad_to=4096, trace=StorageTrace())
-        with pytest.raises(DurabilityError):
-            backend.persist_slot(b"\x01" * 4100)
+        engine = WalEngine(backend, slot_capacity=8192)
+        kept = engine.append(b"kept" * 10)
+        with pytest.raises(RecordTooLarge):
+            engine.append(b"\x01" * 4100)
         assert backend.trace.write_count(StorageTrace.JOURNAL) == 0
+        assert engine.slot.buffered_bytes == len(encode_record(b"kept" * 10)) and not kept.flushed
+        engine.close()
+        assert [r.payload for r in backend.recover()] == [b"kept" * 10]

@@ -1,6 +1,7 @@
 """End-to-end quorum backend: commit, fault tolerance, recovery, and
 the checkpoint that collects old epochs."""
 
+import hashlib
 import os
 import random
 import tracemalloc
@@ -9,13 +10,13 @@ from pathlib import Path
 import pytest
 
 from evenlog import journal
-from evenlog.crypto import IV_SIZE, StaticKeyProvider, decrypt_segment, encrypt_segment
+from evenlog.crypto import IV_SIZE, StaticKeyProvider, decrypt_segment, decrypt_stream, encrypt_segment
 from evenlog.engine import WalEngine
 from evenlog.errors import (
     CommitTimeout,
     DurabilityError,
-    InsufficientQuorums,
     IntegrityFailure,
+    RecordTooLarge,
     RecoveryCorruption,
     SegmentNotFound,
     UnrecoverableSegment,
@@ -141,6 +142,40 @@ class TestPersist:
         # K=4 quorums x 3 replicas per write, real or fake
         assert trace.write_count(StorageTrace.REPLICA) == 3 * 4 * 3
 
+    def test_fnos_fakes_look_like_reals_to_a_keyless_replica(self, tmp_path, key, monkeypatch):
+        held = {}  # (replica id, sid) -> the (unit, digest) that replica stored
+        store = Replica.store
+
+        def spy(replica, sid, unit, digest):
+            acked = store(replica, sid, unit, digest)
+            if acked:
+                held[replica.replica_id, sid] = (unit, digest)
+            return acked
+
+        monkeypatch.setattr(Replica, "store", spy)
+        backend = make_backend(tmp_path, key, scheme=SelectionScheme.FNOS, seed=9)
+        for group in backend.groups:
+            backend.replicas[group[0]].kill()
+        receipts = [backend.persist_slot(os.urandom(n)) for n in (4, 130, 300, 512, 40, 260)]
+
+        copies = {}
+        for (rid, sid), copy in held.items():
+            assert backend.replicas[rid].read(sid) == copy[0]
+            copies.setdefault(sid, set()).add(copy)
+        # the two live replicas of each group hold one identical copy per sid
+        assert len(copies) == len(receipts) * backend.config.k_max
+        assert len(held) == 2 * len(copies) and all(len(c) == 1 for c in copies.values())
+        units = [unit for (unit, _), in copies.values()]
+        assert len(set(units)) == len(units)
+        assert {len(unit) for unit in units} == {IV_SIZE + 128}
+
+        backend.close()
+        plain = decrypt_stream(key, metadata_path(backend).read_bytes(), serialized_size(backend.config.k_max))
+        fakes = {sid for sid in copies if sid.sn >= receipts[sid.ssn].real_segments}
+        assert len(fakes) == sum(r.fake_segments for r in receipts) > 0
+        for sid, ((_, digest),) in copies.items():
+            assert (digest in plain) == (sid not in fakes)
+
     def test_fake_acks_not_awaited(self, tmp_path, key):
         backend = make_backend(tmp_path, key, n_replicas=15, scheme=SelectionScheme.FNOS, seed=5)
         backend.persist_slot(b"\x01" * 100)
@@ -178,9 +213,10 @@ class TestPersist:
         engine = make_engine(backend)
         small = os.urandom(40)
         engine.append(small, full_sync=True)
-        with pytest.raises(InsufficientQuorums):
+        with pytest.raises(RecordTooLarge):  # before it is buffered: the engine is not wedged
             engine.append(os.urandom(700), full_sync=True)
-        assert [r.payload for r in backend.recover()] == [pad4(small)]
+        engine.append(small, full_sync=True)
+        assert [r.payload for r in backend.recover()] == [pad4(small)] * 2
 
     def test_single_failure_per_group_still_commits(self, tmp_path, key):
         backend = make_backend(tmp_path, key, n_replicas=9)
@@ -258,6 +294,16 @@ class TestPersist:
         ], [15, 8, 9, 9, 0, 15, 9, 11, 11, 8, 15, 10, 10, 11, 10]),
     }
 
+    # The same runs, as SHA-256 hex digests: of the decrypted plaintext of
+    # every metadata blob, and of the repr of the sorted (replica id,
+    # tuple(sid)) pairs the replicas hold.
+    PINNED_BYTES = {
+        SelectionScheme.FNOS: ("47adb6aa1eeb6e0478dc0597490c8ccb99b19f697cdf5e8287f2a3f44bf4f7f5",
+                               "bec402ec9a6a01a5be218a0bb23ffc9be7c7e4fd4421125dbcf3c875af61d261"),
+        SelectionScheme.VNOS: ("1727d7158f4f4379ac0c870fac43b21c07ec77013ac91d87c0aeb62fe56435c6",
+                               "087f45484306b68a50bda9c89f02d8900d3c7b56d2dc1e3e799d237b8f1d42a9"),
+    }
+
     @pytest.mark.parametrize("scheme", [SelectionScheme.FNOS, SelectionScheme.VNOS])
     def test_seeded_receipts_are_pinned(self, tmp_path, key, scheme):
         backend = make_backend(tmp_path, key, scheme=scheme, seed=11, sync=False)
@@ -267,6 +313,15 @@ class TestPersist:
         got = [(r.ssn, r.real_segments, r.fake_segments, r.commit_latency) for r in receipts]
         counts = [len(backend.replicas[rid]) for rid in sorted(backend.replicas)]
         assert (got, counts) == self.PINNED[scheme]
+
+        backend.close()
+        blobs = metadata_path(backend).read_bytes()
+        plain = decrypt_stream(key, blobs, serialized_size(backend.config.k_max))
+        sids = [SegmentId(backend.current_file_id, r.ssn, sn) for r in receipts for sn in range(backend.config.k_max)]
+        held = sorted((rid, tuple(sid)) for rid, rep in backend.replicas.items() for sid in sids if rep.has(sid))
+        assert len(held) == sum(counts)
+        assert (hashlib.sha256(plain).hexdigest(), hashlib.sha256(repr(held).encode()).hexdigest()) == \
+            self.PINNED_BYTES[scheme]
 
 
 class TestRecovery:

@@ -57,15 +57,15 @@ class TestFormQuorums:
 class TestSelectQuorums:
     def test_vnos_draws_exactly_n_distinct(self):
         quorums = [(i, i + 100, i + 200) for i in range(8)]
-        placements = select_quorums(SelectionScheme.VNOS, 5, quorums, 8, random.Random(1))
-        assert len(placements) == 5
-        assert len({p.index for p in placements}) == 5
-        assert not any(p.fake for p in placements)
+        picks = select_quorums(SelectionScheme.VNOS, 5, quorums, 8, random.Random(1))
+        assert len(picks) == 5
+        assert len(set(picks)) == 5
+        assert all(0 <= i < len(quorums) for i in picks)  # no fakes: one group per real segment
 
     def test_vnos_exhaustive_draw_selects_every_quorum(self):
         quorums = [(i,) * 3 for i in range(6)]
-        placements = select_quorums(SelectionScheme.VNOS, 6, quorums, 6, random.Random(2))
-        assert {p.index for p in placements} == set(range(6))
+        picks = select_quorums(SelectionScheme.VNOS, 6, quorums, 6, random.Random(2))
+        assert set(picks) == set(range(6))
 
     def test_vnos_uniform_selection_frequency(self):
         # k=1 of N=5: each quorum should be hit ~1/5 of the time
@@ -74,17 +74,19 @@ class TestSelectQuorums:
         hits = Counter()
         trials = 100_000
         for _ in range(trials):
-            (placement,) = select_quorums(SelectionScheme.VNOS, 1, quorums, 5, rng)
-            hits[placement.index] += 1
+            (pick,) = select_quorums(SelectionScheme.VNOS, 1, quorums, 5, rng)
+            hits[pick] += 1
         for index in range(5):
             assert abs(hits[index] / trials - 0.2) < 0.01
 
     def test_fnos_pads_with_fakes_to_k(self):
         quorums = [(i,) * 3 for i in range(9)]
-        placements = select_quorums(SelectionScheme.FNOS, 2, quorums, 5, random.Random(3))
-        assert len(placements) == 5
-        assert len({p.index for p in placements}) == 5
-        assert [p.fake for p in placements] == [False, False, True, True, True]
+        picks = select_quorums(SelectionScheme.FNOS, 2, quorums, 5, random.Random(3))
+        assert len(picks) == 5
+        assert len(set(picks)) == 5
+        # entries from n_real on carry the fakes: three groups no real segment uses
+        reals, fakes = picks[:2], picks[2:]
+        assert len(fakes) == 3 and not set(reals) & set(fakes)
 
     def test_fnos_always_k_regardless_of_write_size(self):
         quorums = [(i,) * 3 for i in range(9)]
@@ -112,6 +114,6 @@ class TestSelectQuorums:
 
     def test_placement_order_matches_segment_order(self):
         quorums = [(i,) * 3 for i in range(6)]
-        placements = select_quorums(SelectionScheme.FNOS, 3, quorums, 6, random.Random(5))
-        # entry i carries segment i; reals come first
-        assert [p.fake for p in placements[:3]] == [False] * 3
+        picks = select_quorums(SelectionScheme.FNOS, 3, quorums, 6, random.Random(5))
+        # entry i carries segment i, in the order drawn; reals come first
+        assert picks == random.Random(5).sample(range(6), 6)

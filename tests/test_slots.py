@@ -20,6 +20,7 @@ class MemoryBackend:
         self.flushes = []
         self.fail = False
         self.current_file_id = 0
+        self.max_flush = None
 
     def persist_slot(self, slot_bytes):
         if self.fail:
