@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, WalError
 from .records import encode_record
 from .slots import DEFAULT_SLOT_CAPACITY, AppendResult, CheckpointMarker, DurabilityBackend, PeriodicFlusher, Slot
 
@@ -14,10 +14,10 @@ class WalEngine:
     flushes and checkpoints. A periodic flusher runs iff ``flush_interval_ms``
     is given; it mirrors the buffered-write mode where durability is
     deferred to the next timer tick or full-sync write. A flusher whose
-    flush fails stops, and the next ``append``, ``flush`` or ``close``
-    raises its error. The slot holds at most the backend's largest flush
-    (``max_flush``), and a record larger than that raises
-    ``RecordTooLarge`` before it is buffered.
+    flush fails stops, and the next call raises its error. After ``close``,
+    every call but ``close`` raises a ``WalError``. The slot holds at most
+    the backend's largest flush (``max_flush``), and a record larger than
+    that raises ``RecordTooLarge`` before it is buffered.
     """
 
     def __init__(self, backend: DurabilityBackend, slot_capacity: int = DEFAULT_SLOT_CAPACITY,
@@ -43,14 +43,27 @@ class WalEngine:
 
     def checkpoint(self) -> CheckpointMarker:
         """Checkpoint atomically with appends and flushes (``Slot.checkpoint``)."""
+        if self._flusher is not None:
+            self._flusher.check()
         return self.slot.checkpoint(self.backend)
 
     def close(self) -> None:
         """Stop the flusher, flush and close the backend. The backend is
         closed even when the flush raises, or a failed flusher's error is."""
+        if self._flusher is _Closed:
+            return
         try:
             if self._flusher is not None:
                 self._flusher.stop()
             self.flush()
         finally:
+            self._flusher = _Closed  # checked where a flusher is: no cost per append without one
             self.backend.close()
+
+
+class _Closed:
+    """A closed engine's stand-in for its flusher: every check raises."""
+
+    @staticmethod
+    def check() -> None:
+        raise WalError("the engine is closed")

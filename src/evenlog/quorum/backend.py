@@ -146,6 +146,8 @@ class QuorumBackend(JournalFiles):
         # logical time 0.
         active = registry.list_active(0.0) - {client_id}
         self.groups = form_quorums(active, self._rng)
+        if scheme is SelectionScheme.FNOS and self.config.k_max > len(self.groups):
+            raise InvalidConfig(f"fixed count {self.config.k_max} exceeds the {len(self.groups)} quorum groups")
 
         self._ssn = 0  # the next slot's place in the current metadata file
         self._blob_size = crypto.IV_SIZE + serialized_size(self.config.k_max)
@@ -155,8 +157,8 @@ class QuorumBackend(JournalFiles):
 
     @property
     def max_flush(self) -> int:
-        """A flush of at most K segments is one quorum write."""
-        return self.config.max_write_size
+        """A flush of at most K segments, one per group, is one quorum write."""
+        return min(self.config.max_write_size, len(self.groups) * self.config.segment_size)
 
     def stats(self) -> BackendStats:
         seg = self.config.segment_size

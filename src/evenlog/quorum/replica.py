@@ -8,7 +8,7 @@ words, ``SID_SIZE`` bytes.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import KeysView, NamedTuple
 
 from ..crypto import DIGEST_SIZE, IV_SIZE
 from ..errors import SegmentNotFound
@@ -66,12 +66,26 @@ class Replica:
     def has(self, sid: SegmentId) -> bool:
         return self.alive and sid in self._store
 
+    @property
+    def segment_ids(self) -> KeysView[SegmentId]:
+        """A read-only view of the ids of the segments held, alive or not."""
+        return self._store.keys()
+
     def corrupt(self, sid: SegmentId, flip_byte: int = 0) -> None:
         """Flip one ciphertext byte in a held unit (fault injection)."""
         unit, digest = self._store[sid]
         unit = bytearray(unit)
         unit[IV_SIZE + flip_byte] ^= 0xFF
         self._store[sid] = (bytes(unit), digest)
+
+    def truncate(self, sid: SegmentId, size: int) -> None:
+        """Cut a held unit to its first ``size`` bytes (fault injection)."""
+        unit, digest = self._store[sid]
+        self._store[sid] = (unit[:size], digest)
+
+    def forget(self, sid: SegmentId) -> None:
+        """Lose a held segment (fault injection)."""
+        del self._store[sid]
 
     def kill(self) -> None:
         self.alive = False

@@ -2,16 +2,21 @@ import errno
 import random
 import struct
 import zlib
+from pathlib import Path
 
 import pytest
 
-from evenlog.crypto import StaticKeyProvider
+from evenlog.crypto import IV_SIZE, StaticKeyProvider
 from evenlog.errors import DurabilityError
-from evenlog.journal import Disk, JournalBackend, JournalFiles, PlainJournalBackend
-from evenlog.quorum import QuorumBackend, build_cluster  # noqa: F401  (re-exported for the test modules)
+from evenlog.journal import Disk, JournalBackend, JournalFiles, PlainJournalBackend, epoch_filename
+from evenlog.observe import StorageTrace
+from evenlog.quorum import QuorumBackend, QuorumConfig, SelectionScheme, build_cluster
+from evenlog.quorum.replica import store_frame_size
+from evenlog.quorum.selection import GROUP_SIZE
 from evenlog.records import HEADER_SIZE, LogRecord
 
 MASTER = b"unit-test-master-secret-32-bytes"
+KEY = StaticKeyProvider(MASTER).get("default")
 
 
 def pad4(data: bytes) -> bytes:
@@ -56,6 +61,11 @@ def iter_records(buf):
         yield record
 
 
+def current_file(backend) -> Path:
+    """The file ``backend`` appends to."""
+    return backend.root / epoch_filename(backend.PREFIX, backend.current_file_id)
+
+
 def crash(backend):
     """Drop ``backend`` as a crash would: its file is closed but keeps the
     zero-filled reserve past its last flush, which ``close`` cuts back."""
@@ -64,19 +74,105 @@ def crash(backend):
         backend.close()
 
 
-def reopen(backend, seed: int = 0):
-    """Crash and restart: drop ``backend`` as a crash would (``crash``) and
-    build a new one of the same kind on the same directory (and, for
-    quorum, the same replicas and registry). Every flush has already
-    reached the file, so the crash loses none of it."""
-    crash(backend)
-    if isinstance(backend, JournalBackend):
-        return JournalBackend(backend.root, backend.key, backend.segment_size, sync=backend.sync)
-    if isinstance(backend, PlainJournalBackend):
-        return PlainJournalBackend(backend.root, backend.pad_to, sync=backend.sync)
-    return QuorumBackend(backend.root, backend.key, backend.replicas, backend.registry,
-                         config=backend.config, scheme=backend.scheme, seed=seed,
-                         client_id=backend.client_id, sync=backend.sync)
+# -- the backend matrix: every kind the shared-property tests run on ---------
+
+SEGMENT = 128  # S of the segmented journal and of quorum
+SLOT = 1024  # the padded baseline's pad size, and the vnos kind's max write size
+
+
+class Kind:
+    """One backend kind of the matrix. ``open`` builds one on ``root``.
+    ``reopen`` restarts one: it drops the backend as a crash would
+    (``crash``) and builds a new one of the same shape on the same root
+    (and, for quorum, the same replicas and registry). Every flush has
+    already reached the file, so the crash loses none of it. Every
+    backend's ``recover`` makes no mutating call and works after ``close``.
+    ``channel`` is the trace channel the kind stores its data on,
+    ``stored_bytes`` what that channel must show for the backend's
+    ``stats``, ``replicas`` how many replicas it has, and ``held`` the
+    epochs of the segments its live replicas hold (a journal has none)."""
+
+    channel = StorageTrace.JOURNAL
+    replicas = 0
+
+    def __init__(self, id: str):
+        self.id = id
+
+    def __repr__(self) -> str:
+        return self.id
+
+    def reopen(self, backend, seed: int = 0):
+        crash(backend)
+        return self.restart(backend, seed)
+
+    def stored_bytes(self, stats) -> int:
+        assert stats.fake_bytes == 0
+        return stats.padded_bytes + stats.framing_bytes
+
+    def held(self, backend) -> set[int]:
+        return set()
+
+
+class Journal(Kind):
+    def open(self, root, key, trace=None, sync=True):
+        return JournalBackend(root, key, SEGMENT, trace, sync)
+
+    def restart(self, old, seed):
+        return JournalBackend(old.root, old.key, old.segment_size, sync=old.sync)
+
+
+class Plain(Kind):
+    def __init__(self, id: str, pad_to: int | None):
+        super().__init__(id)
+        self.pad_to = pad_to
+
+    def open(self, root, key, trace=None, sync=True):
+        return PlainJournalBackend(root, self.pad_to, trace, sync)
+
+    def restart(self, old, seed):
+        return PlainJournalBackend(old.root, old.pad_to, sync=old.sync)
+
+
+class Quorum(Kind):
+    channel = StorageTrace.REPLICA
+
+    def __init__(self, id: str, scheme: SelectionScheme, replicas: int, max_write_size: int):
+        super().__init__(id)
+        self.scheme, self.replicas, self.max_write_size = scheme, replicas, max_write_size
+
+    def open(self, root, key, trace=None, sync=True):
+        registry, replicas = build_cluster(self.replicas)
+        return QuorumBackend(root, key, replicas, registry, config=QuorumConfig(SEGMENT, self.max_write_size),
+                             scheme=self.scheme, trace=trace, sync=sync)
+
+    def restart(self, old, seed):
+        return QuorumBackend(old.root, old.key, old.replicas, old.registry, config=old.config,
+                             scheme=old.scheme, seed=seed, client_id=old.client_id, sync=old.sync)
+
+    def stored_bytes(self, stats) -> int:
+        units = (stats.padded_bytes + stats.fake_bytes) // SEGMENT
+        assert stats.framing_bytes == units * IV_SIZE
+        return units * GROUP_SIZE * store_frame_size(SEGMENT)
+
+    def held(self, backend) -> set[int]:
+        return {sid.fid for rep in backend.replicas.values() if rep.alive for sid in rep.segment_ids}
+
+
+# vnos at K = 8 over 8 groups; fnos at the benchmark's shape, K = 16 over 16 groups
+KINDS = {kind.id: kind for kind in (
+    Journal("journal"),
+    Plain("plain", None),
+    Plain("plain-padded", SLOT),
+    Quorum("quorum-vnos", SelectionScheme.VNOS, 24, SLOT),
+    Quorum("quorum-fnos", SelectionScheme.FNOS, 48, 2 * SLOT),
+)}
+
+
+def over(*ids):
+    """Run a test once per backend kind named in ``ids`` (all of them when
+    none is named), as its ``kind`` argument."""
+    kinds = [KINDS[i] for i in ids or KINDS]
+    return pytest.mark.parametrize("kind", kinds, ids=[kind.id for kind in kinds])
 
 
 class DiskDouble(Disk):
@@ -130,7 +226,7 @@ def close_backends(monkeypatch):
 
 @pytest.fixture
 def key():
-    return StaticKeyProvider(MASTER).get("default")
+    return KEY
 
 
 @pytest.fixture

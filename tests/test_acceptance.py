@@ -26,7 +26,6 @@ import pytest
 
 from evenlog import bench
 from evenlog import leakage as lk
-from evenlog.crypto import StaticKeyProvider
 from evenlog.engine import WalEngine
 from evenlog.errors import IntegrityFailure
 from evenlog.journal import JournalBackend, PlainJournalBackend, epoch_filename, recover_journal
@@ -43,10 +42,8 @@ from evenlog.records import encode_record, encoded_record_size
 from evenlog.segmentation import padding_overhead
 from evenlog.workload import LengthGroup, WorkloadSpec, generate, planted_length_trace
 
-from .conftest import MASTER, build_cluster, iter_records, pad4
+from .conftest import KEY, build_cluster, iter_records, pad4
 from .test_leakage import exhaustive_optimum, random_instance
-
-KEY = StaticKeyProvider(MASTER).get("default")
 
 
 @pytest.fixture

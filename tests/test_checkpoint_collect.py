@@ -5,7 +5,8 @@ crash-restarts and flushes whose durable write fails before a crash,
 recovery returns exactly the records made durable since the last
 checkpoint. Right after a checkpoint the backend holds nothing older
 than the new epoch: no file below the sidecar fid, and no segment below
-it on a live replica.
+it on a live replica. The property runs on every kind of the backend
+matrix (``conftest.KINDS``).
 """
 
 import tempfile
@@ -14,25 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evenlog.crypto import StaticKeyProvider
 from evenlog.engine import WalEngine
 from evenlog.errors import DurabilityError
-from evenlog.journal import JournalBackend, JournalFiles, PlainJournalBackend, list_epoch_fids, read_sidecar
-from evenlog.quorum import QuorumBackend, QuorumConfig, SelectionScheme
+from evenlog.journal import JournalFiles, list_epoch_fids, read_sidecar
 from evenlog.records import encoded_record_size
 
-from .conftest import MASTER, DiskDouble, build_cluster, pad4, reopen
-
-KEY = StaticKeyProvider(MASTER).get("default")
-SLOT = 1024  # equal to the quorum's max write size, so every flush fits one write
-REPLICAS = 24  # 8 groups: enough for fixed-count selection with K = 1024 / 128
+from .conftest import KEY, SLOT, DiskDouble, over, pad4
 
 APPEND = st.tuples(st.just("append"), st.integers(1, 600), st.booleans())
 # a full-sync append whose flush fails at its durable write, then a crash
 FAIL = st.tuples(st.just("fail"), st.integers(1, 600))
 STEP = st.one_of(APPEND, FAIL, st.just(("checkpoint",)), st.just(("crash",)))
-# toggles the first member of one group: at most one replica per group is down
-TOGGLE = st.tuples(st.just("toggle"), st.integers(0, REPLICAS // 3 - 1))
+# toggles the first member of one of the first 8 groups (each quorum kind
+# has 8 or more): at most one replica per group is down
+TOGGLE = st.tuples(st.just("toggle"), st.integers(0, 7))
 
 
 class Model:
@@ -59,20 +55,17 @@ class Model:
 
 
 def engine_on(backend) -> WalEngine:
-    return WalEngine(backend, SLOT)
+    return WalEngine(backend, SLOT)  # no larger than any kind's largest flush
 
 
-def assert_collected(backend) -> None:
+def assert_collected(kind, backend) -> None:
     fid = read_sidecar(backend.root)[1]
     assert list_epoch_fids(backend.root, backend.PREFIX) == [fid] == [backend.current_file_id]
-    if isinstance(backend, QuorumBackend):
-        for replica in backend.replicas.values():
-            if replica.alive:
-                assert all(sid.fid >= fid for sid in replica._store)
+    assert all(held >= fid for held in kind.held(backend))
 
 
-def run(backend, steps) -> None:
-    engine, model = engine_on(backend), Model()
+def run(kind, root, steps) -> None:
+    engine, model = engine_on(kind.open(root, KEY, sync=False)), Model()
     for i, step in enumerate(steps):
         if step[0] == "append":
             payload = (i.to_bytes(4, "little") * 150)[: step[1]]
@@ -82,16 +75,16 @@ def run(backend, steps) -> None:
             engine.checkpoint()
             model.flush()
             model.durable = []
-            assert_collected(engine.backend)
+            assert_collected(kind, engine.backend)
         elif step[0] == "crash":
-            engine = engine_on(reopen(engine.backend))
+            engine = engine_on(kind.reopen(engine.backend))
             model.crash()
         elif step[0] == "fail":
             # the failed flush and everything still buffered are lost
             with pytest.MonkeyPatch.context() as mp, pytest.raises(DurabilityError):
                 mp.setattr(JournalFiles, "DISK", DiskDouble(fail={"append"}))
                 engine.append((i.to_bytes(4, "little") * 150)[: step[1]], full_sync=True)
-            engine = engine_on(reopen(engine.backend))
+            engine = engine_on(kind.reopen(engine.backend))
             model.crash()
         else:
             replica = engine.backend.replicas[engine.backend.groups[step[1]][0]]
@@ -104,26 +97,10 @@ def run(backend, steps) -> None:
     engine.backend.close()
 
 
+@over()
 @settings(max_examples=60, deadline=None)
-@given(steps=st.lists(STEP, max_size=20))
-def test_journal_recovers_durable_records_and_keeps_one_epoch(steps):
+@given(data=st.data())
+def test_recovers_durable_records_and_keeps_one_epoch(kind, data):
+    steps = data.draw(st.lists(st.one_of(STEP, TOGGLE) if kind.replicas else STEP, max_size=20))
     with tempfile.TemporaryDirectory() as root:
-        run(JournalBackend(root, KEY, 128, sync=False), steps)
-
-
-@pytest.mark.parametrize("pad_to", [None, SLOT], ids=["unpadded", "padded"])
-@settings(max_examples=60, deadline=None)
-@given(steps=st.lists(STEP, max_size=20))
-def test_plain_journal_recovers_durable_records_and_keeps_one_epoch(pad_to, steps):
-    with tempfile.TemporaryDirectory() as root:
-        run(PlainJournalBackend(root, pad_to, sync=False), steps)
-
-
-@pytest.mark.parametrize("scheme", [SelectionScheme.VNOS, SelectionScheme.FNOS])
-@settings(max_examples=40, deadline=None)
-@given(steps=st.lists(st.one_of(STEP, TOGGLE), max_size=20))
-def test_quorum_recovers_durable_records_and_keeps_one_epoch(scheme, steps):
-    registry, replicas = build_cluster(REPLICAS)
-    config = QuorumConfig(segment_size=128, max_write_size=SLOT)
-    with tempfile.TemporaryDirectory() as root:
-        run(QuorumBackend(root, KEY, replicas, registry, config=config, scheme=scheme, sync=False), steps)
+        run(kind, root, steps)

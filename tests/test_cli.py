@@ -284,6 +284,8 @@ BAD_INPUTS = {
     "bench-dir-is-a-file": ("bench seq --ops 3 --dir {dir}/bad-seed.conf", None),
     "bench-conc-zero-flush-interval": ("bench conc --flush-interval-ms 0 --ops 5 --dir {dir}/wal", None),
     "bench-conc-negative-flush-interval": ("bench conc --flush-interval-ms -5 --ops 5 --dir {dir}/wal", None),
+    "bench-fnos-fewer-groups-than-k": (
+        "bench seq --scheme quorum --selection fnos --replicas 12 --max-write-size 2048 --ops 3 --dir {dir}/wal", None),
     "simulate-fewer-candidates-than-groups": ("leak simulate --scheme vnos --prior 1,1 --candidates 1", None),
     "simulate-too-few-trials": ("leak simulate --scheme vnos --prior 1,1 --trials 10", None),
     "posterior-fewer-candidates-than-groups": ("leak posterior --scheme vnos --prior 1,1,1 --candidates 2", None),

@@ -7,18 +7,14 @@ import time
 
 import pytest
 
-from evenlog.crypto import IV_SIZE
 from evenlog.engine import WalEngine
-from evenlog.errors import DurabilityError, InvalidConfig, RecordTooLarge
-from evenlog.journal import JournalBackend, PlainJournalBackend, epoch_filename, recover_journal
+from evenlog.errors import DurabilityError, InvalidConfig, RecordTooLarge, WalError
+from evenlog.journal import JournalBackend, epoch_filename, recover_journal
 from evenlog.observe import StorageTrace
 from evenlog.quorum import QuorumBackend, QuorumConfig, SelectionScheme
-from evenlog.quorum.selection import GROUP_SIZE
-from evenlog.quorum.replica import store_frame_size
-
 from evenlog.slots import PeriodicFlusher
 
-from .conftest import build_cluster, pad4
+from .conftest import KINDS, SLOT, build_cluster, over, pad4
 
 
 def test_periodic_flusher_makes_buffered_appends_durable(tmp_path, key):
@@ -64,47 +60,10 @@ def test_append_order_equals_lsn_order_equals_recovery_order(tmp_path, key):
     assert [r.payload for r in recovered] == payloads
 
 
-SLOT = 4096
-
-
-def journal(root, key, trace):
-    return JournalBackend(root, key, 128, trace=trace)
-
-
-def plain(root, key, trace):
-    return PlainJournalBackend(root, trace=trace)
-
-
-def plain_padded(root, key, trace):
-    return PlainJournalBackend(root, pad_to=SLOT, trace=trace)
-
-
-def quorum(scheme):
-    def make(root, key, trace):
-        registry, replicas = build_cluster(15)
-        return QuorumBackend(root, key, replicas, registry,
-                             config=QuorumConfig(segment_size=128, max_write_size=512),
-                             scheme=scheme, seed=3, trace=trace)
-    return make
-
-
-def stored_bytes(backend, trace):
-    """Bytes the trace shows on the backend's data channel, from its stats."""
-    padded, fake, framing = backend.stats()
-    if isinstance(backend, QuorumBackend):
-        units = (padded + fake) // 128
-        assert framing == units * IV_SIZE
-        return trace.total_bytes(StorageTrace.REPLICA), units * GROUP_SIZE * store_frame_size(128)
-    assert fake == 0
-    return trace.total_bytes(StorageTrace.JOURNAL), padded + framing
-
-
-@pytest.mark.parametrize("make_backend", [
-    journal, plain, plain_padded, quorum(SelectionScheme.VNOS), quorum(SelectionScheme.FNOS),
-], ids=["journal", "plain", "plain-padded", "quorum-vnos", "quorum-fnos"])
-def test_backend_contract(tmp_path, key, make_backend):
+@over()
+def test_backend_contract(tmp_path, key, kind):
     trace = StorageTrace()
-    backend = make_backend(tmp_path, key, trace)
+    backend = kind.open(tmp_path, key, trace)
     engine = WalEngine(backend, slot_capacity=SLOT)
     for n in (100, 300):
         engine.append(bytes([n % 251]) * n, full_sync=True)
@@ -116,13 +75,25 @@ def test_backend_contract(tmp_path, key, make_backend):
     engine.close()
 
     assert [r.payload for r in backend.recover()] == [pad4(p) for p in after]
-    seen, expected = stored_bytes(backend, trace)
-    assert seen == expected > 0
+    assert trace.total_bytes(kind.channel) == kind.stored_bytes(backend.stats()) > 0
 
 
-ENGINE_BACKENDS = pytest.mark.parametrize("make_backend", [
-    journal, quorum(SelectionScheme.VNOS), quorum(SelectionScheme.FNOS),
-], ids=["journal", "quorum-vnos", "quorum-fnos"])
+@over()
+def test_a_closed_engine_refuses_every_call(tmp_path, key, disk, kind):
+    trace = StorageTrace()
+    backend = kind.open(tmp_path, key, trace)
+    engine = WalEngine(backend)
+    engine.append(b"kept" * 10, full_sync=True)
+    engine.close()
+    disk.events.clear()
+    stored = trace.total_bytes(kind.channel)
+    for call in (lambda: engine.append(b"late"), lambda: engine.append(b"late", full_sync=True),
+                 engine.flush, engine.checkpoint):
+        with pytest.raises(WalError):
+            call()
+    engine.close()  # a second close does nothing
+    assert disk.events == [] and trace.total_bytes(kind.channel) == stored
+    assert [r.payload for r in backend.recover()] == [pad4(b"kept" * 10)]
 
 
 class RacingCheckpoint:
@@ -153,9 +124,9 @@ class RacingCheckpoint:
         return self.backend.checkpoint(ckpt_id)
 
 
-@ENGINE_BACKENDS
-def test_checkpoint_is_atomic_with_a_racing_append(tmp_path, key, make_backend):
-    backend = make_backend(tmp_path, key, StorageTrace())
+@over("journal", "quorum-vnos", "quorum-fnos")
+def test_checkpoint_is_atomic_with_a_racing_append(tmp_path, key, kind):
+    backend = kind.open(tmp_path, key)
     racing = RacingCheckpoint(backend)
     engine = racing.engine = WalEngine(racing, slot_capacity=512)
     engine.append(b"before" * 8, full_sync=True)
@@ -167,15 +138,14 @@ def test_checkpoint_is_atomic_with_a_racing_append(tmp_path, key, make_backend):
     assert [r.payload for r in backend.recover()] == [b"racer!" * 8, b"after!" * 8]
 
 
-@ENGINE_BACKENDS
-def test_checkpoints_under_concurrent_writers_and_flushes(tmp_path, key, make_backend):
+@over("journal", "quorum-vnos", "quorum-fnos")
+def test_checkpoints_under_concurrent_writers_and_flushes(tmp_path, key, kind):
     """More writers than cores (full-sync and buffered) and a 1 ms flusher
     race 20 checkpoints, with thread switches forced often: no error
     escapes (a checkpoint that rotated files under a writer made its write
     raise ``ValueError``), and recovery returns exactly the appends made
     after the last checkpoint, in LSN order."""
-    backend = make_backend(tmp_path, key, StorageTrace())
-    backend.sync = False
+    backend = kind.open(tmp_path, key, sync=False)
     engine = WalEngine(backend, slot_capacity=512, flush_interval_ms=1)
     acked, errors, stop = [], [], threading.Event()
     switch = sys.getswitchinterval()
@@ -211,10 +181,9 @@ def test_checkpoints_under_concurrent_writers_and_flushes(tmp_path, key, make_ba
 
 
 def test_backends_state_the_largest_flush_they_take(tmp_path, key):
-    assert journal(tmp_path / "j", key, None).max_flush is None
-    assert plain(tmp_path / "p", key, None).max_flush is None
-    assert plain_padded(tmp_path / "pp", key, None).max_flush == SLOT
-    assert quorum(SelectionScheme.FNOS)(tmp_path / "q", key, None).max_flush == 512
+    assert {kind.id: kind.open(tmp_path / kind.id, key).max_flush for kind in KINDS.values()} == {
+        "journal": None, "plain": None, "plain-padded": SLOT, "quorum-vnos": SLOT, "quorum-fnos": 2 * SLOT,
+    }
 
 
 class TestRecordOverTheLargestFlush:
@@ -250,8 +219,7 @@ class TestRecordOverTheLargestFlush:
 
 
 def test_a_failed_periodic_flush_is_raised_by_the_next_call(tmp_path, key, disk):
-    backend = journal(tmp_path, key, None)
-    engine = WalEngine(backend, flush_interval_ms=5)
+    engine = WalEngine(JournalBackend(tmp_path, key, 128), flush_interval_ms=5)
     disk.fail = {"sync"}
     engine.append(b"buffered" * 4)
     deadline = time.monotonic() + 5

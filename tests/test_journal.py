@@ -1,4 +1,6 @@
-"""Journal backend: appends, checkpoints (which delete old files), and crash recovery."""
+"""Journal backend: appends, checkpoints (which delete old files), and crash
+recovery. A property every backend shares runs here once per kind of the
+backend matrix (``conftest.KINDS``), with ``kind`` as its argument."""
 
 import os
 import random
@@ -19,44 +21,31 @@ from evenlog.journal import (
     list_epoch_fids,
     read_sidecar,
     recover_journal,
-    recover_plain,
 )
 from evenlog.observe import StorageTrace
+from evenlog.quorum import Replica
 from evenlog.records import HEADER_SIZE, encode_record
 
-from .conftest import MUTATING, crash, iter_records, pad4, reopen
-
-
-def make_backend(tmp_path, key, segment_size=128, **kw):
-    return JournalBackend(tmp_path, key, segment_size, **kw)
-
-
-def make_engine(backend):
-    return WalEngine(backend)
-
-
-def open_backend(kind, root, key, **kw):
-    """A segmented (``journal``) or unpadded plain (``plain``) backend."""
-    return make_backend(root, key, **kw) if kind == "journal" else PlainJournalBackend(root, **kw)
+from .conftest import KINDS, MUTATING, crash, current_file, iter_records, over, pad4
 
 
 class TestAppendSegments:
     """``persist_slot`` appends one stored unit per segment of the flush."""
 
     def test_three_segments_grow_file_by_three_units(self, tmp_path, key):
-        backend = make_backend(tmp_path, key)
+        backend = JournalBackend(tmp_path, key)
         path = tmp_path / epoch_filename("journal", backend.current_file_id)
         backend.persist_slot(os.urandom(3 * 128))
         backend.close()
         assert path.stat().st_size == 3 * (128 + 16)
 
     def test_empty_list_no_size_change(self, tmp_path, key):
-        backend = make_backend(tmp_path, key)
+        backend = JournalBackend(tmp_path, key)
         backend.persist_slot(b"")
         assert (tmp_path / epoch_filename("journal", backend.current_file_id)).stat().st_size == 0
 
     def test_consecutive_appends_strictly_ordered_by_offset(self, tmp_path, key):
-        backend = make_backend(tmp_path, key)
+        backend = JournalBackend(tmp_path, key)
         first = backend.persist_slot(os.urandom(128))
         second = backend.persist_slot(os.urandom(128))
         assert first.file_id == second.file_id
@@ -64,12 +53,12 @@ class TestAppendSegments:
 
     def test_wrong_segment_size_rejected(self, tmp_path, key):
         with pytest.raises(InvalidSegmentSize):
-            make_backend(tmp_path, key, segment_size=100)
+            JournalBackend(tmp_path, key, 100)
 
     def test_fixed_size_trace(self, tmp_path, key):
         trace = StorageTrace()
-        backend = make_backend(tmp_path, key, trace=trace)
-        engine = make_engine(backend)
+        backend = JournalBackend(tmp_path, key, trace=trace)
+        engine = WalEngine(backend)
         for n in (1, 100, 999, 5000):
             engine.append(os.urandom(n), full_sync=True)
         assert trace.distinct_sizes(StorageTrace.JOURNAL) == {144}
@@ -81,7 +70,7 @@ class TestWritePath:
     SLOT_UNITS = 1024  # a full 128 KiB slot of 128-byte segments
 
     def test_full_slot_flush_is_one_write_call(self, tmp_path, key, disk):
-        backend = make_backend(tmp_path, key)
+        backend = JournalBackend(tmp_path, key)
         backend.persist_slot(os.urandom(128))  # the first flush also grows the file and syncs the directory
         disk.events.clear()
         backend.persist_slot(os.urandom(self.SLOT_UNITS * 128))
@@ -98,7 +87,7 @@ class TestWritePath:
             return made[-1]
 
         monkeypatch.setattr(crypto, "encrypt_stream", recording_encrypt)
-        backend = make_backend(tmp_path, key)
+        backend = JournalBackend(tmp_path, key)
         slots = [os.urandom(n * 128) for n in (self.SLOT_UNITS, 3, self.SLOT_UNITS)]
         for slot in slots:
             backend.persist_slot(slot)
@@ -110,7 +99,7 @@ class TestWritePath:
     def test_partial_unit_after_full_slot_flush_is_dropped(self, tmp_path, key):
         payloads = [bytes([i + 1]) * 1000 for i in range(129)]  # 129 x 1016 B fills the slot
         slot = b"".join(encode_record(p) for p in payloads)
-        backend = make_backend(tmp_path, key)
+        backend = JournalBackend(tmp_path, key)
         backend.persist_slot(slot)
         backend.close()
         path = tmp_path / epoch_filename("journal", backend.current_file_id)
@@ -120,25 +109,23 @@ class TestWritePath:
         kept = (self.SLOT_UNITS - 1) * 128 // 1016  # records wholly inside the whole units
         assert [r.payload for r in recover_journal(tmp_path, key, 128)] == payloads[:kept]
 
-    def test_failed_write_is_a_durability_error(self, tmp_path, key, disk):
-        backend = make_backend(tmp_path, key)
-        disk.fail = {"append"}
+    # not quorum: a quorum write stores its segments on the replicas before
+    # its metadata blob is written
+    @over("journal", "plain", "plain-padded")
+    @pytest.mark.parametrize("effect", ["append", "sync"])
+    def test_failed_write_or_sync_is_a_durability_error(self, tmp_path, key, disk, kind, effect):
+        backend = kind.open(tmp_path, key)
+        disk.fail = {effect}
         with pytest.raises(DurabilityError):
-            backend.persist_slot(os.urandom(self.SLOT_UNITS * 128))
+            WalEngine(backend).append(os.urandom(3 * 128), full_sync=True)
+        assert backend.trace.write_count(kind.channel) == 0
         backend.close()
-        assert (tmp_path / epoch_filename("journal", backend.current_file_id)).stat().st_size == 0
-        assert backend.trace.write_count(StorageTrace.JOURNAL) == 0
+        if effect == "append":
+            assert current_file(backend).stat().st_size == 0
 
-    def test_failed_sync_is_a_durability_error(self, tmp_path, key, disk):
-        backend = make_backend(tmp_path, key)
-        disk.fail = {"sync"}
-        with pytest.raises(DurabilityError):
-            backend.persist_slot(os.urandom(3 * 128))
-        assert backend.trace.write_count(StorageTrace.JOURNAL) == 0
-
-    @pytest.mark.parametrize("kind", ["journal", "plain"])
+    @over()
     def test_first_synced_flush_makes_the_start_file_durable(self, tmp_path, key, disk, kind):
-        engine = make_engine(open_backend(kind, tmp_path, key))
+        engine = WalEngine(kind.open(tmp_path, key))
         names = []
         for payload in (b"one", b"two"):
             disk.events.clear()
@@ -153,7 +140,7 @@ class TestWritePath:
         assert "sync_dir" not in [name for name, _ in disk.events]
 
     def test_file_grows_in_reserve_steps_and_closes_at_its_last_flush(self, tmp_path, key, disk):
-        backend = make_backend(tmp_path, key, sync=False)
+        backend = JournalBackend(tmp_path, key, sync=False)
         unit = 144
         per_reserve = RESERVE_SIZE // unit + 1  # flushes of one unit that pass the first reserve
         for _ in range(per_reserve):
@@ -170,55 +157,58 @@ class TestDiskFaults:
     """A file fault anywhere in a backend or a recovery is a ``WalError``,
     and recovery changes no file."""
 
-    @pytest.mark.parametrize("kind", ["journal", "plain"])
+    @over()
     @pytest.mark.parametrize("effect", ["open_append", "sync_dir", "replace"])
     def test_failed_checkpoint_is_a_durability_error(self, tmp_path, key, disk, kind, effect):
-        engine = make_engine(open_backend(kind, tmp_path, key))
+        backend = kind.open(tmp_path, key)
+        engine = WalEngine(backend)
         engine.append(b"kept" * 10, full_sync=True)
+        held = kind.held(backend)
         disk.fail = {effect}
         with pytest.raises(DurabilityError):
             engine.checkpoint()
-        assert read_sidecar(tmp_path) is None and engine.backend.last_checkpoint_id == 0
-        assert [r.payload for r in engine.backend.recover() if not r.is_checkpoint] == [pad4(b"kept" * 10)]
+        assert read_sidecar(tmp_path) is None and backend.last_checkpoint_id == 0
+        assert kind.held(backend) == held  # quorum replicas drop nothing
+        assert [r.payload for r in backend.recover() if not r.is_checkpoint] == [pad4(b"kept" * 10)]
 
     def test_sidecar_rename_that_fails_on_disk_is_a_durability_error(self, tmp_path, key):
-        engine = make_engine(make_backend(tmp_path, key))
+        engine = WalEngine(JournalBackend(tmp_path, key))
         engine.append(b"kept" * 10, full_sync=True)
         (tmp_path / SIDECAR_NAME / "entry").mkdir(parents=True)  # rename(2) onto it fails
         with pytest.raises(DurabilityError):
             engine.checkpoint()
         assert SIDECAR_NAME + ".tmp" not in os.listdir(tmp_path)
 
-    @pytest.mark.parametrize("kind", ["journal", "plain"])
+    @over()
     def test_failed_recovery_read_is_a_durability_error(self, tmp_path, key, disk, kind):
-        backend = open_backend(kind, tmp_path, key)
-        make_engine(backend).append(b"kept" * 10, full_sync=True)
+        backend = kind.open(tmp_path, key)
+        WalEngine(backend).append(b"kept" * 10, full_sync=True)
         disk.fail = {"read_chunks"}
         with pytest.raises(DurabilityError):
             backend.recover()
 
     def test_unreadable_journal_file_is_a_durability_error(self, tmp_path, key):
-        make_engine(make_backend(tmp_path, key)).append(b"kept" * 10, full_sync=True)
+        WalEngine(JournalBackend(tmp_path, key)).append(b"kept" * 10, full_sync=True)
         (tmp_path / epoch_filename("journal", 5)).mkdir()  # open(2) of it fails
         with pytest.raises(DurabilityError):
             recover_journal(tmp_path, key, 128)
 
-    @pytest.mark.parametrize("kind", ["journal", "plain"])
+    @over()
     def test_root_that_is_a_file_is_a_durability_error(self, tmp_path, key, kind):
         (tmp_path / "file").write_bytes(b"x")
         with pytest.raises(DurabilityError):
-            open_backend(kind, tmp_path / "file", key)
+            kind.open(tmp_path / "file", key)
 
-    @pytest.mark.parametrize("kind", ["journal", "plain"])
+    @over()
     def test_recovery_makes_no_mutating_call(self, tmp_path, key, disk, kind):
-        engine = make_engine(open_backend(kind, tmp_path, key))
+        backend = kind.open(tmp_path, key)
+        engine = WalEngine(backend)
         engine.append(b"one" * 10, full_sync=True)
         engine.checkpoint()
         engine.append(b"two" * 10, full_sync=True)
         engine.close()
         disk.fail, disk.events = set(MUTATING), []
-        records = recover_journal(tmp_path, key, 128) if kind == "journal" else recover_plain(tmp_path)
-        assert [r.payload for r in records] == [pad4(b"two" * 10)]
+        assert [r.payload for r in backend.recover()] == [pad4(b"two" * 10)]
         assert {name for name, _ in disk.events} == {"listdir", "read", "read_chunks"}
 
 
@@ -227,13 +217,13 @@ class TestRecovery:
         payloads = [b"A" * 100, b"B" * 184]
         slot_bytes = b"".join(encode_record(p) for p in payloads)
         oracle = [r.payload for r in iter_records(slot_bytes)]
-        backend = make_backend(tmp_path, key)
+        backend = JournalBackend(tmp_path, key)
         backend.persist_slot(slot_bytes)
         assert [r.payload for r in recover_journal(tmp_path, key, 128)] == oracle
 
     def test_records_span_segment_boundaries(self, tmp_path, key):
-        backend = make_backend(tmp_path, key, segment_size=32)
-        engine = make_engine(backend)
+        backend = JournalBackend(tmp_path, key, 32)
+        engine = WalEngine(backend)
         payloads = [os.urandom(n) for n in (100, 31, 64, 200)]
         for p in payloads:
             engine.append(p, full_sync=True)
@@ -248,7 +238,7 @@ class TestRecovery:
             segment_size = rng.choice([32, 64, 128, 512])
             root = tmp_path / f"t{trial}"
             backend = JournalBackend(root, key, segment_size, sync=False)
-            engine = make_engine(backend)
+            engine = WalEngine(backend)
             payloads = [rng.randbytes(rng.randint(1, 700)) for _ in range(rng.randint(1, 12))]
             for p in payloads:
                 engine.append(p, full_sync=rng.random() < 0.4)
@@ -257,8 +247,8 @@ class TestRecovery:
             assert [r.payload for r in recovered] == [pad4(p) for p in payloads]
 
     def test_mid_stream_corruption_surfaces_with_offset(self, tmp_path, key):
-        backend = make_backend(tmp_path, key)
-        engine = make_engine(backend)
+        backend = JournalBackend(tmp_path, key)
+        engine = WalEngine(backend)
         engine.append(b"first" * 8, full_sync=False)
         engine.append(b"second" * 8, full_sync=False)
         engine.close()
@@ -272,34 +262,23 @@ class TestRecovery:
             recover_journal(tmp_path, key, 128)
         assert exc_info.value.offset == second_at
 
-    @pytest.mark.parametrize("kind", ["journal", "plain"])
+    @over()
     def test_corruption_names_its_file(self, tmp_path, key, kind):
-        for _ in range(2):  # each restart starts a fresh file: two records in each of files 0 and 1
-            backend = open_backend(kind, tmp_path, key)
-            engine = make_engine(backend)
-            engine.append(b"first" * 8, full_sync=False)
-            engine.append(b"second" * 8, full_sync=False)
-            engine.close()
-        path = tmp_path / epoch_filename("journal", 1)
-        data = path.read_bytes()
-        if kind == "journal":
-            data = crypto.decrypt_stream(key, data, 128)
-        text = bytearray(data)
-        second_at = len(encode_record(b"first" * 8))
-        text[second_at : second_at + 4] = (13).to_bytes(4, "little")
-        if kind == "journal":
-            text = crypto.encrypt_stream(key, bytes(text), 128)
-        path.write_bytes(text)
+        backend = kind.open(tmp_path, key)
+        WalEngine(backend).append(b"first" * 8, full_sync=True)
+        backend = kind.reopen(backend)  # a fresh file, 1
+        first = encode_record(b"first" * 8)
+        backend.persist_slot(first + (13).to_bytes(4, "little") + bytes(12))  # an implausible length
         with pytest.raises(RecoveryCorruption) as exc_info:
             backend.recover()
-        assert (exc_info.value.fid, exc_info.value.offset) == (1, second_at)
-        assert f"journal file 1, offset {second_at}" in str(exc_info.value)
+        assert (exc_info.value.fid, exc_info.value.offset) == (1, len(first))
+        assert f"{backend.PREFIX} file 1, offset {len(first)}" in str(exc_info.value)
 
 
 class TestCrashTruncation:
-    def build(self, tmp_path, key, payloads, segment_size=128):
-        backend = make_backend(tmp_path, key, segment_size)
-        engine = make_engine(backend)
+    def build(self, tmp_path, key, payloads):
+        backend = JournalBackend(tmp_path, key)
+        engine = WalEngine(backend)
         for p in payloads:
             engine.append(p, full_sync=True)
         engine.close()
@@ -336,17 +315,17 @@ class TestCrashTruncation:
             recovered = recover_journal(tmp_path, key, 128)
             assert [r.payload for r in recovered] == [pad4(payloads[0])]
 
-    @pytest.mark.parametrize("kind, cut", [("journal", 144), ("journal", 10), ("plain", 10)],
+    @pytest.mark.parametrize("kind, cut", [(KINDS["journal"], 144), (KINDS["journal"], 10), (KINDS["plain"], 10)],
                              ids=["whole-unit", "partial-unit", "plain"])
     def test_torn_older_file_keeps_later_writes(self, tmp_path, key, kind, cut):
         a, b, c = b"a" * 40, b"b" * 300, b"c" * 40
-        engine = make_engine(open_backend(kind, tmp_path, key))
+        engine = WalEngine(kind.open(tmp_path, key))
         for p in (a, b):  # segmented, b is 3 units, the last 3 of 4
             engine.append(p, full_sync=True)
         engine.close()
         path = tmp_path / epoch_filename("journal", 0)
         path.write_bytes(path.read_bytes()[:-cut])
-        engine = make_engine(open_backend(kind, tmp_path, key))  # restart: c goes to file 1
+        engine = WalEngine(kind.open(tmp_path, key))  # restart: c goes to file 1
         engine.append(c, full_sync=True)
         engine.close()
         assert [r.payload for r in engine.backend.recover()] == [a, c]
@@ -357,27 +336,36 @@ class TestReservedTail:
     """An open file runs on past its last flush in zeros; a crash leaves
     them, and recovery ends the file where the written units end."""
 
-    @pytest.mark.parametrize("kind", ["journal", "plain"])
+    @over()
     def test_crash_keeps_the_zero_tail_and_every_record(self, tmp_path, key, kind):
-        backend = open_backend(kind, tmp_path, key)
-        engine = make_engine(backend)
+        backend = kind.open(tmp_path, key)
+        engine = WalEngine(backend)
         payloads = [bytes([i + 1]) * (40 + 37 * i) for i in range(6)]
         for p in payloads:
             engine.append(p, full_sync=True)
         crash(backend)
-        assert (tmp_path / epoch_filename("journal", 0)).stat().st_size == RESERVE_SIZE
+        assert current_file(backend).stat().st_size == RESERVE_SIZE
         assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
 
-    def test_zero_unit_mid_file_ends_the_file(self, tmp_path, key):
-        a, b, c = b"a" * 40, b"b" * 40, b"c" * 40  # one unit each
-        engine = make_engine(make_backend(tmp_path, key))
-        for p in (a, b, c):
+    @over("journal", "quorum-vnos", "quorum-fnos")  # the plain baselines have no units
+    def test_zero_or_torn_unit_ends_the_file(self, tmp_path, key, kind):
+        """A zero unit (a quorum metadata blob) in mid-file, or the last
+        one torn at any 16-byte boundary with zeros after it, ends the file
+        with no error: the units before it are recovered."""
+        backend = kind.open(tmp_path, key)
+        engine = WalEngine(backend)
+        payloads = [bytes([i + 1]) * 40 for i in range(5)]  # one unit, or one blob, each
+        for p in payloads:
             engine.append(p, full_sync=True)
-        engine.close()
-        path = tmp_path / epoch_filename("journal", 0)
-        data = path.read_bytes()
-        path.write_bytes(data[:144] + bytes(144) + data[288:])
-        assert [r.payload for r in recover_journal(tmp_path, key, 128)] == [a]
+        crash(backend)
+        (unit,) = backend.trace.distinct_sizes(backend.CHANNEL)
+        path = current_file(backend)
+        data = path.read_bytes()[: 5 * unit]
+        cases = [(data[:unit] + bytes(unit) + data[2 * unit :], 1)]
+        cases += [(data[: 4 * unit + keep] + bytes(unit - keep), 4) for keep in range(0, unit, 16)]
+        for stored, kept in cases:
+            path.write_bytes(stored)
+            assert [r.payload for r in backend.recover()] == payloads[:kept]
 
     def test_unit_torn_before_zeros_is_a_torn_tail(self, tmp_path, key):
         """A flush torn at any 16-byte boundary (a sector boundary is one)
@@ -386,8 +374,8 @@ class TestReservedTail:
         rng = random.Random(5)
         first = [rng.randbytes(rng.randint(1, 60)) for _ in range(3)]
         torn = [rng.randbytes(rng.randint(1, 60)) for _ in range(12)]
-        backend = make_backend(tmp_path, key)
-        engine = make_engine(backend)
+        backend = JournalBackend(tmp_path, key)
+        engine = WalEngine(backend)
         for group in (first, torn):  # one flush each
             for p in group:
                 engine.append(p)
@@ -410,16 +398,20 @@ class TestReservedTail:
 class TestChunkedRecovery:
     """Recovery reads, decrypts and scans each file in bounded chunks."""
 
-    @pytest.mark.parametrize("kind", ["journal", "plain"])
+    @over()
     def test_memory_stays_within_a_few_reads(self, tmp_path, key, kind):
-        rng = random.Random(9)
-        backend = open_backend(kind, tmp_path, key, sync=False)
-        engine = make_engine(backend)  # buffered: 128 KiB slot flushes
-        payloads = [rng.randbytes(rng.randint(100, 700)) for _ in range(21000)]
+        backend = kind.open(tmp_path, key, sync=False)
+        engine = WalEngine(backend)
+        # buffered, in 128 KiB slot flushes; a backend with a largest flush
+        # takes one record per flush, as a full-sync writer makes them
+        one_per_flush = backend.max_flush is not None
+        rng = random.Random(10 if one_per_flush else 9)
+        payloads = [rng.randbytes(rng.randint(100, 900 if one_per_flush else 700))
+                    for _ in range(8000 if one_per_flush else 21000)]
         for p in payloads:
-            engine.append(p)
+            engine.append(p, full_sync=one_per_flush)
         engine.close()
-        assert (tmp_path / epoch_filename("journal", 0)).stat().st_size >= 8 * 2**20
+        assert backend.stats().padded_bytes > 4 * 2**20  # more than recovery may hold
         tracemalloc.start()
         try:
             records = backend.recover()
@@ -430,12 +422,14 @@ class TestChunkedRecovery:
         # what recovery needs beyond the records it returns
         assert peak - held <= 4 * 2**20
 
-    @pytest.mark.parametrize("kind", ["journal", "plain"])
+    # the other kinds refuse a record this large; c's flush is c_stored bytes
+    @pytest.mark.parametrize("kind, c_stored", [(KINDS["journal"], 144), (KINDS["plain"], 56)],
+                             ids=["journal", "plain"])
     @pytest.mark.parametrize("cut", [None, "middle", "last-byte"])
-    def test_oversize_record_spans_reads(self, tmp_path, key, kind, cut):
+    def test_oversize_record_spans_reads(self, tmp_path, key, kind, c_stored, cut):
         rng = random.Random(3)
         a, big, c, d = b"a" * 40, rng.randbytes(3 * READ_SIZE + 12), b"c" * 40, b"d" * 40
-        engine = make_engine(open_backend(kind, tmp_path, key))
+        engine = WalEngine(kind.open(tmp_path, key))
         for p in (a, big, c):  # big is one standalone flush over three reads long
             engine.append(p, full_sync=True)
         engine.close()
@@ -444,15 +438,14 @@ class TestChunkedRecovery:
             return
         path = tmp_path / epoch_filename("journal", 0)
         data = path.read_bytes()
-        c_stored = 144 if kind == "journal" else len(encode_record(c))
         path.write_bytes(data[: len(data) // 2 if cut == "middle" else len(data) - c_stored - 1])
-        engine = make_engine(open_backend(kind, tmp_path, key))  # restart: d goes to file 1
+        engine = WalEngine(kind.open(tmp_path, key))  # restart: d goes to file 1
         engine.append(d, full_sync=True)
         engine.close()
         assert [r.payload for r in engine.backend.recover()] == [a, d]
 
     def test_torn_tail_stops_reading_its_file(self, tmp_path, key, monkeypatch):
-        engine = make_engine(make_backend(tmp_path, key))
+        engine = WalEngine(JournalBackend(tmp_path, key))
         for _ in range(3 * READ_SIZE // 1000):
             engine.append(b"x" * 984)
         engine.close()
@@ -473,7 +466,7 @@ class TestChunkedRecovery:
 
 class TestCheckpoint:
     def test_first_checkpoint_writes_sidecar(self, tmp_path, key):
-        engine = make_engine(make_backend(tmp_path, key))
+        engine = WalEngine(JournalBackend(tmp_path, key))
         engine.append(b"before" * 10, full_sync=True)
         marker = engine.checkpoint()
         assert marker.ckpt_id == 1
@@ -482,7 +475,7 @@ class TestCheckpoint:
         assert (tmp_path / epoch_filename("journal", fid)).exists()
 
     def test_recovery_starts_at_checkpoint(self, tmp_path, key):
-        engine = make_engine(make_backend(tmp_path, key))
+        engine = WalEngine(JournalBackend(tmp_path, key))
         engine.append(b"old-data" * 5, full_sync=True)
         engine.checkpoint()
         engine.append(b"new-data" * 5, full_sync=True)
@@ -490,7 +483,7 @@ class TestCheckpoint:
         assert [r.payload for r in recovered] == [pad4(b"new-data" * 5)]
 
     def test_checkpoint_record_flagged_in_prior_epoch(self, tmp_path, key, disk):
-        engine = make_engine(make_backend(tmp_path, key))
+        engine = WalEngine(JournalBackend(tmp_path, key))
         engine.append(b"data" * 8, full_sync=True)
         engine.checkpoint()
         # the checkpoint deletes the old file: its last write, just before
@@ -503,7 +496,7 @@ class TestCheckpoint:
         assert records[-1].is_checkpoint
 
     def test_two_checkpoints_increment_id(self, tmp_path, key):
-        engine = make_engine(make_backend(tmp_path, key))
+        engine = WalEngine(JournalBackend(tmp_path, key))
         engine.append(b"a" * 20, full_sync=True)
         first = engine.checkpoint()
         engine.append(b"b" * 20, full_sync=True)
@@ -511,8 +504,8 @@ class TestCheckpoint:
         assert (first.ckpt_id, second.ckpt_id) == (1, 2)
 
     def test_crash_before_sidecar_rename_keeps_old_checkpoint(self, tmp_path, key, disk):
-        backend = make_backend(tmp_path, key)
-        engine = make_engine(backend)
+        backend = JournalBackend(tmp_path, key)
+        engine = WalEngine(backend)
         engine.append(b"epoch1" * 4, full_sync=True)
         engine.checkpoint()
         engine.append(b"epoch2" * 4, full_sync=True)
@@ -528,11 +521,11 @@ class TestCheckpoint:
         assert payloads == [pad4(b"epoch2" * 4)]
 
     def test_restart_after_checkpoint_continues_ids(self, tmp_path, key):
-        engine = make_engine(make_backend(tmp_path, key))
+        engine = WalEngine(JournalBackend(tmp_path, key))
         engine.append(b"x" * 40, full_sync=True)
         engine.checkpoint()
         engine.close()
-        engine2 = make_engine(make_backend(tmp_path, key))
+        engine2 = WalEngine(JournalBackend(tmp_path, key))
         engine2.append(b"y" * 40, full_sync=True)
         assert engine2.checkpoint().ckpt_id == 2
 
@@ -541,7 +534,7 @@ class TestCheckpointCollects:
     """The checkpoint is the one place journal files are deleted."""
 
     def test_checkpoint_deletes_files_below_sidecar(self, tmp_path, key):
-        engine = make_engine(make_backend(tmp_path, key))
+        engine = WalEngine(JournalBackend(tmp_path, key))
         engine.append(b"one" * 10, full_sync=True)
         engine.checkpoint()
         assert list_epoch_fids(tmp_path, "journal") == [read_sidecar(tmp_path)[1]]
@@ -550,21 +543,35 @@ class TestCheckpointCollects:
         assert list_epoch_fids(tmp_path, "journal") == [read_sidecar(tmp_path)[1]] == [2]
 
     def test_restart_then_checkpoint_deletes_files_in_between(self, tmp_path, key):
-        engine = make_engine(make_backend(tmp_path, key))
+        engine = WalEngine(JournalBackend(tmp_path, key))
         engine.append(b"old" * 10, full_sync=True)
         engine.checkpoint()
         engine.append(b"kept" * 10, full_sync=True)
-        backend = reopen(reopen(engine.backend))
+        backend = KINDS["journal"].reopen(KINDS["journal"].reopen(engine.backend))
         assert list_epoch_fids(tmp_path, "journal") == [1, 2, 3]
-        engine = make_engine(backend)
+        engine = WalEngine(backend)
         engine.append(b"new" * 10, full_sync=True)
         assert [r.payload for r in backend.recover()] == [pad4(b"kept" * 10), pad4(b"new" * 10)]
         engine.checkpoint()
         assert list_epoch_fids(tmp_path, "journal") == [4]
         assert backend.recover() == []
 
+    @over()
+    @pytest.mark.parametrize("sync", [True, False])
+    def test_directory_fsync_precedes_every_deletion(self, tmp_path, key, monkeypatch, disk, kind, sync):
+        backend = kind.open(tmp_path, key, sync=sync)
+        backend.persist_slot(b"\x0b" * 300)
+        disk.events.clear()
+        monkeypatch.setattr(Replica, "drop_before", lambda replica, fid: disk.events.append(("drop", fid)))
+        backend.checkpoint(1)
+        events = [name for name, _ in disk.events if name in ("sync_dir", "replace", "unlink", "drop")]
+        # one directory fsync makes the new file durable, one the sidecar's
+        # rename; then the old file goes, and quorum's replicas drop its segments
+        syncs = ["sync_dir"] if sync else []
+        assert events == syncs + ["replace"] + syncs + ["unlink"] + ["drop"] * kind.replicas
+
     def test_plain_checkpoint_keeps_only_the_newest_file(self, tmp_path):
-        engine = make_engine(PlainJournalBackend(tmp_path))
+        engine = WalEngine(PlainJournalBackend(tmp_path))
         engine.append(b"old" * 10, full_sync=True)
         engine.checkpoint()
         engine.append(b"new" * 10, full_sync=True)
@@ -576,17 +583,17 @@ class TestGc:
     """Without a checkpoint nothing is collected."""
 
     def test_single_active_file_nothing_deleted(self, tmp_path, key):
-        backend = make_backend(tmp_path, key)
-        make_engine(backend).append(b"only" * 10, full_sync=True)
+        backend = JournalBackend(tmp_path, key)
+        WalEngine(backend).append(b"only" * 10, full_sync=True)
         assert list_epoch_fids(tmp_path, "journal") == [0]
         assert [r.payload for r in backend.recover()] == [pad4(b"only" * 10)]
 
     def test_gc_without_sidecar_is_noop(self, tmp_path, key):
-        backend = make_backend(tmp_path, key)
+        backend = JournalBackend(tmp_path, key)
         payloads = [b"a" * 10, b"b" * 10, b"c" * 10]
         for p in payloads:
-            make_engine(backend).append(p, full_sync=True)
-            backend = reopen(backend)  # each restart starts a fresh file
+            WalEngine(backend).append(p, full_sync=True)
+            backend = KINDS["journal"].reopen(backend)  # each restart starts a fresh file
         assert read_sidecar(tmp_path) is None
         assert list_epoch_fids(tmp_path, "journal") == [0, 1, 2, 3]
         assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
@@ -596,7 +603,7 @@ class TestBaselines:
     def test_plain_backend_leaks_sizes(self, tmp_path):
         trace = StorageTrace()
         backend = PlainJournalBackend(tmp_path, trace=trace)
-        engine = make_engine(backend)
+        engine = WalEngine(backend)
         for n in (100, 500, 900):
             engine.append(os.urandom(n), full_sync=True)
         assert trace.distinct_sizes(StorageTrace.JOURNAL) == {116, 516, 916}

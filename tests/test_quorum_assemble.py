@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evenlog.crypto import IV_SIZE, StaticKeyProvider, decrypt_segment
+from evenlog.crypto import IV_SIZE, decrypt_segment
 from evenlog.errors import CommitTimeout, WalError
 from evenlog.journal import journal_files
 from evenlog.quorum import QuorumBackend, QuorumConfig, SegmentId, SelectionScheme
@@ -24,9 +24,7 @@ from evenlog.quorum import backend as backend_module
 from evenlog.quorum.backend import _fetch_verified
 from evenlog.quorum.metadata import SENTINEL, MetadataArray, serialized_size
 
-from .conftest import MASTER, build_cluster, reopen
-
-KEY = StaticKeyProvider(MASTER).get("default")
+from .conftest import KEY, KINDS, build_cluster
 REPLICAS = 15  # 5 groups: enough for fixed-count selection with K = 512 / 128
 MAX_WRITE = 512
 
@@ -66,14 +64,16 @@ def outcome(assemble):
         return type(exc)
 
 
-def apply_fault(replicas, fault) -> None:
+def apply_fault(replicas, fault, short) -> None:
+    """Apply ``fault``; ``short`` holds the (replica id, sid) of every copy
+    truncated so far."""
     kind, pick = fault
     if kind == "kill":
         replicas[pick].kill()
         return
     # each copy takes at most one corrupt or truncate fault
-    held = sorted((rid, sid) for rid, rep in replicas.items() for sid, (unit, _) in rep._store.items()
-                  if kind == "delete" or len(unit) == IV_SIZE + 128)
+    held = sorted((rid, sid) for rid, rep in replicas.items() for sid in rep.segment_ids
+                  if kind == "delete" or (rid, sid) not in short)
     if not held:
         return
     rid, sid = held[pick % len(held)]
@@ -81,10 +81,10 @@ def apply_fault(replicas, fault) -> None:
     if kind == "corrupt":
         replica.corrupt(sid, pick % 128)
     elif kind == "truncate":
-        unit, digest = replica._store[sid]
-        replica._store[sid] = (unit[: pick % len(unit)], digest)
+        replica.truncate(sid, pick % (IV_SIZE + 128))
+        short.add((rid, sid))
     else:
-        del replica._store[sid]
+        replica.forget(sid)
 
 
 @pytest.mark.parametrize("scheme", [SelectionScheme.VNOS, SelectionScheme.FNOS])
@@ -116,9 +116,10 @@ def test_batched_recovery_matches_oracle(scheme, steps, faults, blobs_per_run, s
                     rep = replicas[step[1]]
                     rep.revive() if not rep.alive else rep.kill()
                 else:
-                    backend = reopen(backend, seed=rng.randrange(2**16))
+                    backend = KINDS[f"quorum-{scheme.value}"].reopen(backend, seed=rng.randrange(2**16))
+            short = set()
             for fault in faults:
-                apply_fault(replicas, fault)
+                apply_fault(replicas, fault, short)
             expected = outcome(lambda: oracle_assemble(backend))
             assert outcome(backend.recover_assemble) == expected
             backend.close()

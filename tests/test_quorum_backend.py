@@ -1,11 +1,11 @@
 """End-to-end quorum backend: commit, fault tolerance, recovery, and
-the checkpoint that collects old epochs."""
+the checkpoint that collects old epochs. The properties every backend
+shares run on quorum as kinds of the backend matrix (``conftest.KINDS``),
+in ``test_journal.py`` and ``test_engine.py``."""
 
 import hashlib
 import os
 import random
-import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -16,38 +16,29 @@ from evenlog.errors import (
     CommitTimeout,
     DurabilityError,
     IntegrityFailure,
+    InvalidConfig,
     RecordTooLarge,
     RecoveryCorruption,
     SegmentNotFound,
     UnrecoverableSegment,
 )
-from evenlog.journal import RESERVE_SIZE, SIDECAR_NAME
+from evenlog.journal import SIDECAR_NAME
 from evenlog.observe import StorageTrace
 from evenlog.quorum import QuorumBackend, QuorumConfig, Replica, SegmentId, SelectionScheme
 from evenlog.quorum import backend as backend_module
 from evenlog.quorum.metadata import MetadataArray, serialized_size
 from evenlog.quorum.replica import store_frame_size
-from evenlog.records import encode_record
 
-from .conftest import MUTATING, build_cluster, crash, pad4, reopen
+from .conftest import KINDS, build_cluster, current_file, pad4
+
+VNOS, FNOS = KINDS["quorum-vnos"], KINDS["quorum-fnos"]
 
 
-def make_backend(tmp_path, key, n_replicas=15, scheme=SelectionScheme.VNOS,
-                 segment_size=128, max_write_size=512, seed=0, **kw):
+def make_backend(tmp_path, key, n_replicas=15, scheme=SelectionScheme.VNOS, max_write_size=512, seed=0, **kw):
+    """A quorum backend of a shape the backend matrix lacks (by default 5 groups, K = 4)."""
     registry, replicas = build_cluster(n_replicas)
-    cfg = QuorumConfig(segment_size=segment_size, max_write_size=max_write_size)
-    backend = QuorumBackend(tmp_path, key, replicas, registry, config=cfg,
-                            scheme=scheme, seed=seed, **kw)
-    return backend
-
-
-def make_engine(backend):
-    return WalEngine(backend)
-
-
-def metadata_path(backend) -> Path:
-    """The metadata file the backend appends to."""
-    return backend.root / journal.epoch_filename(backend.PREFIX, backend.current_file_id)
+    return QuorumBackend(tmp_path, key, replicas, registry, config=QuorumConfig(128, max_write_size),
+                         scheme=scheme, seed=seed, **kw)
 
 
 class TestReplica:
@@ -105,7 +96,7 @@ class TestPersist:
         backend = make_backend(tmp_path, key)
         receipt = backend.persist_slot(b"")
         assert receipt.real_segments == 0
-        assert metadata_path(backend).stat().st_size == 0
+        assert current_file(backend).stat().st_size == 0
 
     def test_metadata_grows_by_constant_blob(self, tmp_path, key, disk):
         backend = make_backend(tmp_path, key)
@@ -116,16 +107,7 @@ class TestPersist:
             appends = [args[1:] for name, args in disk.events if name == "append"]
             assert [(len(data), offset) for data, offset in appends] == [(blob, i * blob)]
         backend.close()
-        assert metadata_path(backend).stat().st_size == 4 * blob
-
-    def test_first_synced_flush_makes_the_start_file_durable(self, tmp_path, key, disk):
-        engine = make_engine(make_backend(tmp_path, key))
-        names = []
-        for payload in (b"one", b"two"):
-            disk.events.clear()
-            engine.append(payload * 10, full_sync=True)
-            names.append([name for name, _ in disk.events])
-        assert names == [["resize", "append", "sync", "sync_dir"], ["append", "sync"]]
+        assert current_file(backend).stat().st_size == 4 * blob
 
     def test_replica_messages_constant_size(self, tmp_path, key):
         trace = StorageTrace()
@@ -170,7 +152,7 @@ class TestPersist:
         assert {len(unit) for unit in units} == {IV_SIZE + 128}
 
         backend.close()
-        plain = decrypt_stream(key, metadata_path(backend).read_bytes(), serialized_size(backend.config.k_max))
+        plain = decrypt_stream(key, current_file(backend).read_bytes(), serialized_size(backend.config.k_max))
         fakes = {sid for sid in copies if sid.sn >= receipts[sid.ssn].real_segments}
         assert len(fakes) == sum(r.fake_segments for r in receipts) > 0
         for sid, ((_, digest),) in copies.items():
@@ -210,13 +192,25 @@ class TestPersist:
     def test_vnos_write_over_max_write_size_is_refused(self, tmp_path, key):
         # 10 groups could take the 6 segments of 700 B, but MS = 512 B allows 4
         backend = make_backend(tmp_path, key, n_replicas=30, max_write_size=512)
-        engine = make_engine(backend)
+        engine = WalEngine(backend)
         small = os.urandom(40)
         engine.append(small, full_sync=True)
         with pytest.raises(RecordTooLarge):  # before it is buffered: the engine is not wedged
             engine.append(os.urandom(700), full_sync=True)
         engine.append(small, full_sync=True)
         assert [r.payload for r in backend.recover()] == [pad4(small)] * 2
+
+    def test_vnos_write_over_its_groups_is_refused(self, tmp_path, key):
+        # MS = 2048 B allows 16 segments, but 4 groups take at most 4
+        backend = make_backend(tmp_path, key, n_replicas=12, max_write_size=2048)
+        assert backend.max_flush == 4 * 128
+        engine = WalEngine(backend)
+        engine.append(b"a" * 40, full_sync=True)
+        with pytest.raises(RecordTooLarge):  # before it is buffered: the engine is not wedged
+            engine.append(b"b" * 600)
+        assert engine.slot.buffered_bytes == 0
+        engine.append(b"c" * 40, full_sync=True)
+        assert [r.payload for r in backend.recover()] == [b"a" * 40, b"c" * 40]
 
     def test_single_failure_per_group_still_commits(self, tmp_path, key):
         backend = make_backend(tmp_path, key, n_replicas=9)
@@ -315,7 +309,7 @@ class TestPersist:
         assert (got, counts) == self.PINNED[scheme]
 
         backend.close()
-        blobs = metadata_path(backend).read_bytes()
+        blobs = current_file(backend).read_bytes()
         plain = decrypt_stream(key, blobs, serialized_size(backend.config.k_max))
         sids = [SegmentId(backend.current_file_id, r.ssn, sn) for r in receipts for sn in range(backend.config.k_max)]
         held = sorted((rid, tuple(sid)) for rid, rep in backend.replicas.items() for sid in sids if rep.has(sid))
@@ -327,7 +321,7 @@ class TestPersist:
 class TestRecovery:
     def commit_some(self, tmp_path, key, scheme=SelectionScheme.VNOS, n_slots=5, seed=0):
         backend = make_backend(tmp_path, key, n_replicas=18, scheme=scheme, seed=seed)
-        engine = make_engine(backend)
+        engine = WalEngine(backend)
         payloads = [os.urandom(30 + 37 * i) for i in range(n_slots)]
         for p in payloads:
             engine.append(p, full_sync=True)
@@ -342,45 +336,6 @@ class TestRecovery:
     def test_fnos_recovery_ignores_fakes(self, tmp_path, key):
         backend, payloads = self.commit_some(tmp_path, key, scheme=SelectionScheme.FNOS)
         assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
-
-    def test_failed_metadata_read_is_a_durability_error(self, tmp_path, key, disk):
-        backend, _ = self.commit_some(tmp_path, key, n_slots=2)
-        disk.fail = {"read_chunks"}
-        with pytest.raises(DurabilityError):
-            backend.recover()
-
-    def test_recovery_makes_no_mutating_call(self, tmp_path, key, disk):
-        backend, payloads = self.commit_some(tmp_path, key, n_slots=2)
-        disk.fail, disk.events = set(MUTATING), []
-        assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
-        assert {name for name, _ in disk.events} == {"listdir", "read", "read_chunks"}
-        disk.fail = set()  # the open backend's close cuts its file back
-
-    def test_root_that_is_a_file_is_a_durability_error(self, tmp_path, key):
-        (tmp_path / "file").write_bytes(b"x")
-        with pytest.raises(DurabilityError):
-            make_backend(tmp_path / "file", key)
-
-    def test_crash_keeps_the_zero_tail_and_every_record(self, tmp_path, key):
-        backend, payloads = self.commit_some(tmp_path, key)
-        crash(backend)
-        assert metadata_path(backend).stat().st_size == RESERVE_SIZE
-        assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
-
-    @pytest.mark.parametrize("zeroed", [(1, 0), (4, 48)], ids=["zero-blob-mid-file", "torn-last-blob"])
-    def test_blob_with_zero_tail_ends_the_file(self, tmp_path, key, zeroed):
-        """A zero blob in mid-file, or the last blob torn at a 16-byte
-        boundary with zeros after it, ends the file with no error: the
-        blobs before it are recovered."""
-        backend, payloads = self.commit_some(tmp_path, key)
-        crash(backend)
-        index, keep = zeroed
-        blob = IV_SIZE + serialized_size(backend.config.k_max)
-        path = metadata_path(backend)
-        data = bytearray(path.read_bytes())
-        data[index * blob + keep : (index + 1) * blob] = bytes(blob - keep)
-        path.write_bytes(bytes(data))
-        assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads[:index]]
 
     def test_empty_metadata_empty_stream(self, tmp_path, key):
         backend = make_backend(tmp_path, key)
@@ -407,11 +362,6 @@ class TestRecovery:
         backend.replicas[holders[0]].corrupt(sid)
         assert [r.payload for r in backend.recover()] == [pad4(payloads[0])]
 
-    @staticmethod
-    def truncate_copy(replica, sid):
-        unit, digest = replica._store[sid]
-        replica._store[sid] = (unit[:-1], digest)
-
     def test_short_first_copy_falls_back_to_next(self, tmp_path, key):
         backend, payloads = self.commit_some(tmp_path, key)
         sid = SegmentId(backend.current_file_id, 0, 0)
@@ -423,7 +373,7 @@ class TestRecovery:
             rep.read = read
         backend.recover()
         first = next(rid for rid, s in reads if s == sid)
-        self.truncate_copy(backend.replicas[first], sid)
+        backend.replicas[first].truncate(sid, IV_SIZE + 127)
         assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
 
     def test_every_copy_short_raises_integrity(self, tmp_path, key):
@@ -432,7 +382,7 @@ class TestRecovery:
         holders = [rep for rep in backend.replicas.values() if rep.has(sid)]
         assert len(holders) >= 2
         for rep in holders:
-            self.truncate_copy(rep, sid)
+            rep.truncate(sid, IV_SIZE + 127)
         with pytest.raises(IntegrityFailure):
             backend.recover()
 
@@ -447,19 +397,9 @@ class TestRecovery:
 
     def test_restart_recovers_earlier_metadata_files(self, tmp_path, key):
         backend, payloads = self.commit_some(tmp_path, key)
-        reborn = reopen(backend, seed=9)
+        reborn = VNOS.reopen(backend, seed=9)
         assert reborn.current_file_id == 1
         assert [r.payload for r in reborn.recover()] == [pad4(p) for p in payloads]
-
-    def test_corruption_names_its_metadata_file(self, tmp_path, key):
-        backend, _ = self.commit_some(tmp_path, key, n_slots=1)
-        backend = reopen(backend)
-        first = encode_record(b"first" * 8)
-        backend.persist_slot(first + (13).to_bytes(4, "little") + b"\x00" * 12)
-        with pytest.raises(RecoveryCorruption) as exc_info:
-            backend.recover()
-        assert (exc_info.value.fid, exc_info.value.offset) == (1, len(first))
-        assert f"metadata file 1, offset {len(first)}" in str(exc_info.value)
 
     @staticmethod
     def fail_metadata_write_of_b(tmp_path, key, disk):
@@ -467,7 +407,7 @@ class TestRecovery:
         same replicas. ``a`` commits; ``b`` reaches the replicas but its
         metadata write fails."""
         backend = make_backend(tmp_path, key, n_replicas=3)
-        engine = make_engine(backend)
+        engine = WalEngine(backend)
         engine.append(b"a" * 40, full_sync=True)
         disk.fail = {"append"}
         with pytest.raises(DurabilityError):
@@ -477,7 +417,7 @@ class TestRecovery:
 
     def test_restart_after_half_written_write_reuses_no_segment_id(self, tmp_path, key, disk):
         engine = self.fail_metadata_write_of_b(tmp_path, key, disk)
-        engine = make_engine(reopen(engine.backend))
+        engine = WalEngine(VNOS.reopen(engine.backend))
         engine.append(b"c" * 40, full_sync=True)
         assert [r.payload for r in engine.backend.recover()] == [b"a" * 40, b"c" * 40]
 
@@ -542,46 +482,17 @@ class TestRecovery:
             backend.recover()
         assert exc_info.value.offset == at
 
-    def test_memory_stays_within_a_few_reads(self, tmp_path, key):
-        self.check_recovery_memory(tmp_path, key, max_write_size=1024)  # K = 8
-
-    def test_memory_stays_within_a_few_reads_at_k16(self, tmp_path, key):
-        self.check_recovery_memory(tmp_path, key, max_write_size=2048)
-
-    @staticmethod
-    def check_recovery_memory(tmp_path, key, max_write_size):
-        rng = random.Random(10)
-        backend = make_backend(tmp_path, key, n_replicas=24, max_write_size=max_write_size, sync=False)
-        engine = make_engine(backend)
-        payloads = [rng.randbytes(rng.randint(100, 900)) for _ in range(8000)]
-        for p in payloads:
-            engine.append(p, full_sync=True)
-        tracemalloc.start()
-        try:
-            records = backend.recover()
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert [r.payload for r in records] == [pad4(p) for p in payloads]
-        # what recovery needs beyond the records it returns
-        assert peak - held <= 4 * 2**20
-
-
-def held_fids(backend) -> set[int]:
-    """The epochs of the segments that live replicas hold."""
-    return {sid.fid for rep in backend.replicas.values() if rep.alive for sid in rep._store}
-
 
 class TestCheckpointGc:
     def test_checkpoint_rotates_metadata_epoch(self, tmp_path, key):
         backend = make_backend(tmp_path, key)
         backend.persist_slot(b"\x05" * 100)
-        old = metadata_path(backend)
+        old = current_file(backend)
         marker = backend.checkpoint(1)
         assert marker.lsn.file_id == backend.current_file_id == backend.last_checkpoint_id == 1
         assert not old.exists()
         backend.persist_slot(b"\x06" * 100)
-        assert sorted(tmp_path.iterdir()) == [tmp_path / SIDECAR_NAME, metadata_path(backend)]
+        assert sorted(tmp_path.iterdir()) == [tmp_path / SIDECAR_NAME, current_file(backend)]
 
     def test_checkpoint_adds_one_sidecar_write_to_metadata_channel(self, tmp_path, key):
         trace = StorageTrace()
@@ -604,7 +515,7 @@ class TestCheckpointGc:
         backend = make_backend(tmp_path, key)
         backend.persist_slot(b"\x05" * 100)
         backup = tmp_path / "metadata.0000000000.bak"
-        backup.write_bytes(metadata_path(backend).read_bytes())
+        backup.write_bytes(current_file(backend).read_bytes())
         backend.checkpoint(1)
         assert backup.exists() and (tmp_path / "metadata.tmp").exists()
         assert not (tmp_path / "metadata.0000000000").exists()
@@ -615,13 +526,13 @@ class TestCheckpointGc:
         at registry time ``t``, restart, and check every segment and
         record is still there."""
         backend = make_backend(tmp_path, key, n_replicas=18, scheme=SelectionScheme.FNOS)
-        engine = make_engine(backend)
+        engine = WalEngine(backend)
         payloads = [os.urandom(30 + 37 * i) for i in range(5)]
         for p in payloads:
             engine.append(p, full_sync=True)
         held = sum(len(rep) for rep in backend.replicas.values())
         backend.registry.register(member, t)
-        backend = reopen(backend)
+        backend = FNOS.reopen(backend)
         assert sum(len(rep) for rep in backend.replicas.values()) == held
         assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
         return backend
@@ -638,44 +549,18 @@ class TestCheckpointGc:
 
     def test_checkpoint_drops_segments_below_new_epoch(self, tmp_path, key):
         backend = make_backend(tmp_path, key)
-        engine = make_engine(backend)
+        engine = WalEngine(backend)
         engine.append(b"\x08" * 300, full_sync=True)
         down = next(rep for rep in backend.replicas.values() if len(rep))
         down.kill()
         engine.checkpoint()
-        assert held_fids(backend) == set()
+        assert VNOS.held(backend) == set()
         engine.append(b"\x09" * 300, full_sync=True)
-        assert held_fids(backend) == {1}
+        assert VNOS.held(backend) == {1}
         down.revive()
-        assert {sid.fid for sid in down._store} == {0}  # it missed the drop while dead
+        assert {sid.fid for sid in down.segment_ids} == {0}  # it missed the drop while dead
         engine.checkpoint()
-        assert held_fids(backend) == set() and len(down) == 0
-
-    @pytest.mark.parametrize("sync", [True, False])
-    def test_directory_fsync_precedes_every_deletion(self, tmp_path, key, monkeypatch, disk, sync):
-        backend = make_backend(tmp_path, key, sync=sync)
-        backend.persist_slot(b"\x0b" * 300)
-        disk.events.clear()
-        for rep in backend.replicas.values():
-            monkeypatch.setattr(rep, "drop_before", lambda fid: disk.events.append(("drop", fid)))
-        backend.checkpoint(1)
-        events = [name for name, _ in disk.events if name in ("sync_dir", "replace", "unlink", "drop")]
-        drops = ["drop"] * len(backend.replicas)
-        # one directory fsync makes the new file durable, one the sidecar's rename
-        syncs = ["sync_dir"] if sync else []
-        assert events == syncs + ["replace"] + syncs + ["unlink"] + drops
-
-    @pytest.mark.parametrize("effect", ["open_append", "sync_dir", "replace"])
-    def test_failed_checkpoint_is_a_durability_error_and_drops_nothing(self, tmp_path, key, disk, effect):
-        backend = make_backend(tmp_path, key)
-        engine = make_engine(backend)
-        engine.append(b"kept" * 10, full_sync=True)
-        held = held_fids(backend)
-        disk.fail = {effect}
-        with pytest.raises(DurabilityError):
-            engine.checkpoint()
-        assert held_fids(backend) == held == {0}
-        assert [r.payload for r in backend.recover() if not r.is_checkpoint] == [pad4(b"kept" * 10)]
+        assert VNOS.held(backend) == set() and len(down) == 0
 
 
 class TestConfig:
@@ -683,3 +568,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             QuorumConfig(segment_size=128, max_write_size=100).validate()
         assert QuorumConfig().validate().k_max == 8
+
+    def test_fnos_with_fewer_groups_than_k_is_refused_before_any_file(self, tmp_path, key):
+        with pytest.raises(InvalidConfig, match="exceeds the 4 quorum groups"):
+            make_backend(tmp_path / "q", key, n_replicas=12, scheme=SelectionScheme.FNOS, max_write_size=2048)
+        assert not (tmp_path / "q").exists()
