@@ -29,6 +29,13 @@ class DurabilityError(WalError):
     """A backend failed to persist data; the write is not committed."""
 
 
+class Closed(WalError):
+    """The engine or backend is closed: it takes no more writes."""
+
+    def __init__(self, message: str = "the engine is closed"):
+        super().__init__(message)
+
+
 class StorageNotFound(WalError):
     """The directory a backend or recovery reads does not exist."""
 

@@ -53,7 +53,7 @@ from typing import BinaryIO, Iterable, Iterator
 import numpy as np
 
 from . import crypto
-from .errors import DurabilityError, RecoveryCorruption, StorageNotFound, WalError
+from .errors import Closed, DurabilityError, RecoveryCorruption, StorageNotFound, WalError
 from .observe import StorageTrace
 from .records import LogRecord, Lsn, scan_padded_stream
 from .segmentation import check_segment_size, pad_to_segments
@@ -243,13 +243,17 @@ class JournalFiles:
         return self._fid
 
     def close(self) -> None:
-        """Cut the file back to its last flush and close it."""
+        """Cut the file back to its last flush and close it for writes."""
         if self._fh is not None:
             try:
                 self._cut_back()
             finally:
                 self.DISK.close(self._fh)
                 self._fh = None
+
+    def _refuse_if_closed(self) -> None:
+        if self._fh is None:
+            raise Closed(f"the {self.PREFIX} backend is closed")
 
     def _append(self, data: bytes, unit: int) -> Lsn:
         """Durably append ``data``, a whole number of ``unit``-byte units,
@@ -259,6 +263,7 @@ class JournalFiles:
         to the next ``RESERVE_SIZE`` multiple when the flush would pass its
         reserved end. With ``sync`` on, the first flush into a start's file
         also syncs the directory. An empty flush writes and syncs nothing."""
+        self._refuse_if_closed()
         lsn = Lsn(self._fid, self._offset)
         if data:
             end = self._offset + len(data)
@@ -287,9 +292,10 @@ class JournalFiles:
         delete the files below it, which recovery no longer reads.
 
         The caller must already have flushed the checkpoint record (see
-        ``WalEngine.checkpoint``). The next file is created before the
+        ``Slot.checkpoint``). The next file is created before the
         sidecar rename so the sidecar never names a missing file.
         """
+        self._refuse_if_closed()
         next_fid = self._fid + 1
         self._open_file(next_fid)
         if self.sync:

@@ -169,6 +169,7 @@ class QuorumBackend(JournalFiles):
 
     def persist_slot(self, slot_bytes: bytes) -> CommitReceipt:
         """Replicate one slot flush and durably record its metadata."""
+        self._refuse_if_closed()  # before delivery
         cfg = self.config
         seg = cfg.segment_size
         if not slot_bytes:

@@ -9,10 +9,11 @@ when the periodic flusher fires.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from typing import NamedTuple, Protocol
 
-from .errors import InvalidConfig, RecordTooLarge
+from .errors import Closed, InvalidConfig, RecordTooLarge
 from .records import FLAG_CHECKPOINT, LogRecord, Lsn, encode_record
 
 DEFAULT_SLOT_CAPACITY = 128 * 1024
@@ -42,7 +43,8 @@ class DurabilityBackend(Protocol):
     the records written since the last checkpoint. Deletions happen only
     at a checkpoint, so they reveal the checkpoint cadence, never a
     record size. ``max_flush`` is the largest flush ``persist_slot``
-    takes, or None when any size goes."""
+    takes, or None when any size goes. After ``close``, ``persist_slot``
+    and ``checkpoint`` raise ``Closed`` before any effect; ``recover`` still works."""
 
     max_flush: int | None
 
@@ -69,23 +71,28 @@ class AppendResult(NamedTuple):
 
 
 class Slot:
-    """Bounded record buffer. Appends are linearizable; a flush drains the
-    buffer atomically while holding the same lock, so appenders observe
-    either the pre- or post-flush state.
+    """Bounded record buffer, the one caller of its backend's writes.
+    Appends are linearizable; a flush drains the buffer atomically while
+    holding the same lock, so appenders observe either the pre- or
+    post-flush state. ``max_flush``, the backend's largest flush, bounds
+    the capacity too, and a larger record is refused (``RecordTooLarge``)
+    before anything is buffered or flushed.
 
-    ``max_flush``, the backend's largest flush, bounds the capacity too,
-    and a record larger than it is refused (``RecordTooLarge``) before
-    anything is buffered or flushed."""
+    Fail-stop: the first backend write that raises is kept in ``_stop``,
+    and every later call raises it. The failed flush is never retried: a
+    failed fdatasync may already have dropped its pages. After ``close``
+    the calls raise ``Closed``."""
 
-    def __init__(self, capacity: int = DEFAULT_SLOT_CAPACITY, max_flush: int | None = None):
+    def __init__(self, backend: DurabilityBackend, capacity: int = DEFAULT_SLOT_CAPACITY):
         if capacity <= 0:
             raise InvalidConfig(f"slot capacity {capacity} is not positive")
-        self.capacity = capacity if max_flush is None else min(capacity, max_flush)
-        self._max_flush = max_flush
+        self._backend = backend
+        self.capacity = capacity if backend.max_flush is None else min(capacity, backend.max_flush)
         self._buf = bytearray()
         self._ssn = 0  # sequence number of the next flush
         self._stream_offset = 0  # total record bytes ever appended
         self._lock = threading.RLock()
+        self._stop: Exception | type[Closed] | None = None  # raised by every later call
 
     @property
     def ssn(self) -> int:
@@ -95,86 +102,89 @@ class Slot:
     def buffered_bytes(self) -> int:
         return len(self._buf)
 
-    def append(self, record: bytes, backend: DurabilityBackend, full_sync: bool = False) -> AppendResult:
-        """Buffer one encoded record, flushing first if it would overflow.
-
-        Records larger than the whole slot are persisted as a dedicated
-        flush of their own, unless they exceed the backend's largest
-        flush. ``flushed`` in the result reports whether *this record* is
-        durable on return, which is the case for full-sync appends and
-        oversize records.
-        """
+    def append(self, record: bytes, full_sync: bool = False) -> AppendResult:
+        """Buffer one encoded record, flushing first if it would overflow; a
+        record larger than the slot is flushed on its own. ``flushed`` says
+        whether *this record* is durable on return."""
         with self._lock:
+            if self._stop is not None:
+                raise self._stop
             if len(self._buf) + len(record) > self.capacity:
-                if self._max_flush is not None and len(record) > self._max_flush:
+                if (max_flush := self._backend.max_flush) is not None and len(record) > max_flush:
                     raise RecordTooLarge(f"record of {len(record)} bytes exceeds the backend's "
-                                         f"largest flush of {self._max_flush} bytes")
-                self._flush_locked(backend)
-            lsn = Lsn(backend.current_file_id, self._stream_offset)
+                                         f"largest flush of {max_flush} bytes")
+                self._flush_locked()
+            lsn = Lsn(self._backend.current_file_id, self._stream_offset)
             self._stream_offset += len(record)
-            if len(record) > self.capacity:
-                # oversize: bypass the buffer, one standalone flush
-                backend.persist_slot(bytes(record))
-                self._ssn += 1
-                return AppendResult(lsn, True)
             self._buf += record
-            if full_sync:
-                self._flush_locked(backend)
+            if full_sync or len(self._buf) > self.capacity:
+                self._flush_locked()
                 return AppendResult(lsn, True)
             return AppendResult(lsn, False)
 
-    def flush(self, backend: DurabilityBackend) -> None:
-        """Hand the buffered bytes to the backend; empty buffers are a no-op.
-
-        On backend failure the buffer is left untouched.
-        """
+    def flush(self) -> None:
+        """Hand the buffered bytes to the backend; empty buffers are a no-op."""
         with self._lock:
-            self._flush_locked(backend)
+            if self._stop is not None:
+                raise self._stop
+            self._flush_locked()
 
-    def checkpoint(self, backend: DurabilityBackend) -> CheckpointMarker:
+    def checkpoint(self) -> CheckpointMarker:
         """Flush the buffer and a flagged checkpoint record, then start the
         backend's next epoch, all under the lock: no append or flush lands
         in between, in a file the checkpoint deletes."""
         with self._lock:
-            ckpt_id = backend.last_checkpoint_id + 1
+            ckpt_id = self._backend.last_checkpoint_id + 1
             record = encode_record(ckpt_id.to_bytes(8, "little"), FLAG_CHECKPOINT)  # u64 id, FORMAT.md
-            self.append(record, backend, full_sync=True)
-            return backend.checkpoint(ckpt_id)
+            self.append(record, full_sync=True)
+            return self._call(self._backend.checkpoint, ckpt_id)
 
-    def _flush_locked(self, backend: DurabilityBackend) -> None:
-        if not self._buf:
-            return
-        backend.persist_slot(bytes(self._buf))
-        self._buf.clear()
-        self._ssn += 1
+    def close(self) -> None:
+        """Flush the buffer and close the backend, which is closed even when
+        the flush raises. A stopped slot raises its error here, once the
+        backend is closed. A second ``close`` returns at once."""
+        with self._lock:
+            if self._stop is Closed:
+                return
+            try:
+                self.flush()
+            finally:
+                self._stop = Closed
+                self._backend.close()
+
+    def _flush_locked(self) -> None:
+        if self._buf:
+            self._call(self._backend.persist_slot, bytes(self._buf))
+            self._buf.clear()
+            self._ssn += 1
+
+    def _call(self, method, arg):
+        """Every backend write goes through here: the first that raises stops the slot."""
+        try:
+            return method(arg)
+        except Exception as exc:
+            self._stop = exc
+            raise
 
 
 class PeriodicFlusher:
     """Background thread driving ``flush`` every ``interval_ms``. The first
-    flush that raises stops it, and ``check`` raises what it raised."""
+    flush that raises stops it; the slot it flushes keeps that error and
+    raises it on the next call."""
 
     def __init__(self, flush, interval_ms: float):
         self._flush = flush
         self._interval = interval_ms / 1000.0
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
-        self._error: Exception | None = None
 
     def start(self) -> None:
         self._thread.start()
 
     def _run(self) -> None:
-        while not self._stop.wait(self._interval):
-            try:
+        with contextlib.suppress(Exception):  # kept by the slot, raised by its next call
+            while not self._stop.wait(self._interval):
                 self._flush()
-            except Exception as exc:  # noqa: BLE001  (raised by the owner's next ``check``)
-                self._error = exc
-                return
-
-    def check(self) -> None:
-        """Raise the error that stopped the flusher, if one did."""
-        if self._error is not None:
-            raise self._error
 
     def stop(self) -> None:
         self._stop.set()

@@ -1,12 +1,13 @@
 """Checkpoint-driven collection as a property over operation sequences.
 
 For any mix of appends (full-sync or buffered), checkpoints,
-crash-restarts and flushes whose durable write fails before a crash,
-recovery returns exactly the records made durable since the last
-checkpoint. Right after a checkpoint the backend holds nothing older
-than the new epoch: no file below the sidecar fid, and no segment below
-it on a live replica. The property runs on every kind of the backend
-matrix (``conftest.KINDS``).
+crash-restarts and flushes whose durable write fails, recovery returns
+exactly the records made durable since the last checkpoint. A failed
+flush stops the engine: with the disk working again, every later call
+raises the failure and touches no file, until a restart. Right after a
+checkpoint the backend holds nothing older than the new epoch: no file
+below the sidecar fid, and no segment below it on a live replica. The
+property runs on every kind of the backend matrix (``conftest.KINDS``).
 """
 
 import tempfile
@@ -23,7 +24,8 @@ from evenlog.records import encoded_record_size
 from .conftest import KEY, SLOT, DiskDouble, over, pad4
 
 APPEND = st.tuples(st.just("append"), st.integers(1, 600), st.booleans())
-# a full-sync append whose flush fails at its durable write, then a crash
+# a full-sync append whose flush fails at its durable write; the stopped
+# engine refuses every call, then restarts
 FAIL = st.tuples(st.just("fail"), st.integers(1, 600))
 STEP = st.one_of(APPEND, FAIL, st.just(("checkpoint",)), st.just(("crash",)))
 # toggles the first member of one of the first 8 groups (each quorum kind
@@ -81,9 +83,17 @@ def run(kind, root, steps) -> None:
             model.crash()
         elif step[0] == "fail":
             # the failed flush and everything still buffered are lost
-            with pytest.MonkeyPatch.context() as mp, pytest.raises(DurabilityError):
-                mp.setattr(JournalFiles, "DISK", DiskDouble(fail={"append"}))
-                engine.append((i.to_bytes(4, "little") * 150)[: step[1]], full_sync=True)
+            payload = (i.to_bytes(4, "little") * 150)[: step[1]]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(JournalFiles, "DISK", disk := DiskDouble(fail={"append"}))
+                with pytest.raises(DurabilityError):
+                    engine.append(payload, full_sync=True)
+                disk.fail, disk.events = set(), []
+                for call in (lambda: engine.append(payload), lambda: engine.append(payload, full_sync=True),
+                             engine.flush, engine.checkpoint):
+                    with pytest.raises(DurabilityError):
+                        call()
+                assert disk.events == []
             engine = engine_on(kind.reopen(engine.backend))
             model.crash()
         else:

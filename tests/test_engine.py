@@ -96,6 +96,29 @@ def test_a_closed_engine_refuses_every_call(tmp_path, key, disk, kind):
     assert [r.payload for r in backend.recover()] == [pad4(b"kept" * 10)]
 
 
+@over()
+def test_a_failed_flush_stops_the_engine(tmp_path, key, disk, kind):
+    trace = StorageTrace()
+    backend = kind.open(tmp_path, key, trace)
+    engine = WalEngine(backend)
+    engine.append(b"ok-1" * 10, full_sync=True)
+    disk.fail = {"sync"}
+    with pytest.raises(DurabilityError) as failed:
+        engine.append(b"told-failed", full_sync=True)
+    disk.fail, disk.events = set(), []
+    stored = trace.total_bytes(kind.channel)
+    for call in (lambda: engine.append(b"ok-2" * 10), lambda: engine.append(b"ok-2" * 10, full_sync=True),
+                 engine.flush, engine.checkpoint):
+        with pytest.raises(DurabilityError):  # never retried: the failed sync may have lost its pages
+            call()
+    assert disk.events == [] and trace.total_bytes(kind.channel) == stored
+    with pytest.raises(DurabilityError) as closing:
+        engine.close()
+    assert closing.value is failed.value and [name for name, _ in disk.events][-1] == "close"
+    recovered = [r.payload for r in kind.restart(backend, 0).recover()]
+    assert recovered in ([pad4(b"ok-1" * 10)], [pad4(b"ok-1" * 10), pad4(b"told-failed")])
+
+
 class RacingCheckpoint:
     """A backend whose ``checkpoint`` first starts another writer's
     full-sync append and gives it a moment to land. The append must wait

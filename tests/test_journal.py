@@ -200,6 +200,20 @@ class TestDiskFaults:
             kind.open(tmp_path / "file", key)
 
     @over()
+    def test_a_closed_backend_refuses_writes_and_checkpoints(self, tmp_path, key, disk, kind):
+        trace = StorageTrace()
+        backend = kind.open(tmp_path, key, trace)
+        backend.persist_slot(encode_record(b"kept" * 10))
+        backend.close()
+        disk.events.clear()
+        stored, held = trace.total_bytes(kind.channel), kind.held(backend)
+        for call in (lambda: backend.persist_slot(encode_record(b"late")), lambda: backend.checkpoint(1)):
+            with pytest.raises(WalError):
+                call()
+        assert disk.events == [] and trace.total_bytes(kind.channel) == stored and kind.held(backend) == held
+        assert [r.payload for r in backend.recover()] == [pad4(b"kept" * 10)]
+
+    @over()
     def test_recovery_makes_no_mutating_call(self, tmp_path, key, disk, kind):
         backend = kind.open(tmp_path, key)
         engine = WalEngine(backend)

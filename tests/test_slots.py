@@ -19,7 +19,7 @@ class MemoryBackend:
     def __init__(self):
         self.flushes = []
         self.fail = False
-        self.current_file_id = 0
+        self.current_file_id = self.last_checkpoint_id = 0
         self.max_flush = None
 
     def persist_slot(self, slot_bytes):
@@ -38,105 +38,109 @@ def backend():
 
 class TestAppend:
     def test_small_record_is_buffered_not_flushed(self, backend):
-        slot = Slot()
-        result = slot.append(encode_record(b"p" * 100), backend)
+        slot = Slot(backend)
+        result = slot.append(encode_record(b"p" * 100))
         assert not result.flushed
         assert backend.flushes == []
         assert slot.buffered_bytes == 116
 
     def test_overflow_flushes_prior_contents_first(self, backend):
-        slot = Slot(capacity=131072)
+        slot = Slot(backend, 131072)
         filler = encode_record(b"f" * (131000 - 16))
         assert len(filler) == 131000
-        slot.append(filler, backend)
-        result = slot.append(encode_record(b"n" * 100), backend)
+        slot.append(filler)
+        result = slot.append(encode_record(b"n" * 100))
         assert backend.flushes == [filler]
         assert slot.buffered_bytes == 116
         assert not result.flushed  # the new record itself is still volatile
 
     def test_full_sync_flushes_and_reports_durable(self, backend):
-        slot = Slot()
-        result = slot.append(encode_record(b"s" * 100), backend, full_sync=True)
+        slot = Slot(backend)
+        result = slot.append(encode_record(b"s" * 100), full_sync=True)
         assert result.flushed
         assert len(backend.flushes) == 1
         assert slot.buffered_bytes == 0
 
     def test_oversize_record_is_own_flush(self, backend):
-        slot = Slot(capacity=256)
-        slot.append(encode_record(b"k" * 64), backend)
+        slot = Slot(backend, 256)
+        slot.append(encode_record(b"k" * 64))
         big = encode_record(b"B" * 1000)
-        result = slot.append(big, backend)
+        result = slot.append(big)
         assert result.flushed
         assert backend.flushes == [encode_record(b"k" * 64), big]
         assert slot.buffered_bytes == 0
 
     def test_lsn_strictly_increasing_in_append_order(self, backend):
-        slot = Slot()
-        offsets = [slot.append(encode_record(b"r" * n), backend).lsn.offset for n in (10, 20, 30)]
+        slot = Slot(backend)
+        offsets = [slot.append(encode_record(b"r" * n)).lsn.offset for n in (10, 20, 30)]
         assert offsets == sorted(offsets) and len(set(offsets)) == 3
         assert offsets[1] - offsets[0] == len(encode_record(b"r" * 10))
 
 
 class TestFlush:
     def test_empty_flush_is_noop(self, backend):
-        slot = Slot()
-        slot.flush(backend)
+        slot = Slot(backend)
+        slot.flush()
         assert backend.flushes == []
         assert slot.ssn == 0
 
     def test_flush_hands_buffer_as_one_unit(self, backend):
-        slot = Slot()
+        slot = Slot(backend)
         records = [encode_record(bytes([i]) * 40) for i in range(3)]
         for r in records:
-            slot.append(r, backend)
-        slot.flush(backend)
+            slot.append(r)
+        slot.flush()
         assert backend.flushes == [b"".join(records)]
 
     def test_ssn_strictly_increasing_across_flushes(self, backend):
-        slot = Slot()
+        slot = Slot(backend)
         ssns = []
         for _ in range(3):
-            slot.append(encode_record(b"x" * 8), backend)
+            slot.append(encode_record(b"x" * 8))
             ssns.append(slot.ssn)
-            slot.flush(backend)
+            slot.flush()
         assert ssns == [0, 1, 2] and slot.ssn == 3
 
-    def test_backend_error_leaves_slot_unchanged(self, backend):
-        slot = Slot()
-        slot.append(encode_record(b"keep" * 10), backend)
+    def test_a_failed_flush_stops_the_slot(self, backend):
+        slot = Slot(backend)
+        slot.append(encode_record(b"keep" * 10))
         backend.fail = True
-        with pytest.raises(DurabilityError):
-            slot.flush(backend)
+        with pytest.raises(DurabilityError) as failed:
+            slot.flush()
         backend.fail = False
-        assert slot.buffered_bytes == len(encode_record(b"keep" * 10))
-        slot.flush(backend)
-        assert len(backend.flushes) == 1
+        late = encode_record(b"late")
+        for call in (lambda: slot.append(late), lambda: slot.append(late, full_sync=True),
+                     slot.flush, slot.checkpoint):
+            with pytest.raises(DurabilityError) as later:
+                call()
+            assert later.value is failed.value
+        assert backend.flushes == []  # never retried
 
     def test_every_flush_parses_as_whole_records(self, backend):
-        slot = Slot(capacity=600)
+        slot = Slot(backend, 600)
         payloads = [bytes([i]) * (20 + 7 * i) for i in range(30)]
         for p in payloads:
-            slot.append(encode_record(p), backend)
-        slot.flush(backend)
+            slot.append(encode_record(p))
+        slot.flush()
         parsed = [r.payload for blob in backend.flushes for r in iter_records(blob)]
         assert parsed == [pad4(p) for p in payloads]
 
 
 class TestConcurrency:
     def test_concurrent_appends_are_linearizable(self, backend):
-        slot = Slot(capacity=4096)
+        slot = Slot(backend, 4096)
         n_threads, per_thread = 8, 200
 
         def appender(tid):
             for i in range(per_thread):
-                slot.append(encode_record(bytes([tid]) * 20), backend)
+                slot.append(encode_record(bytes([tid]) * 20))
 
         threads = [threading.Thread(target=appender, args=(t,)) for t in range(n_threads)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        slot.flush(backend)
+        slot.flush()
         records = [r for blob in backend.flushes for r in iter_records(blob)]
         assert len(records) == n_threads * per_thread
         # per-thread order is preserved even though threads interleave
