@@ -1,7 +1,7 @@
 """Storage observation shim.
 
 Everything a storage- or network-level adversary could see goes through
-a trace: one entry per write, carrying only its size and a channel tag.
+a trace: one entry per write or read, with only its size and a channel.
 The leakage tests and the benchmark byte accounting both read this
 trace, so byte counts are exact rather than sampled.
 """
@@ -12,11 +12,12 @@ from collections import Counter, defaultdict
 
 
 class StorageTrace:
-    """Counts observable writes by (channel, size)."""
+    """Counts observable writes and reads by (channel, size)."""
 
     JOURNAL = "journal"
     METADATA = "metadata"
     REPLICA = "replica"
+    REPLICA_READ = "replica-read"
 
     def __init__(self):
         self._sizes: defaultdict[str, Counter] = defaultdict(Counter)

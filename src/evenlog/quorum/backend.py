@@ -40,15 +40,16 @@ commits the ``CHECKPOINT`` sidecar and deletes the files below it, and
 then has the replicas drop their segments below the new fid. A segment
 id's fid names the metadata file of its slot and its ssn the slot's
 place in that file, so no id is ever given out twice. Recovery reads
-every metadata file from the sidecar on, a run of whole blobs at a time,
-and fetches and scans each run's segments before it reads the next. A
-run is sized in slots: as many blobs as stand for at most ``READ_SIZE``
-bytes of plaintext when full, so its memory does not grow with K. Per
-run, one ``decrypt_stream`` call decrypts every blob and one numpy view
-parses them, every committed segment is read from one replica, and one
-more ``decrypt_stream`` call decrypts all of those copies; a blob whose
-ssn does not rise or whose triplets name no known replica is reported
-as corruption.
+every metadata file from the sidecar on. It first asks each live replica
+once for all it holds of the file, fakes included (one READ each, on the
+replica-read trace channel), so its requests show no write's size, and
+takes each committed segment's copy from those answers. A file is read
+a run of whole blobs at a time, as many as stand for at most half of
+``READ_SIZE`` bytes of plaintext when full, so memory does not grow with
+K. Per run, one ``decrypt_stream`` call decrypts every blob and one
+numpy view parses them, and one more decrypts every committed segment's
+copy; a blob whose ssn does not rise or whose triplets name no known
+replica is reported as corruption.
 
 The metadata trace channel shows one fixed-size blob per slot and, at
 each checkpoint, the 20-byte sidecar write: the checkpoint cadence,
@@ -71,7 +72,6 @@ from ..errors import (
     IntegrityFailure,
     InvalidConfig,
     RecoveryCorruption,
-    SegmentNotFound,
     UnrecoverableSegment,
 )
 from ..journal import READ_SIZE, JournalFiles, _scan_files, journal_files
@@ -81,7 +81,7 @@ from ..segmentation import check_segment_size, pad_to_segments
 from ..slots import BackendStats, CheckpointMarker
 from .metadata import SENTINEL, MetadataArray, array_dtype, serialized_size
 from .registry import Registry
-from .replica import Replica, SegmentId, store_frame_size
+from .replica import READ_FRAME_SIZE, Replica, SegmentId, store_frame_size
 from .selection import GROUP_SIZE, SelectionScheme, form_quorums, select_quorums
 
 
@@ -268,21 +268,25 @@ class QuorumBackend(JournalFiles):
     def _plaintext_files(self) -> Iterator[tuple[int, Iterator[bytes]]]:
         """(fid, plaintext runs) per metadata file from the last checkpoint
         on; a torn trailing blob is dropped by the reader. A run is as many
-        whole blobs as hold at most ``READ_SIZE`` bytes of plaintext when
-        every slot is full (at least one), so its memory is bounded in
-        slots, not in metadata bytes."""
+        whole blobs as hold at most half of ``READ_SIZE`` bytes of plaintext
+        when every slot is full (at least one), as its copies, their join
+        and its plaintext are held at once: memory is bounded in slots."""
         cfg = self.config
-        blobs_per_run = max(1, READ_SIZE // (cfg.k_max * cfg.segment_size))
+        blobs_per_run = max(1, READ_SIZE // (2 * cfg.k_max * cfg.segment_size))
         for fid, chunks in journal_files(self.root, self._blob_size, self.PREFIX,
                                          blobs_per_run * self._blob_size):
             yield fid, self._assemble_file(fid, chunks)
 
     def _assemble_file(self, fid: int, chunks: Iterator[bytes]) -> Iterator[bytes]:
         """The plaintext runs of one metadata file, carrying the last ssn
-        and the file offset from one run of blobs to the next."""
+        and the file offset from one run of blobs to the next, after one
+        READ per live replica (a dead one and SENTINEL hold nothing)."""
+        live = {rid: replica.segments(fid) for rid, replica in self.replicas.items() if replica.alive}
+        self.trace.record(StorageTrace.REPLICA_READ, READ_FRAME_SIZE, len(live))
+        held = {**dict.fromkeys([*self.replicas, SENTINEL], {}), **live}
         last_ssn, offset = -1, 0
         for blobs in chunks:
-            run, last_ssn = assemble_stream(blobs, self.key, self.config, self.replicas, fid, last_ssn, offset)
+            run, last_ssn = assemble_stream(blobs, self.key, self.config, held, fid, last_ssn, offset)
             offset += len(blobs)
             yield run
 
@@ -299,30 +303,30 @@ def assemble_stream(
     blobs: bytes,
     key: crypto.ReplicaKey,
     config: QuorumConfig,
-    replicas: Mapping[int, Replica],
+    held: Mapping[int, Mapping[SegmentId, bytes]],
     fid: int,
     last_ssn: int = -1,
     offset: int = 0,
 ) -> tuple[bytes, int]:
     """Rebuild the padded plaintext of a run of whole metadata blobs of file
     ``fid``, which starts at file ``offset`` after a blob of ssn
-    ``last_ssn``. Returns the plaintext and the run's last ssn.
+    ``last_ssn``, from ``held``: replica id (and SENTINEL) -> the units it
+    holds of ``fid``. Returns the plaintext and the run's last ssn.
 
     The run's blobs are decrypted in one call and parsed as one numpy
-    array; every blob is checked (see ``_check_arrays``) before anything
-    is fetched. Each committed segment is read from the first live replica
-    its triplet records (a single replica suffices: only replicas that
-    acknowledged the up-to-date unit are ever recorded, so there is
-    nothing stale to read), and all of the run's copies are decrypted in
-    one call. When every copy passes its digest, that decrypted run is the
-    result. A segment whose first copy is missing, of the wrong size or
-    fails its digest goes through ``_fetch_verified``, in file order, so
+    array; every blob is checked (see ``_check_arrays``) first. Each
+    committed segment takes the first whole copy its triplet's replicas
+    hold (a single copy suffices: only replicas that acknowledged the
+    up-to-date unit are ever recorded, so nothing is stale), and all of
+    the run's copies are decrypted in one call. When every copy passes its
+    digest, that decrypted run is the result. A segment whose copy fails,
+    or that has none, goes through ``_fetch_verified``, in file order, so
     the first such segment that no copy can serve decides the error."""
     seg, size = config.segment_size, serialized_size(config.k_max)
     arrays = np.frombuffer(crypto.decrypt_stream(key, blobs, size), array_dtype(config.k_max))
     ssns = arrays["ssn"].astype(np.int64)
     ids = arrays["entries"]["ids"]
-    _check_arrays(ssns, ids, replicas, last_ssn, fid, offset, crypto.IV_SIZE + size)
+    _check_arrays(ssns, ids, held, last_ssn, fid, offset, crypto.IV_SIZE + size)
 
     # committed entries in file order: blob by blob, segment by segment
     blob_ix, sns = np.nonzero((ids != SENTINEL).sum(axis=2) >= config.write_quorum)
@@ -330,35 +334,31 @@ def assemble_stream(
     wanted = arrays["entries"]["digest"][blob_ix, sns].tobytes()
     sids = [SegmentId(fid, ssn, sn) for ssn, sn in zip(ssns[blob_ix].tolist(), sns.tolist())]
 
-    unit_size = crypto.IV_SIZE + seg
-    copies = [_first_copy(sid, triplet, replicas) for sid, triplet in zip(sids, triplets)]
-    refetch = {j for j, unit in enumerate(copies) if len(unit) != unit_size}
-    if refetch:
-        blank = bytes(unit_size)
-        copies = [blank if j in refetch else unit for j, unit in enumerate(copies)]
+    blank = bytes(crypto.IV_SIZE + seg)  # stands in for a segment with no whole copy, and fails its digest
+    copies = [_first_copy(sid, triplet, held, blank) for sid, triplet in zip(sids, triplets)]
     plain = crypto.decrypt_stream(key, b"".join(copies), seg)
     view = memoryview(plain)
     got = b"".join([crypto.digest_segment(view[i : i + seg]) for i in range(0, len(plain), seg)])
     last_ssn = int(ssns[-1])
-    if got == wanted and not refetch:
+    if got == wanted:
         return plain, last_ssn
 
     out = bytearray(plain)
     for j, sid in enumerate(sids):
         digest = slice(j * crypto.DIGEST_SIZE, (j + 1) * crypto.DIGEST_SIZE)
-        if j in refetch or got[digest] != wanted[digest]:
-            out[j * seg : (j + 1) * seg] = _fetch_verified(sid, triplets[j], wanted[digest], key, replicas, seg)
+        if got[digest] != wanted[digest]:
+            out[j * seg : (j + 1) * seg] = _fetch_verified(sid, triplets[j], wanted[digest], key, held, seg)
     return bytes(out), last_ssn
 
 
-def _check_arrays(ssns, ids, replicas, last_ssn, fid, offset, blob_size) -> None:
+def _check_arrays(ssns, ids, held, last_ssn, fid, offset, blob_size) -> None:
     """Raise ``RecoveryCorruption`` at the first blob this client cannot
     have written: its ssn is not above the ssn of the blob before it in
     the file (a failed delivery uses up an ssn without a blob, so gaps are
-    legal), or a triplet holds an id that is neither -1 nor a known
-    replica. A blob decrypted under the wrong key fails this almost
+    legal), or a triplet holds an id that ``held`` lacks (neither a known
+    replica nor -1). A blob decrypted under the wrong key fails this almost
     surely, instead of sending recovery after segments that never were."""
-    known = np.append(np.fromiter(replicas, dtype=np.int64, count=len(replicas)), SENTINEL)
+    known = np.fromiter(held, dtype=np.int64, count=len(held))
     bad_ssn = np.diff(ssns, prepend=last_ssn) <= 0
     bad_ids = ~np.isin(ids, known).all(axis=(1, 2))
     bad = np.flatnonzero(bad_ssn | bad_ids)
@@ -371,29 +371,23 @@ def _check_arrays(ssns, ids, replicas, last_ssn, fid, offset, blob_size) -> None
                                  offset + i * blob_size, fid, prefix=QuorumBackend.PREFIX)
 
 
-def _first_copy(sid, triplet, replicas) -> bytes:
-    """The unit held by the first live replica ``triplet`` records, or
-    b"" when there is none or it holds nothing under ``sid``."""
+def _first_copy(sid, triplet, held, blank) -> bytes:
+    """The first unit of ``blank``'s size held under ``sid`` among the
+    replicas ``triplet`` records, or ``blank`` when none holds one."""
     for replica_id in triplet:
-        if replica_id != SENTINEL and replicas[replica_id].alive:
-            try:
-                return replicas[replica_id].read(sid)
-            except SegmentNotFound:
-                return b""
-    return b""
+        unit = held[replica_id].get(sid)
+        if unit is not None and len(unit) == len(blank):
+            return unit
+    return blank
 
 
-def _fetch_verified(sid, triplet, digest, key, replicas, segment_size) -> bytes:
+def _fetch_verified(sid, triplet, digest, key, held, segment_size) -> bytes:
     """The plaintext of the first copy, among the replicas ``triplet``
     records, that passes ``digest``."""
     saw_data = False
     for replica_id in triplet:
-        replica = replicas.get(replica_id)  # None for SENTINEL
-        if replica is None or not replica.alive:
-            continue
-        try:
-            unit = replica.read(sid)
-        except SegmentNotFound:
+        unit = held[replica_id].get(sid)
+        if unit is None:
             continue
         saw_data = True
         if len(unit) != crypto.IV_SIZE + segment_size:

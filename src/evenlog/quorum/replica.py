@@ -1,4 +1,4 @@
-"""Simulated cooperative replica: an in-memory segment store keyed by id.
+"""Simulated cooperative replica: an in-memory store of units by file and id.
 
 A segment id is (fid, ssn, sn, reserved = 0): fid names the metadata
 file of the slot, ssn the slot within it, sn the segment's position in
@@ -8,13 +8,14 @@ words, ``SID_SIZE`` bytes.
 
 from __future__ import annotations
 
-from typing import KeysView, NamedTuple
+from typing import Mapping, NamedTuple
 
 from ..crypto import DIGEST_SIZE, IV_SIZE
 from ..errors import SegmentNotFound
 from .registry import Registry
 
 SID_SIZE = 16
+READ_FRAME_SIZE = 4 + 1 + 4  # one READ: [len u32][type u8][fid u32]
 
 
 def store_frame_size(segment_size: int) -> int:
@@ -35,57 +36,60 @@ class Replica:
     ``alive`` models process liveness: a dead replica neither stores nor
     serves; its ``store`` returns no acknowledgement. Stores are
     idempotent per segment id; a segment is dropped only when its
-    client's checkpoint passes its epoch (``drop_before``).
+    client's checkpoint passes its epoch (``drop_before``). No read returns
+    the STORE digest, so only the unit is kept.
     """
 
     def __init__(self, replica_id: int):
         self.replica_id = replica_id
         self.alive = True
-        self._store: dict[SegmentId, tuple[bytes, bytes]] = {}  # sid -> (unit, digest)
+        self._store: dict[int, dict[SegmentId, bytes]] = {}  # fid -> sid -> unit
 
     def __len__(self) -> int:
-        return len(self._store)
+        return sum(map(len, self._store.values()))
 
     def store(self, sid: SegmentId, unit: bytes, digest: bytes) -> bool:
         """Hold a segment; returns the acknowledgement, which a dead
         replica never gives."""
         if not self.alive:
             return False
-        if sid not in self._store:
-            self._store[sid] = (unit, digest)
+        self._store.setdefault(sid.fid, {}).setdefault(sid, unit)
         return True
 
     def read(self, sid: SegmentId) -> bytes:
         if not self.alive:
             raise SegmentNotFound(f"replica {self.replica_id} is down")
         try:
-            return self._store[sid][0]
+            return self._store[sid.fid][sid]
         except KeyError:
             raise SegmentNotFound(f"replica {self.replica_id} has no segment {sid}") from None
 
+    def segments(self, fid: int) -> Mapping[SegmentId, bytes]:
+        """The units held of metadata file ``fid`` by segment id, not a
+        copy: the answer to one READ (FORMAT.md)."""
+        return self._store.get(fid, {})
+
     def has(self, sid: SegmentId) -> bool:
-        return self.alive and sid in self._store
+        return self.alive and sid in self._store.get(sid.fid, ())
 
     @property
-    def segment_ids(self) -> KeysView[SegmentId]:
-        """A read-only view of the ids of the segments held, alive or not."""
-        return self._store.keys()
+    def segment_ids(self) -> list[SegmentId]:
+        """The ids of the segments held, alive or not."""
+        return [sid for held in self._store.values() for sid in held]
 
     def corrupt(self, sid: SegmentId, flip_byte: int = 0) -> None:
         """Flip one ciphertext byte in a held unit (fault injection)."""
-        unit, digest = self._store[sid]
-        unit = bytearray(unit)
+        unit = bytearray(self._store[sid.fid][sid])
         unit[IV_SIZE + flip_byte] ^= 0xFF
-        self._store[sid] = (bytes(unit), digest)
+        self._store[sid.fid][sid] = bytes(unit)
 
     def truncate(self, sid: SegmentId, size: int) -> None:
         """Cut a held unit to its first ``size`` bytes (fault injection)."""
-        unit, digest = self._store[sid]
-        self._store[sid] = (unit[:size], digest)
+        self._store[sid.fid][sid] = self._store[sid.fid][sid][:size]
 
     def forget(self, sid: SegmentId) -> None:
         """Lose a held segment (fault injection)."""
-        del self._store[sid]
+        del self._store[sid.fid][sid]
 
     def kill(self) -> None:
         self.alive = False
@@ -98,7 +102,7 @@ class Replica:
         client's checkpoint has committed file ``fid``. A dead replica
         ignores this, as it ignores ``store``."""
         if self.alive:
-            self._store = {sid: held for sid, held in self._store.items() if sid.fid >= fid}
+            self._store = {held_fid: held for held_fid, held in self._store.items() if held_fid >= fid}
 
 
 def build_cluster(n_replicas: int, client_id: str = "client-0"):

@@ -79,9 +79,9 @@ class Slot:
     before anything is buffered or flushed.
 
     Fail-stop: the first backend write that raises is kept in ``_stop``,
-    and every later call raises it. The failed flush is never retried: a
-    failed fdatasync may already have dropped its pages. After ``close``
-    the calls raise ``Closed``."""
+    and every later call raises it, with the traceback it first had. The
+    failed flush is never retried: a failed fdatasync may already have
+    dropped its pages. After ``close`` the calls raise ``Closed``."""
 
     def __init__(self, backend: DurabilityBackend, capacity: int = DEFAULT_SLOT_CAPACITY):
         if capacity <= 0:
@@ -93,6 +93,7 @@ class Slot:
         self._stream_offset = 0  # total record bytes ever appended
         self._lock = threading.RLock()
         self._stop: Exception | type[Closed] | None = None  # raised by every later call
+        self._stop_tb = None  # restored at each raise, so the traceback does not grow
 
     @property
     def ssn(self) -> int:
@@ -108,7 +109,7 @@ class Slot:
         whether *this record* is durable on return."""
         with self._lock:
             if self._stop is not None:
-                raise self._stop
+                raise self._stop if self._stop is Closed else self._stop.with_traceback(self._stop_tb)
             if len(self._buf) + len(record) > self.capacity:
                 if (max_flush := self._backend.max_flush) is not None and len(record) > max_flush:
                     raise RecordTooLarge(f"record of {len(record)} bytes exceeds the backend's "
@@ -126,7 +127,7 @@ class Slot:
         """Hand the buffered bytes to the backend; empty buffers are a no-op."""
         with self._lock:
             if self._stop is not None:
-                raise self._stop
+                raise self._stop if self._stop is Closed else self._stop.with_traceback(self._stop_tb)
             self._flush_locked()
 
     def checkpoint(self) -> CheckpointMarker:
@@ -163,7 +164,7 @@ class Slot:
         try:
             return method(arg)
         except Exception as exc:
-            self._stop = exc
+            self._stop, self._stop_tb = exc, exc.__traceback__
             raise
 
 

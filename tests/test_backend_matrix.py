@@ -5,7 +5,9 @@ matrix (``conftest.KINDS``). A backend class that no kind builds would
 skip all of them, and a test that switches on a backend's class, or reads
 a replica's private store, works around the kinds instead of through them.
 Within the package, only the slot calls a backend's ``persist_slot`` or
-``checkpoint``, so no write bypasses its stop state.
+``checkpoint``, so no write bypasses its stop state. Quorum recovery
+reads no segment by itself (no ``.read(`` call in ``quorum/backend.py``):
+a per-segment replica read would show each write's segment count.
 """
 
 import ast
@@ -64,6 +66,12 @@ def backend_writes(tree) -> list[tuple[int, str]]:
     return sorted(found)
 
 
+def reads(tree) -> list[tuple[int, str]]:
+    """(line, what) of each call of a method named ``read`` under ``tree``."""
+    return sorted((node.lineno, ".read(") for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "read")
+
+
 def test_every_backend_class_is_a_kind_of_the_matrix(tmp_path, key):
     built = {type(kind.open(tmp_path / kind.id, key)) for kind in KINDS.values()}
     assert backend_classes() == built
@@ -88,6 +96,10 @@ def test_only_the_slot_writes_to_a_backend():
     assert offenders == []
 
 
+def test_quorum_recovery_reads_no_segment_by_itself():
+    assert reads(ast.parse((PACKAGE / "quorum" / "backend.py").read_text())) == []
+
+
 def test_the_guard_sees_each_offence():
     code = ("isinstance(b, QuorumBackend)\nisinstance(b, (int, journal.JournalBackend))\n"
             "rep._store[sid] = x\nisinstance(b, int)\nsid in replica.segment_ids\n")
@@ -97,3 +109,5 @@ def test_the_guard_sees_each_offence():
     code = ("backend.persist_slot(b)\nwrite = self.backend.persist_slot\nb.checkpoint(1)\n"
             "super().checkpoint(ckpt_id)\nengine.checkpoint()\n")
     assert backend_writes(ast.parse(code)) == [(1, "persist_slot"), (2, "persist_slot"), (3, "checkpoint")]
+    code = "replica.read(sid)\nunit = replicas[rid].read(sid)\nread = replica.read\nreplica.segments(fid)\n"
+    assert reads(ast.parse(code)) == [(1, ".read("), (2, ".read(")]

@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import time
+import traceback
 
 import pytest
 
@@ -117,6 +118,23 @@ def test_a_failed_flush_stops_the_engine(tmp_path, key, disk, kind):
     assert closing.value is failed.value and [name for name, _ in disk.events][-1] == "close"
     recovered = [r.payload for r in kind.restart(backend, 0).recover()]
     assert recovered in ([pad4(b"ok-1" * 10)], [pad4(b"ok-1" * 10), pad4(b"told-failed")])
+
+
+@over()
+def test_a_stopped_engine_raises_at_one_traceback_depth(tmp_path, key, disk, kind):
+    # the kept error is raised again and again; its traceback, whose frames
+    # hold their locals (payloads too), must not grow with each raise
+    engine = WalEngine(kind.open(tmp_path, key))
+    disk.fail = {"sync"}
+    with pytest.raises(DurabilityError) as failed:
+        engine.append(b"told-failed", full_sync=True)
+    depths = []
+    for _ in range(5):
+        with pytest.raises(DurabilityError) as raised:
+            engine.append(b"x" * 40, full_sync=True)
+        assert raised.value is failed.value
+        depths.append(len(traceback.extract_tb(raised.value.__traceback__)))
+    assert depths == depths[:1] * 5
 
 
 class RacingCheckpoint:

@@ -4,9 +4,10 @@
 ``quorum.backend.assemble_stream`` replaced: it decrypts one metadata
 blob at a time through ``MetadataArray.from_bytes``, walks its entries
 one by one, applies its own commit test and fetches every committed
-segment through ``_fetch_verified``. For any run of writes and any
-replica faults, the batched path returns the same bytes or raises the
-same exception class.
+segment by itself, one ``Replica.read`` per copy (``fetch_verified``).
+For any run of writes and any replica faults, the batched path, which
+asks each live replica once per metadata file, returns the same bytes or
+raises the same exception class.
 """
 
 import random
@@ -16,12 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evenlog.crypto import IV_SIZE, decrypt_segment
-from evenlog.errors import CommitTimeout, WalError
+from evenlog.crypto import IV_SIZE, decrypt_segment, digest_segment
+from evenlog.errors import CommitTimeout, IntegrityFailure, SegmentNotFound, UnrecoverableSegment, WalError
 from evenlog.journal import journal_files
 from evenlog.quorum import QuorumBackend, QuorumConfig, SegmentId, SelectionScheme
 from evenlog.quorum import backend as backend_module
-from evenlog.quorum.backend import _fetch_verified
 from evenlog.quorum.metadata import SENTINEL, MetadataArray, serialized_size
 
 from .conftest import KEY, KINDS, build_cluster
@@ -38,6 +38,29 @@ KILL = st.tuples(st.just("kill"), st.integers(0, REPLICAS - 1))
 COPY_FAULT = st.tuples(st.sampled_from(["corrupt", "truncate", "delete"]), st.integers(0, 10**6))
 
 
+def fetch_verified(sid, triplet, digest, key, replicas, segment_size) -> bytes:
+    """The plaintext of the first copy, among the live replicas ``triplet``
+    records, that passes ``digest``, each copy read by itself."""
+    saw_data = False
+    for replica_id in triplet:
+        replica = replicas.get(replica_id)  # None for SENTINEL
+        if replica is None or not replica.alive:
+            continue
+        try:
+            unit = replica.read(sid)
+        except SegmentNotFound:
+            continue
+        saw_data = True
+        if len(unit) != IV_SIZE + segment_size:
+            continue  # a bad copy, like one that fails its digest
+        plaintext = decrypt_segment(key, unit)
+        if digest_segment(plaintext) == digest:
+            return plaintext
+    if saw_data:
+        raise IntegrityFailure(f"no copy of segment {sid} passed its digest check")
+    raise UnrecoverableSegment(f"all recorded replicas for segment {sid} are unreachable")
+
+
 def oracle_assemble(backend) -> bytes:
     """The padded plaintext of every metadata file, one blob and one
     segment at a time."""
@@ -52,8 +75,8 @@ def oracle_assemble(backend) -> bytes:
                 for sn, (triplet, digest) in enumerate(zip(array.ids.tolist(), array.digests)):
                     if sum(rid != SENTINEL for rid in triplet) >= cfg.write_quorum:
                         sid = SegmentId(fid, int(array.record["ssn"]), sn)
-                        parts.append(_fetch_verified(sid, triplet, digest.tobytes(), backend.key,
-                                                     backend.replicas, cfg.segment_size))
+                        parts.append(fetch_verified(sid, triplet, digest.tobytes(), backend.key,
+                                                    backend.replicas, cfg.segment_size))
     return b"".join(parts)
 
 
@@ -99,8 +122,8 @@ def test_batched_recovery_matches_oracle(scheme, steps, faults, blobs_per_run, s
     rng = random.Random(seed)
     registry, replicas = build_cluster(REPLICAS)
     saved = backend_module.READ_SIZE
-    if blobs_per_run is not None:  # runs of 1..3 blobs; None keeps the slot-sized runs
-        backend_module.READ_SIZE = blobs_per_run * MAX_WRITE
+    if blobs_per_run is not None:  # runs of 1..3 blobs (each half a read); None keeps the slot-sized runs
+        backend_module.READ_SIZE = 2 * blobs_per_run * MAX_WRITE
     try:
         with tempfile.TemporaryDirectory() as root:
             backend = QuorumBackend(root, KEY, replicas, registry,

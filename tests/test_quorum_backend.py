@@ -26,8 +26,8 @@ from evenlog.journal import SIDECAR_NAME
 from evenlog.observe import StorageTrace
 from evenlog.quorum import QuorumBackend, QuorumConfig, Replica, SegmentId, SelectionScheme
 from evenlog.quorum import backend as backend_module
-from evenlog.quorum.metadata import MetadataArray, serialized_size
-from evenlog.quorum.replica import store_frame_size
+from evenlog.quorum.metadata import SENTINEL, MetadataArray, serialized_size
+from evenlog.quorum.replica import READ_FRAME_SIZE, store_frame_size
 from evenlog.records import encode_record
 
 from .conftest import KINDS, build_cluster, current_file, pad4
@@ -40,6 +40,23 @@ def make_backend(tmp_path, key, n_replicas=15, scheme=SelectionScheme.VNOS, max_
     registry, replicas = build_cluster(n_replicas)
     return QuorumBackend(tmp_path, key, replicas, registry, config=QuorumConfig(128, max_write_size),
                          scheme=scheme, seed=seed, **kw)
+
+
+class Logged:
+    """Stands in for a replica and logs each call made of it as (name, args)."""
+
+    def __init__(self, replica, log):
+        self._replica, self._log = replica, log
+
+    def __getattr__(self, name):
+        attr = getattr(self._replica, name)
+        if not callable(attr):
+            return attr
+
+        def call(*args):
+            self._log.append((name, args))
+            return attr(*args)
+        return call
 
 
 class TestReplica:
@@ -65,6 +82,14 @@ class TestReplica:
     def test_read_unknown_sid(self):
         with pytest.raises(SegmentNotFound):
             Replica(1).read(SegmentId(0, 0, 9))
+
+    def test_segments_answers_one_file(self):
+        rep = Replica(1)
+        units = {SegmentId(fid, 0, sn): os.urandom(16 + 128) for fid in (0, 1) for sn in (0, 1)}
+        for sid, unit in units.items():
+            rep.store(sid, unit, b"\x00" * 32)
+        assert rep.segments(1) == {sid: unit for sid, unit in units.items() if sid.fid == 1}
+        assert rep.segments(2) == {}
 
     def test_dead_replica_does_not_ack(self):
         rep = Replica(1)
@@ -366,14 +391,9 @@ class TestRecovery:
     def test_short_first_copy_falls_back_to_next(self, tmp_path, key):
         backend, payloads = self.commit_some(tmp_path, key)
         sid = SegmentId(backend.current_file_id, 0, 0)
-        reads = []
-        for rep in backend.replicas.values():
-            def read(s, rep=rep, real=rep.read):
-                reads.append((rep.replica_id, s))
-                return real(s)
-            rep.read = read
-        backend.recover()
-        first = next(rid for rid, s in reads if s == sid)
+        blob = current_file(backend).read_bytes()[: IV_SIZE + serialized_size(backend.config.k_max)]
+        triplet = MetadataArray.from_bytes(decrypt_segment(key, blob), backend.config.k_max).ids[0].tolist()
+        first = next(rid for rid in triplet if rid != SENTINEL)  # every replica is live: recovery takes its copy
         backend.replicas[first].truncate(sid, IV_SIZE + 127)
         assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
 
@@ -395,6 +415,30 @@ class TestRecovery:
                 rep.kill()
         with pytest.raises(UnrecoverableSegment):
             backend.recover()
+
+    def test_recovery_requests_do_not_depend_on_write_sizes(self, tmp_path, key):
+        # one seed, 40 full-sync writes of 1 B or of 1000-2000 B (1 or 8-16
+        # real segments each), the first member of every group down: every
+        # replica sees the same requests, so reads show no write's size
+        requests, traces = [], []
+        for name, sizes in (("small", (1, 1)), ("large", (1000, 2000))):
+            rng = random.Random(7)
+            trace = StorageTrace()
+            backend = FNOS.open(tmp_path / name, key, trace, sync=False)
+            engine = WalEngine(backend)
+            payloads = [rng.randbytes(rng.randint(*sizes)) for _ in range(40)]
+            for p in payloads:
+                engine.append(p, full_sync=True)
+            for group in backend.groups:
+                backend.replicas[group[0]].kill()
+            log = {rid: [] for rid in backend.replicas}
+            backend.replicas = {rid: Logged(rep, log[rid]) for rid, rep in backend.replicas.items()}
+            assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
+            requests.append(log)
+            traces.append(trace)
+        assert requests[0] == requests[1]
+        live = FNOS.replicas - len(backend.groups)  # one READ each of the one metadata file
+        assert [t.sizes(StorageTrace.REPLICA_READ) for t in traces] == [{READ_FRAME_SIZE: live}] * 2
 
     def test_restart_recovers_earlier_metadata_files(self, tmp_path, key):
         backend, payloads = self.commit_some(tmp_path, key)
