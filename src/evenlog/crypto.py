@@ -209,14 +209,14 @@ class StaticKeyProvider:
         return self._key
 
     @classmethod
-    def from_env(cls, var: str = "EVENLOG_KEY") -> "StaticKeyProvider":
-        value = os.environ.get(var)
+    def from_env(cls) -> "StaticKeyProvider":
+        value = os.environ.get("EVENLOG_KEY")
         if not value:
-            raise KeyNotFound(f"environment variable {var} is not set")
+            raise KeyNotFound("environment variable EVENLOG_KEY is not set")
         try:
             master = bytes.fromhex(value)
         except ValueError:
-            raise InvalidConfig(f"environment variable {var} is not hex") from None
+            raise InvalidConfig("environment variable EVENLOG_KEY is not hex") from None
         return cls(master)
 
     @classmethod

@@ -28,8 +28,8 @@ class WalEngine:
             self._flusher = PeriodicFlusher(self.slot.flush, flush_interval_ms)
             self._flusher.start()
 
-    def append(self, payload: bytes, flags: int = 0, full_sync: bool = False) -> AppendResult:
-        return self.slot.append(encode_record(payload, flags), full_sync)
+    def append(self, payload: bytes, full_sync: bool = False) -> AppendResult:
+        return self.slot.append(encode_record(payload), full_sync)
 
     def flush(self) -> None:
         self.slot.flush()

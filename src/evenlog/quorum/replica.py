@@ -105,12 +105,12 @@ class Replica:
             self._store = {held_fid: held for held_fid, held in self._store.items() if held_fid >= fid}
 
 
-def build_cluster(n_replicas: int, client_id: str = "client-0"):
-    """Registry plus n live replicas and the client, all registered at
-    logical time 0."""
+def build_cluster(n_replicas: int):
+    """Registry plus n live replicas and the client (``client-0``, the
+    ``QuorumBackend`` default), all registered at logical time 0."""
     registry = Registry()
     replicas = {rid: Replica(rid) for rid in range(n_replicas)}
     for rid in replicas:
         registry.register(rid, 0)
-    registry.register(client_id, 0)
+    registry.register("client-0", 0)
     return registry, replicas

@@ -10,8 +10,8 @@ always >= 16, a multiple of 4, and never zero — the first word of a
 record is therefore never an all-zero word, which is what lets recovery
 distinguish records from padding.
 
-``scan_padded_stream`` is the one record decoder. It takes a stream whole
-or as its chunks in order, and tells a record that runs past the end of
+``scan_padded_stream`` is the one record decoder. It takes a stream's
+chunks in order, and tells a record that runs past the end of
 a chunk (carried into the next one) from a torn tail (the stream ends
 with it held, or its checksum fails). It works on a chunk in two passes:
 a Python walk over the header words that notes where each record starts,
@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 import struct
 import zlib
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -99,12 +99,12 @@ def encode_record(payload: bytes, flags: int = 0) -> bytes:
     return b"".join((_HEADER.pack(total, zlib.crc32(pad, zlib.crc32(payload)), flags, 0), payload, pad))
 
 
-def scan_padded_stream(buf) -> list[LogRecord]:
+def scan_padded_stream(chunks: Iterable) -> list[LogRecord]:
     """Recovery scanner over a plaintext stream that may contain padding.
 
-    ``buf`` is the whole stream as one bytes-like object, or an iterator
-    over its chunks in order (one journal file, read and decrypted a
-    chunk at a time); a bytes-like ``buf`` is the one-chunk case.
+    ``chunks`` are the stream's bytes-like chunks in order (one journal
+    file, read and decrypted a chunk at a time); a whole stream in memory
+    is the one-chunk case, ``[buf]``.
 
     Reads a record whenever the next 4-byte word is non-zero, and skips
     consecutive all-zero words between records (segment padding is
@@ -116,7 +116,6 @@ def scan_padded_stream(buf) -> list[LogRecord]:
     corruption, not padding, and raises with its offset in the stream.
     """
     scan = _PaddedScan()
-    chunks = (buf,) if isinstance(buf, (bytes, bytearray, memoryview)) else buf
     # all() stops at the first torn tail; map() holds no chunk between
     # calls, so only the carried bytes outlive the next read
     all(map(scan.feed, chunks))

@@ -11,7 +11,7 @@ from evenlog import cli
 from evenlog.cli import build_parser, main
 from evenlog.engine import WalEngine
 from evenlog.journal import JournalBackend
-from evenlog.records import FLAG_CHECKPOINT, encoded_record_size
+from evenlog.records import FLAG_CHECKPOINT, encode_record, encoded_record_size
 
 from .conftest import MASTER, MUTATING
 
@@ -92,7 +92,7 @@ class TestBench:
             with pytest.raises(SystemExit) as exc_info:
                 main(argv)
             assert exc_info.value.code == 2 and seen == []
-            assert "--flush-interval-ms applies to bench conc only" in capsys.readouterr().err
+            assert "unrecognized arguments: --flush-interval-ms" in capsys.readouterr().err
             return
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0 and seen == [interval]
@@ -169,7 +169,7 @@ class TestRecover:
         engine = WalEngine(JournalBackend(tmp_path, key, sync=False))
         for p in payloads:
             engine.append(p)
-        engine.append(checkpoint, flags=FLAG_CHECKPOINT)
+        engine.slot.append(encode_record(checkpoint, FLAG_CHECKPOINT))
         engine.close()
         code, out, _ = run_cli(capsys, "recover", "--dir", str(tmp_path), "--out", "json")
         assert code == 0
@@ -262,6 +262,13 @@ class TestConfigFile:
         )
         assert json.loads(out)["bytes_padded"] == 10 * 7 * 128  # flag wins
 
+    def test_a_key_the_command_does_not_take_is_neither_read_nor_checked(self, capsys, tmp_path):
+        cfg = tmp_path / "bench.conf"
+        cfg.write_text("selection = bogus\nflush_interval_ms = abc\n")  # bench's and bench conc's keys
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "leak", "posterior",
+                               "--scheme", "fnos", "--prior", "0.9,0.1")
+        assert code == 0 and out.strip() == "0.9,0.1"
+
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.conf"
         cfg.write_text("wibble = 3\n")
@@ -277,8 +284,9 @@ class TestConfigFile:
         assert code == 1 and "unknown key" in err
 
 
-# Inputs the CLI once answered with a Python traceback. Each must end in
-# one ``error:`` line and exit 1. "{dir}" is the test's directory.
+# Inputs the CLI once answered with a Python traceback or took in silence.
+# Each must end in one ``error:`` line and exit 1. "{dir}" is the test's
+# directory, which holds the config files of BAD_CONFIGS.
 BAD_INPUTS = {
     "bench-conc-no-workers": ("bench conc --workers 0 --ops 5 --dir {dir}/wal", None),
     "bench-dir-is-a-file": ("bench seq --ops 3 --dir {dir}/bad-seed.conf", None),
@@ -296,20 +304,28 @@ BAD_INPUTS = {
     "gen-confusion-above-one": ("gen --attack-groups 1-3:128,4-6:256 --per-group 5 --confusion 2 --out-file {dir}/t.csv", None),
     "gen-confusion-below-zero": ("gen --attack-groups 1-3:128,4-6:256 --per-group 5 --confusion -1 --out-file {dir}/t.csv", None),
     "config-seed-not-a-number": ("--config {dir}/bad-seed.conf gen --ops 3 --out-file {dir}/t.csv", None),
+    "config-selection-not-a-choice": (
+        "--config {dir}/bad-selection.conf bench seq --scheme quorum --ops 3 --dir {dir}/wal", None),
+    "config-output-not-a-choice": ("--config {dir}/bad-output.conf bench seq --ops 3 --dir {dir}/wal", None),
     "key-not-hex": ("bench seq --ops 3 --dir {dir}/wal", "not-hex"),
     "attack-trace-missing": ("attack train --trace {dir}/missing.csv", None),
 }
 
 
+BAD_CONFIGS = {"bad-seed.conf": "seed=abc\n", "bad-selection.conf": "selection = bogus\n",
+               "bad-output.conf": "output = xml\n"}
+
+
 @pytest.mark.parametrize("argv, key", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_is_an_error_line_not_a_traceback(capsys, tmp_path, monkeypatch, argv, key):
-    (tmp_path / "bad-seed.conf").write_text("seed=abc\n")
+    for name, text in BAD_CONFIGS.items():
+        (tmp_path / name).write_text(text)
     if key is not None:
         monkeypatch.setenv("EVENLOG_KEY", key)
     code, out, err = run_cli(capsys, *shlex.split(argv.format(dir=tmp_path)))
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1, err
-    assert [p.name for p in tmp_path.iterdir()] == ["bad-seed.conf"]  # refused before any file is made
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(BAD_CONFIGS)  # refused before any file is made
 
 
 def test_demo_quorum_runs_clean(capsys, tmp_path):

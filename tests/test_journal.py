@@ -527,7 +527,7 @@ class TestCheckpoint:
         _, data, _ = [args for name, args in disk.events[:rotated] if name == "append"][-1]
         from evenlog.records import scan_padded_stream
 
-        records = scan_padded_stream(crypto.decrypt_stream(key, data, 128))
+        records = scan_padded_stream([crypto.decrypt_stream(key, data, 128)])
         assert records[-1].is_checkpoint
 
     def test_two_checkpoints_increment_id(self, tmp_path, key):

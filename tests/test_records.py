@@ -140,36 +140,36 @@ class TestIterRecords:
 class TestScanPaddedStream:
     def test_skips_zero_words_between_records(self):
         stream = encode_record(b"left") + b"\x00" * 12 + encode_record(b"right") + b"\x00" * 4
-        assert [r.payload for r in scan_padded_stream(stream)] == [b"left", pad4(b"right")]
+        assert [r.payload for r in scan_padded_stream([stream])] == [b"left", pad4(b"right")]
 
     def test_all_zero_stream_is_empty(self):
-        assert scan_padded_stream(b"\x00" * 640) == []
+        assert scan_padded_stream([b"\x00" * 640]) == []
 
     def test_leading_padding_skipped(self):
         stream = b"\x00" * 8 + encode_record(b"data")
-        assert [r.payload for r in scan_padded_stream(stream)] == [b"data"]
+        assert [r.payload for r in scan_padded_stream([stream])] == [b"data"]
 
     def test_torn_tail_stops_at_last_good_record(self):
         good = encode_record(b"complete" * 4)
         torn = encode_record(b"unfinished" * 8)[:-12]
-        records = scan_padded_stream(good + torn)
+        records = scan_padded_stream([good + torn])
         assert [r.payload for r in records] == [b"complete" * 4]
 
     def test_corrupt_checksum_in_tail_stops_cleanly(self):
         good = encode_record(b"fine")
         bad = bytearray(encode_record(b"spoiled!"))
         bad[HEADER_SIZE] ^= 0x01
-        assert [r.payload for r in scan_padded_stream(good + bytes(bad))] == [b"fine"]
+        assert [r.payload for r in scan_padded_stream([good + bytes(bad)])] == [b"fine"]
 
     def test_implausible_nonzero_word_raises_with_offset(self):
         stream = encode_record(b"okay") + (13).to_bytes(4, "little") + b"\x00" * 16
         with pytest.raises(RecoveryCorruption) as exc_info:
-            scan_padded_stream(stream)
+            scan_padded_stream([stream])
         assert exc_info.value.offset == 20
 
     def test_sub_word_tail_ignored(self):
         stream = encode_record(b"done") + b"\x00\x00"
-        assert len(scan_padded_stream(stream)) == 1
+        assert len(scan_padded_stream([stream])) == 1
 
     def test_slot_sized_zero_run_between_records(self, tmp_path):
         slot = 128 * 1024
@@ -243,10 +243,10 @@ def test_scan_matches_word_by_word_reference(stream, kind):
         expected = reference_scan(stream)
     except RecoveryCorruption as exc:
         with pytest.raises(RecoveryCorruption) as exc_info:
-            scan_padded_stream(kind(stream))
+            scan_padded_stream([kind(stream)])
         assert (str(exc_info.value), exc_info.value.offset) == (str(exc), exc.offset)
         return
-    records = scan_padded_stream(kind(stream))
+    records = scan_padded_stream([kind(stream)])
     assert records == expected
     assert all(type(r.payload) is bytes for r in records)
 
@@ -290,4 +290,4 @@ def test_chunked_scan_matches_one_call(stream, kind, split, rng):
             scan_padded_stream(iter(chunks))
         assert (str(exc_info.value), exc_info.value.offset) == (str(exc), exc.offset)
         return
-    assert scan_padded_stream(iter(chunks)) == expected == scan_padded_stream(buf)
+    assert scan_padded_stream(iter(chunks)) == expected == scan_padded_stream([buf])

@@ -72,7 +72,7 @@ def test_segmenting_preserves_the_records(payloads, segment_size):
     # oracle: parse the unsegmented stream directly
     slot_bytes = b"".join(encode_record(p) for p in payloads)
     expected = [r.payload for r in iter_records(slot_bytes)]
-    recovered = scan_padded_stream(b"".join(segment_slot(slot_bytes, segment_size)))
+    recovered = scan_padded_stream([b"".join(segment_slot(slot_bytes, segment_size))])
     assert [r.payload for r in recovered] == expected
 
 
