@@ -18,27 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import WalEngine
-from .errors import InvalidConfig, NoData
+from .errors import InvalidConfig
 from .observe import StorageTrace
 from .records import encoded_record_size
 from .workload import WorkloadSpec, generate
-
-
-def relative_cost(write_sizes, segment_size: int) -> float:
-    """Padded bytes over raw bytes when each write is segmented alone."""
-    sizes = list(write_sizes)
-    if not sizes:
-        raise NoData("no write sizes")
-    padded = sum(-(-s // segment_size) * segment_size for s in sizes)
-    return padded / sum(sizes)
-
-
-def naive_cost(write_sizes, slot_capacity: int) -> float:
-    """Cost of the naive mitigation: every write padded to the full slot."""
-    sizes = list(write_sizes)
-    if not sizes:
-        raise NoData("no write sizes")
-    return len(sizes) * slot_capacity / sum(sizes)
 
 
 @dataclass

@@ -27,6 +27,7 @@ cannot leak into shell history or configs by accident.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -124,18 +125,19 @@ def _bench(args, run, flush_interval_ms: float | None) -> int:
     spec = workload.WorkloadSpec.parse(args.dist, args.ops, args.seed)
     if args.capacity <= 0:  # refused before any backend creates files in --dir
         raise WalError(f"--capacity {args.capacity} is not a positive number of bytes")
-    root = args.dir or tempfile.mkdtemp(prefix="evenlog-")
-    if args.scheme == "journal":
-        backend = JournalBackend(root, _key(), args.segment)
-    elif args.scheme == "quorum":
-        backend = _quorum(root, args.replicas, args.selection, args.segment, args.max_write_size, args.seed)
-    else:  # plain, or naive: plain padded to the slot
-        backend = PlainJournalBackend(root, pad_to=args.capacity if args.scheme == "naive" else None)
-    engine = WalEngine(backend, args.capacity, flush_interval_ms)
-    try:
-        report = run(spec, engine)
-    finally:
-        engine.close()
+    with contextlib.ExitStack() as stack:  # without --dir: a temporary directory, removed after the close
+        root = args.dir or stack.enter_context(tempfile.TemporaryDirectory(prefix="evenlog-"))
+        if args.scheme == "journal":
+            backend = JournalBackend(root, _key(), args.segment)
+        elif args.scheme == "quorum":
+            backend = _quorum(root, args.replicas, args.selection, args.segment, args.max_write_size, args.seed)
+        else:  # plain, or naive: plain padded to the slot
+            backend = PlainJournalBackend(root, pad_to=args.capacity if args.scheme == "naive" else None)
+        engine = WalEngine(backend, args.capacity, flush_interval_ms)
+        try:
+            report = run(spec, engine)
+        finally:
+            engine.close()
     lines = [
         f"ops               {report.ops}",
         f"throughput        {report.throughput_ops:.0f} ops/s",
@@ -267,29 +269,30 @@ def cmd_demo_quorum(args) -> int:
     if args.dir and os.path.isdir(args.dir) and os.listdir(args.dir):
         print(f"error: {args.dir} is not empty; demo quorum needs an empty directory", file=sys.stderr)
         return 1
-    root = args.dir or tempfile.mkdtemp(prefix="evenlog-demo-")
-    backend = _quorum(root, 12, args.selection, segment=128, max_write_size=512, seed=7)
-    cfg, replicas, trace = backend.config, backend.replicas, backend.trace
-    engine = WalEngine(backend)
+    with contextlib.ExitStack() as stack:  # without --dir: a temporary directory, removed after the close
+        root = args.dir or stack.enter_context(tempfile.TemporaryDirectory(prefix="evenlog-demo-"))
+        backend = _quorum(root, 12, args.selection, segment=128, max_write_size=512, seed=7)
+        cfg, replicas, trace = backend.config, backend.replicas, backend.trace
+        engine = WalEngine(backend)
 
-    print(f"{len(replicas)} replicas -> {len(backend.groups)} quorum groups of 3 "
-          f"({args.selection} selection, S={cfg.segment_size}, K={cfg.k_max})")
-    payloads = [os.urandom(n) for n in (100, 300, 180, 420, 64)]
-    for i, p in enumerate(payloads):
-        result = engine.append(p, full_sync=True)
-        print(f"write {i}: {len(p)} B payload committed ({result.lsn})")
-    sizes = trace.distinct_sizes(StorageTrace.REPLICA)
-    print(f"replica-visible message sizes: {sorted(sizes)} (constant={len(sizes) == 1})")
-    print(f"metadata blobs: {trace.write_count(StorageTrace.METADATA)} x "
-          f"{sorted(trace.distinct_sizes(StorageTrace.METADATA))} bytes")
+        print(f"{len(replicas)} replicas -> {len(backend.groups)} quorum groups of 3 "
+              f"({args.selection} selection, S={cfg.segment_size}, K={cfg.k_max})")
+        payloads = [os.urandom(n) for n in (100, 300, 180, 420, 64)]
+        for i, p in enumerate(payloads):
+            result = engine.append(p, full_sync=True)
+            print(f"write {i}: {len(p)} B payload committed ({result.lsn})")
+        sizes = trace.distinct_sizes(StorageTrace.REPLICA)
+        print(f"replica-visible message sizes: {sorted(sizes)} (constant={len(sizes) == 1})")
+        print(f"metadata blobs: {trace.write_count(StorageTrace.METADATA)} x "
+              f"{sorted(trace.distinct_sizes(StorageTrace.METADATA))} bytes")
 
-    for group in backend.groups:
-        replicas[group[0]].kill()
-    print(f"killed one replica in each of {len(backend.groups)} groups")
-    records = backend.recover()
-    ok = [r.payload for r in records] == payloads  # demo sizes are multiples of 4
-    print(f"recovered {len(records)} records from surviving replicas; byte-exact={ok}")
-    engine.close()
+        for group in backend.groups:
+            replicas[group[0]].kill()
+        print(f"killed one replica in each of {len(backend.groups)} groups")
+        records = backend.recover()
+        ok = [r.payload for r in records] == payloads  # demo sizes are multiples of 4
+        print(f"recovered {len(records)} records from surviving replicas; byte-exact={ok}")
+        engine.close()
     return 0 if ok else 1
 
 

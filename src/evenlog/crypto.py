@@ -8,9 +8,12 @@ so every unit has the constant size S + 16 for a fixed segment size S.
 Segment sizes are multiples of the cipher block, so there is no inner
 padding and no ciphertext expansion.
 
-Integrity is not provided by the cipher: callers compare SHA-256 digests
-of the plaintext (see ``digest_segment``), which keeps verification
-independent of whoever stored the ciphertext.
+Integrity is not provided by the cipher, and only quorum recovery checks
+it: each replica's copy of a segment must match the SHA-256 digest of
+its plaintext (``digest_segment``) that the metadata blob holds, or
+another copy is taken. A journal unit is checked only by the CRC32 of
+the record it carries. That catches a torn or zeroed write, not
+tampering: whoever can write the storage can alter units undetected.
 
 Each ``ReplicaKey`` owns one AES-256-CBC encryptor and one decryptor,
 built with the key and used for the key's whole life, each behind its

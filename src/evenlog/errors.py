@@ -111,4 +111,4 @@ class UnknownSize(WalError):
 # --- workload ---
 
 class InvalidSpec(WalError):
-    """Workload specification fails validation."""
+    """Workload specification, trace or attack mapping fails validation."""

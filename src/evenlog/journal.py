@@ -87,8 +87,15 @@ class Disk:
     else ``DurabilityError`` (``_effect`` wraps every method but ``read_chunks``)."""
 
     @_effect
-    def mkdir(self, root: Path) -> None:
+    def mkdir(self, root: Path) -> list[Path]:
+        """Make ``root`` and its missing parents; return the directories it
+        made, ``root`` first."""
+        made, path = [], root
+        while not path.exists():
+            made.append(path)
+            path = path.parent
         root.mkdir(parents=True, exist_ok=True)
+        return made
 
     @_effect
     def listdir(self, root: Path) -> list[str]:
@@ -207,7 +214,7 @@ class JournalFiles:
 
     def __init__(self, root: str | Path, trace: StorageTrace | None, sync: bool):
         self.root = Path(root)
-        self.DISK.mkdir(self.root)
+        self._made_dirs = self.DISK.mkdir(self.root)  # their names are synced with the first file's
         self.trace = trace if trace is not None else StorageTrace()
         self.sync = sync
         existing = list_epoch_fids(self.root, self.PREFIX)
@@ -251,6 +258,16 @@ class JournalFiles:
                 self.DISK.close(self._fh)
                 self._fh = None
 
+    def _sync_entry(self) -> None:
+        """Make the current file's name durable: sync the root and, the first
+        time, the parent of each directory the constructor made, so that a
+        power loss cannot drop the root with acknowledged records in it."""
+        for made in self._made_dirs:
+            self.DISK.sync_dir(made.parent)
+        self._made_dirs = []
+        self.DISK.sync_dir(self.root)
+        self._entry_synced = True
+
     def _refuse_if_closed(self) -> None:
         if self._fh is None:
             raise Closed(f"the {self.PREFIX} backend is closed")
@@ -262,7 +279,8 @@ class JournalFiles:
         whole flush, at its offset, before its sync). The file first grows
         to the next ``RESERVE_SIZE`` multiple when the flush would pass its
         reserved end. With ``sync`` on, the first flush into a start's file
-        also syncs the directory. An empty flush writes and syncs nothing."""
+        also syncs the directory (``_sync_entry``). An empty flush writes
+        and syncs nothing."""
         self._refuse_if_closed()
         lsn = Lsn(self._fid, self._offset)
         if data:
@@ -275,8 +293,7 @@ class JournalFiles:
             if self.sync:
                 self.DISK.sync(self._fh)
                 if not self._entry_synced:
-                    self.DISK.sync_dir(self.root)
-                    self._entry_synced = True
+                    self._sync_entry()
             self.trace.record(self.CHANNEL, unit, len(data) // unit)
             self._offset = end
         return lsn
@@ -299,8 +316,7 @@ class JournalFiles:
         next_fid = self._fid + 1
         self._open_file(next_fid)
         if self.sync:
-            self.DISK.sync_dir(self.root)
-            self._entry_synced = True
+            self._sync_entry()
         self.DISK.replace(self.root / SIDECAR_NAME, _SIDECAR.pack(ckpt_id, next_fid, 0), self.sync)
         if self.sync:
             self.DISK.sync_dir(self.root)

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InsufficientTrials, InvalidConfig, InvalidPrior, NoData, UnknownSize
+from .errors import InsufficientTrials, InvalidConfig, InvalidPrior, InvalidSpec, NoData, UnknownSize
 from .quorum.selection import SelectionScheme, select_quorums
 
 # --- priors and closed-form posteriors ----------------------------------------
@@ -284,10 +284,22 @@ def write_trace_csv(path: str | Path, pairs: Iterable[tuple[object, int]],
 
 
 def read_trace_csv(path: str | Path) -> list[tuple[int, int]]:
+    """The integer pairs of a two-column CSV trace, after its header row;
+    ``InvalidSpec``, naming the file, for an empty file, one that is not
+    text, or a row that is not two integers."""
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader)  # header
-        return [(int(a), int(b)) for a, b in reader]
+        try:
+            _, *rows = csv.reader(f)
+        except (ValueError, csv.Error):  # no header row; bytes that are not UTF-8
+            raise InvalidSpec(f"{path}: not a CSV trace with a header row") from None
+    pairs = []
+    for n, row in enumerate(rows, 2):
+        try:
+            a, b = map(int, row)
+        except ValueError:
+            raise InvalidSpec(f"{path}: row {n} is not two integers: {','.join(row)!r}") from None
+        pairs.append((a, b))
+    return pairs
 
 
 def save_mapping(path: str | Path, mapping: IntervalMapping) -> None:
@@ -295,4 +307,9 @@ def save_mapping(path: str | Path, mapping: IntervalMapping) -> None:
 
 
 def load_mapping(path: str | Path) -> IntervalMapping:
-    return IntervalMapping.from_dict(json.loads(Path(path).read_text()))
+    """The mapping ``save_mapping`` wrote; ``InvalidSpec``, naming the file,
+    for anything else."""
+    try:
+        return IntervalMapping.from_dict(json.loads(Path(path).read_text()))
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise InvalidSpec(f"{path}: not an interval mapping ({type(exc).__name__}: {exc})") from None

@@ -290,11 +290,6 @@ class QuorumBackend(JournalFiles):
             offset += len(blobs)
             yield run
 
-    def recover_assemble(self) -> bytes:
-        """The padded plaintext stream of every metadata file from the last
-        checkpoint on, rebuilt from the replicas."""
-        return b"".join(run for _, runs in self._plaintext_files() for run in runs)
-
     def recover(self) -> list[LogRecord]:
         return _scan_files(self._plaintext_files(), self.PREFIX)
 

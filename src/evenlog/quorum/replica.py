@@ -69,9 +69,6 @@ class Replica:
         copy: the answer to one READ (FORMAT.md)."""
         return self._store.get(fid, {})
 
-    def has(self, sid: SegmentId) -> bool:
-        return self.alive and sid in self._store.get(sid.fid, ())
-
     @property
     def segment_ids(self) -> list[SegmentId]:
         """The ids of the segments held, alive or not."""

@@ -99,10 +99,6 @@ class Slot:
     def ssn(self) -> int:
         return self._ssn
 
-    @property
-    def buffered_bytes(self) -> int:
-        return len(self._buf)
-
     def append(self, record: bytes, full_sync: bool = False) -> AppendResult:
         """Buffer one encoded record, flushing first if it would overflow; a
         record larger than the slot is flushed on its own. ``flushed`` says

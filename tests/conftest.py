@@ -61,6 +61,11 @@ def iter_records(buf):
         yield record
 
 
+def holders(replicas, sid) -> list[int]:
+    """The ids of the live replicas among ``replicas`` that hold ``sid``."""
+    return [rid for rid, rep in replicas.items() if rep.alive and sid in rep.segments(sid.fid)]
+
+
 def current_file(backend) -> Path:
     """The file ``backend`` appends to."""
     return backend.root / epoch_filename(backend.PREFIX, backend.current_file_id)

@@ -38,11 +38,11 @@ from evenlog.quorum import (
     select_quorums,
 )
 from evenlog.quorum.metadata import MetadataArray
-from evenlog.records import encode_record, encoded_record_size
+from evenlog.records import encode_record, encoded_record_size, scan_padded_stream
 from evenlog.segmentation import padding_overhead
 from evenlog.workload import LengthGroup, WorkloadSpec, generate, planted_length_trace
 
-from .conftest import KEY, build_cluster, iter_records, pad4
+from .conftest import KEY, build_cluster, holders, iter_records, pad4
 from .test_leakage import exhaustive_optimum, random_instance
 
 
@@ -244,7 +244,7 @@ def test_criterion_6_fnos_no_leakage(tmp_path):
     probe = fnos_backend(tmp_path / "probe", seed=0xC6)
     probe.persist_slot(encode_record(b"\xaa" * 100))  # one real segment, K=4
     real_sid = SegmentId(probe.current_file_id, 0, 0)
-    real_group = next(g for g in probe.groups if probe.replicas[g[0]].has(real_sid))
+    real_group = next(g for g in probe.groups if g[0] in holders(probe.replicas, real_sid))
 
     live = fnos_backend(tmp_path / "live", seed=0xC6)  # same seed: same placement
     for rid, rep in live.replicas.items():
@@ -277,8 +277,9 @@ def test_criterion_7_quorum_durability(tmp_path):
 
     for group in backend.groups:  # tolerated failures: one per group
         backend.replicas[group[0]].kill()
-    assert backend.recover_assemble() == bytes(expected_stream)
-    assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
+    records = backend.recover()
+    assert records == scan_padded_stream([bytes(expected_stream)])
+    assert [r.payload for r in records] == [pad4(p) for p in payloads]
 
     # one corrupted unit on the only surviving recorded copy is detected
     registry2, replicas2 = build_cluster(9)
@@ -289,10 +290,10 @@ def test_criterion_7_quorum_durability(tmp_path):
     )
     backend2.persist_slot(encode_record(b"\xbb" * 100))
     sid = SegmentId(backend2.current_file_id, 0, 0)
-    holders = [rid for rid, rep in backend2.replicas.items() if rep.has(sid)]
-    for rid in holders[1:]:
+    held = holders(backend2.replicas, sid)
+    for rid in held[1:]:
         backend2.replicas[rid].kill()
-    backend2.replicas[holders[0]].corrupt(sid)
+    backend2.replicas[held[0]].corrupt(sid)
     with pytest.raises(IntegrityFailure):
         backend2.recover()
     print("\n[PASS] criterion 7: 200 slots byte-exact after V_f kills; "

@@ -7,35 +7,12 @@ import pytest
 
 from evenlog import bench
 from evenlog.engine import WalEngine
-from evenlog.errors import NoData
 from evenlog.journal import JournalBackend, PlainJournalBackend
 from evenlog.observe import StorageTrace
 from evenlog.quorum import QuorumBackend, QuorumConfig, SelectionScheme
 from evenlog.workload import WorkloadSpec
 
 from .conftest import build_cluster
-
-
-class TestCostFormulas:
-    def test_single_200_byte_write_at_128(self):
-        assert bench.relative_cost([200], 128) == pytest.approx(256 / 200)
-
-    def test_exact_multiples_cost_one(self):
-        assert bench.relative_cost([128, 256, 1280], 128) == 1.0
-
-    def test_naive_cost(self):
-        assert bench.naive_cost([200, 200], 131072) == pytest.approx(2 * 131072 / 400)
-
-    def test_empty_inputs(self):
-        with pytest.raises(NoData):
-            bench.relative_cost([], 128)
-        with pytest.raises(NoData):
-            bench.naive_cost([], 131072)
-
-    def test_nondecreasing_in_segment_size_on_power_grid(self):
-        sizes = list(range(17, 4000, 131))
-        costs = [bench.relative_cost(sizes, s) for s in (32, 128, 512, 4096)]
-        assert costs == sorted(costs)
 
 
 def journal_engine(tmp_path, key, segment_size=128, **kw):
@@ -69,6 +46,7 @@ class TestRunSequential:
         assert report.iv_overhead_bytes == 25 * 7 * 16
         assert report.relative_cost == pytest.approx((7 * 128) / 816)
         assert report.naive_bytes == 25 * 128 * 1024
+        assert report.naive_cost == pytest.approx(128 * 1024 / 816)
 
     def test_record_multiples_of_s_cost_one(self, tmp_path, key):
         engine = journal_engine(tmp_path, key)

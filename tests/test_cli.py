@@ -3,6 +3,7 @@
 import json
 import shlex
 import struct
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -286,7 +287,7 @@ class TestConfigFile:
 
 # Inputs the CLI once answered with a Python traceback or took in silence.
 # Each must end in one ``error:`` line and exit 1. "{dir}" is the test's
-# directory, which holds the config files of BAD_CONFIGS.
+# directory, which holds the files of BAD_FILES.
 BAD_INPUTS = {
     "bench-conc-no-workers": ("bench conc --workers 0 --ops 5 --dir {dir}/wal", None),
     "bench-dir-is-a-file": ("bench seq --ops 3 --dir {dir}/bad-seed.conf", None),
@@ -309,23 +310,42 @@ BAD_INPUTS = {
     "config-output-not-a-choice": ("--config {dir}/bad-output.conf bench seq --ops 3 --dir {dir}/wal", None),
     "key-not-hex": ("bench seq --ops 3 --dir {dir}/wal", "not-hex"),
     "attack-trace-missing": ("attack train --trace {dir}/missing.csv", None),
+    "attack-trace-empty": ("attack train --trace {dir}/empty.csv", None),
+    "attack-trace-row-not-a-number": ("attack train --trace {dir}/bad-row.csv", None),
+    "attack-model-without-bounds": ("attack eval --trace {dir}/good.csv --model {dir}/no-bounds.json", None),
 }
 
 
-BAD_CONFIGS = {"bad-seed.conf": "seed=abc\n", "bad-selection.conf": "selection = bogus\n",
-               "bad-output.conf": "output = xml\n"}
+# the input files of BAD_INPUTS: config files, attack traces, an attack model
+BAD_FILES = {"bad-seed.conf": "seed=abc\n", "bad-selection.conf": "selection = bogus\n",
+             "bad-output.conf": "output = xml\n", "empty.csv": "", "bad-row.csv": "true_len,wal_size\n1,x\n",
+             "good.csv": "true_len,wal_size\n1,128\n", "no-bounds.json": '{"sizes": [1]}\n'}
 
 
 @pytest.mark.parametrize("argv, key", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_is_an_error_line_not_a_traceback(capsys, tmp_path, monkeypatch, argv, key):
-    for name, text in BAD_CONFIGS.items():
+    for name, text in BAD_FILES.items():
         (tmp_path / name).write_text(text)
     if key is not None:
         monkeypatch.setenv("EVENLOG_KEY", key)
     code, out, err = run_cli(capsys, *shlex.split(argv.format(dir=tmp_path)))
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1, err
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(BAD_CONFIGS)  # refused before any file is made
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(BAD_FILES)  # refused before any file is made
+
+
+@pytest.mark.parametrize("argv", ["bench seq --ops 5", "bench conc --ops 5", "bench seq --ops 5 --scheme quorum",
+                                  "demo quorum"])
+def test_a_run_without_dir_removes_its_temporary_directory(capsys, tmp_path, monkeypatch, argv):
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setenv("TMPDIR", str(tmp))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # so that TMPDIR is read again
+    assert run_cli(capsys, *argv.split())[0] == 0
+    assert list(tmp.iterdir()) == []
+    kept = tmp_path / "kept"
+    assert run_cli(capsys, *argv.split(), "--dir", str(kept))[0] == 0
+    assert list(kept.iterdir()) != [] and list(tmp.iterdir()) == []
 
 
 def test_demo_quorum_runs_clean(capsys, tmp_path):

@@ -244,7 +244,7 @@ class TestRecordOverTheLargestFlush:
         disk.events.clear()
         with pytest.raises(RecordTooLarge):
             engine.append(b"x" * 500, full_sync=True)  # 516 B encoded, over MS = 512
-        assert disk.events == [] and engine.slot.buffered_bytes == 0
+        assert disk.events == [] and engine.slot.ssn == 1
         engine.append(b"y" * 40, full_sync=True)
         engine.close()
         assert [name for name, _ in disk.events][-1] == "close"

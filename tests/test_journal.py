@@ -139,6 +139,30 @@ class TestWritePath:
         engine.append(b"three" * 10, full_sync=True)
         assert "sync_dir" not in [name for name, _ in disk.events]
 
+    @over()
+    @pytest.mark.parametrize("sync", [True, False], ids=["sync", "no-sync"])
+    def test_first_synced_flush_makes_a_new_root_durable(self, tmp_path, key, disk, kind, sync):
+        # the parent of each directory the backend makes is synced, with the
+        # root, by the first synced flush, not when the backend is built; an
+        # existing root's parent never is
+        new = tmp_path / "a" / "b"
+        synced = {}
+        for root in (new, tmp_path):
+            steps = []
+            disk.events.clear()
+            engine = WalEngine(kind.open(root, key, sync=sync))
+            for payload in (None, b"one", b"two"):
+                if payload:
+                    engine.append(payload * 10, full_sync=True)
+                steps.append([args[0] for name, args in disk.events if name == "sync_dir"])
+                disk.events.clear()
+            synced[root] = steps
+            engine.close()
+        if sync:
+            assert synced == {new: [[], [tmp_path / "a", tmp_path, new], []], tmp_path: [[], [tmp_path], []]}
+        else:
+            assert synced == {new: [[], [], []], tmp_path: [[], [], []]}
+
     def test_file_grows_in_reserve_steps_and_closes_at_its_last_flush(self, tmp_path, key, disk):
         backend = JournalBackend(tmp_path, key, sync=False)
         unit = 144
@@ -671,6 +695,6 @@ class TestBaselines:
         with pytest.raises(RecordTooLarge):
             engine.append(b"\x01" * 4100)
         assert backend.trace.write_count(StorageTrace.JOURNAL) == 0
-        assert engine.slot.buffered_bytes == len(encode_record(b"kept" * 10)) and not kept.flushed
-        engine.close()
+        assert engine.slot.ssn == 0 and not kept.flushed
+        engine.close()  # flushes what stayed buffered: the kept record alone
         assert [r.payload for r in backend.recover()] == [b"kept" * 10]

@@ -5,9 +5,10 @@
 blob at a time through ``MetadataArray.from_bytes``, walks its entries
 one by one, applies its own commit test and fetches every committed
 segment by itself, one ``Replica.read`` per copy (``fetch_verified``).
-For any run of writes and any replica faults, the batched path, which
-asks each live replica once per metadata file, returns the same bytes or
-raises the same exception class.
+For any run of writes and any replica faults, ``QuorumBackend.recover``,
+whose batched path asks each live replica once per metadata file,
+returns the records of the oracle's stream or raises the same exception
+class.
 """
 
 import random
@@ -23,14 +24,16 @@ from evenlog.journal import journal_files
 from evenlog.quorum import QuorumBackend, QuorumConfig, SegmentId, SelectionScheme
 from evenlog.quorum import backend as backend_module
 from evenlog.quorum.metadata import SENTINEL, MetadataArray, serialized_size
+from evenlog.records import HEADER_SIZE, encode_record, scan_padded_stream
 
 from .conftest import KEY, KINDS, build_cluster
 REPLICAS = 15  # 5 groups: enough for fixed-count selection with K = 512 / 128
 MAX_WRITE = 512
 
-# a slot flush of 1..MAX_WRITE bytes, a dead/alive toggle of one replica
-# while writing, or a restart onto a fresh metadata file
-WRITE = st.tuples(st.just("write"), st.integers(1, MAX_WRITE))
+# a slot flush of one record of up to MAX_WRITE bytes (recovery decodes
+# records), a dead/alive toggle of one replica while writing, or a
+# restart onto a fresh metadata file
+WRITE = st.tuples(st.just("write"), st.integers(1, MAX_WRITE - HEADER_SIZE))
 TOGGLE = st.tuples(st.just("toggle"), st.integers(0, REPLICAS - 1))
 RESTART = st.just(("restart",))
 # faults after the writes; a copy is picked by index among the held copies
@@ -132,7 +135,7 @@ def test_batched_recovery_matches_oracle(scheme, steps, faults, blobs_per_run, s
             for step in steps:
                 if step[0] == "write":
                     try:
-                        backend.persist_slot(rng.randbytes(step[1]))
+                        backend.persist_slot(encode_record(rng.randbytes(step[1])))
                     except CommitTimeout:
                         pass  # uses up its ssn and writes no blob
                 elif step[0] == "toggle":
@@ -143,8 +146,8 @@ def test_batched_recovery_matches_oracle(scheme, steps, faults, blobs_per_run, s
             short = set()
             for fault in faults:
                 apply_fault(replicas, fault, short)
-            expected = outcome(lambda: oracle_assemble(backend))
-            assert outcome(backend.recover_assemble) == expected
+            expected = outcome(lambda: scan_padded_stream([oracle_assemble(backend)]))
+            assert outcome(backend.recover) == expected
             backend.close()
     finally:
         backend_module.READ_SIZE = saved

@@ -30,7 +30,7 @@ from evenlog.quorum.metadata import SENTINEL, MetadataArray, serialized_size
 from evenlog.quorum.replica import READ_FRAME_SIZE, store_frame_size
 from evenlog.records import encode_record
 
-from .conftest import KINDS, build_cluster, current_file, pad4
+from .conftest import KINDS, build_cluster, current_file, holders, pad4
 
 VNOS, FNOS = KINDS["quorum-vnos"], KINDS["quorum-fnos"]
 
@@ -105,8 +105,8 @@ class TestReplica:
         rep.revive()
         assert len(rep) == 3
         rep.drop_before(1)
-        assert not rep.has(SegmentId(0, 0, 0))
-        assert rep.has(SegmentId(1, 0, 0)) and rep.has(SegmentId(2, 0, 0))
+        assert rep.segments(0) == {}
+        assert SegmentId(1, 0, 0) in rep.segments(1) and SegmentId(2, 0, 0) in rep.segments(2)
 
 
 class TestPersist:
@@ -234,7 +234,7 @@ class TestPersist:
         engine.append(b"a" * 40, full_sync=True)
         with pytest.raises(RecordTooLarge):  # before it is buffered: the engine is not wedged
             engine.append(b"b" * 600)
-        assert engine.slot.buffered_bytes == 0
+        assert engine.slot.ssn == 1
         engine.append(b"c" * 40, full_sync=True)
         assert [r.payload for r in backend.recover()] == [b"a" * 40, b"c" * 40]
 
@@ -338,7 +338,7 @@ class TestPersist:
         blobs = current_file(backend).read_bytes()
         plain = decrypt_stream(key, blobs, serialized_size(backend.config.k_max))
         sids = [SegmentId(backend.current_file_id, r.ssn, sn) for r in receipts for sn in range(backend.config.k_max)]
-        held = sorted((rid, tuple(sid)) for rid, rep in backend.replicas.items() for sid in sids if rep.has(sid))
+        held = sorted((rid, tuple(sid)) for sid in sids for rid in holders(backend.replicas, sid))
         assert len(held) == sum(counts)
         assert (hashlib.sha256(plain).hexdigest(), hashlib.sha256(repr(held).encode()).hexdigest()) == \
             self.PINNED_BYTES[scheme]
@@ -365,17 +365,16 @@ class TestRecovery:
 
     def test_empty_metadata_empty_stream(self, tmp_path, key):
         backend = make_backend(tmp_path, key)
-        assert backend.recover_assemble() == b""
         assert backend.recover() == []
 
     def test_corrupt_only_surviving_copy_raises_integrity(self, tmp_path, key):
         backend, payloads = self.commit_some(tmp_path, key, n_slots=1)
         # find the recorded replicas of slot 0 segment 0 and corrupt/kill them
         sid = SegmentId(backend.current_file_id, 0, 0)
-        holders = [rid for rid, rep in backend.replicas.items() if rep.has(sid)]
-        assert len(holders) >= 2
-        survivor = holders[0]
-        for rid in holders[1:]:
+        held = holders(backend.replicas, sid)
+        assert len(held) >= 2
+        survivor = held[0]
+        for rid in held[1:]:
             backend.replicas[rid].kill()
         backend.replicas[survivor].corrupt(sid)
         with pytest.raises(IntegrityFailure):
@@ -384,8 +383,7 @@ class TestRecovery:
     def test_corrupt_one_copy_falls_back_to_next(self, tmp_path, key):
         backend, payloads = self.commit_some(tmp_path, key, n_slots=1)
         sid = SegmentId(backend.current_file_id, 0, 0)
-        holders = [rid for rid, rep in backend.replicas.items() if rep.has(sid)]
-        backend.replicas[holders[0]].corrupt(sid)
+        backend.replicas[holders(backend.replicas, sid)[0]].corrupt(sid)
         assert [r.payload for r in backend.recover()] == [pad4(payloads[0])]
 
     def test_short_first_copy_falls_back_to_next(self, tmp_path, key):
@@ -400,19 +398,18 @@ class TestRecovery:
     def test_every_copy_short_raises_integrity(self, tmp_path, key):
         backend, _ = self.commit_some(tmp_path, key, n_slots=1)
         sid = SegmentId(backend.current_file_id, 0, 0)
-        holders = [rep for rep in backend.replicas.values() if rep.has(sid)]
-        assert len(holders) >= 2
-        for rep in holders:
-            rep.truncate(sid, IV_SIZE + 127)
+        held = holders(backend.replicas, sid)
+        assert len(held) >= 2
+        for rid in held:
+            backend.replicas[rid].truncate(sid, IV_SIZE + 127)
         with pytest.raises(IntegrityFailure):
             backend.recover()
 
     def test_all_recorded_replicas_dead_is_unrecoverable(self, tmp_path, key):
         backend, _ = self.commit_some(tmp_path, key, n_slots=1)
         sid = SegmentId(backend.current_file_id, 0, 0)
-        for rid, rep in backend.replicas.items():
-            if rep.has(sid):
-                rep.kill()
+        for rid in holders(backend.replicas, sid):
+            backend.replicas[rid].kill()
         with pytest.raises(UnrecoverableSegment):
             backend.recover()
 

@@ -41,8 +41,9 @@ class TestAppend:
         slot = Slot(backend)
         result = slot.append(encode_record(b"p" * 100))
         assert not result.flushed
-        assert backend.flushes == []
-        assert slot.buffered_bytes == 116
+        assert backend.flushes == [] and slot.ssn == 0
+        slot.flush()
+        assert backend.flushes == [encode_record(b"p" * 100)] and len(backend.flushes[0]) == 116
 
     def test_overflow_flushes_prior_contents_first(self, backend):
         slot = Slot(backend, 131072)
@@ -50,16 +51,18 @@ class TestAppend:
         assert len(filler) == 131000
         slot.append(filler)
         result = slot.append(encode_record(b"n" * 100))
-        assert backend.flushes == [filler]
-        assert slot.buffered_bytes == 116
+        assert backend.flushes == [filler] and slot.ssn == 1
         assert not result.flushed  # the new record itself is still volatile
+        slot.flush()
+        assert backend.flushes == [filler, encode_record(b"n" * 100)]
 
     def test_full_sync_flushes_and_reports_durable(self, backend):
         slot = Slot(backend)
         result = slot.append(encode_record(b"s" * 100), full_sync=True)
         assert result.flushed
-        assert len(backend.flushes) == 1
-        assert slot.buffered_bytes == 0
+        assert backend.flushes == [encode_record(b"s" * 100)] and slot.ssn == 1
+        slot.flush()  # nothing is left buffered
+        assert len(backend.flushes) == 1 and slot.ssn == 1
 
     def test_oversize_record_is_own_flush(self, backend):
         slot = Slot(backend, 256)
@@ -67,8 +70,9 @@ class TestAppend:
         big = encode_record(b"B" * 1000)
         result = slot.append(big)
         assert result.flushed
-        assert backend.flushes == [encode_record(b"k" * 64), big]
-        assert slot.buffered_bytes == 0
+        assert backend.flushes == [encode_record(b"k" * 64), big] and slot.ssn == 2
+        slot.flush()  # nothing is left buffered
+        assert len(backend.flushes) == 2 and slot.ssn == 2
 
     def test_lsn_strictly_increasing_in_append_order(self, backend):
         slot = Slot(backend)
