@@ -99,26 +99,35 @@ def run_sequential(spec: WorkloadSpec, engine: WalEngine) -> BenchReport:
 
 def run_concurrent(spec: WorkloadSpec, engine: WalEngine, workers: int = 4) -> BenchReport:
     """Buffered mode: appenders never request durability; the slot drains
-    on overflow and on the engine's periodic flusher."""
+    on overflow and on the engine's periodic flusher. An append that
+    raises stops its worker; once every worker has stopped, the first
+    worker's error is raised, so a run with a lost append reports none."""
     if workers < 1:
         raise InvalidConfig(f"{workers} workers: need at least one")
     payloads = generate(spec)
     record_sizes = [encoded_record_size(len(p)) for p in payloads]
     shards = [payloads[i::workers] for i in range(workers)]
     latencies = [[] for _ in range(workers)]
+    errors = [None] * workers  # the exception that stopped each worker, if any
 
-    def work(shard, sink):
-        for payload in shard:
-            t = time.perf_counter()
-            engine.append(payload, full_sync=False)
-            sink.append(time.perf_counter() - t)
+    def work(i):
+        try:
+            for payload in shards[i]:
+                t = time.perf_counter()
+                engine.append(payload, full_sync=False)
+                latencies[i].append(time.perf_counter() - t)
+        except Exception as exc:
+            errors[i] = exc
 
-    threads = [threading.Thread(target=work, args=(shards[i], latencies[i])) for i in range(workers)]
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
     t0 = time.perf_counter()
     for th in threads:
         th.start()
     for th in threads:
         th.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     engine.flush()
     elapsed = time.perf_counter() - t0
     merged = [x for sink in latencies for x in sink]

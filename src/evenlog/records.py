@@ -16,10 +16,14 @@ a chunk (carried into the next one) from a torn tail (the stream ends
 with it held, or its checksum fails). It works on a chunk in two passes:
 a Python walk over the header words that notes where each record starts,
 then one bulk step that slices, checksums and builds every noted record
-with numpy and ``map``. The bulk step keeps the order of a record-by-record
-scan: the first checksum failure is a torn tail and ends the stream, even
-when the walk met an implausible header after it, because a scan that
-checks each record as it goes never reaches that header.
+with numpy and ``map``. A record is built by ``tuple.__new__`` on its
+payload and flags: the very ``LogRecord`` its class call makes, without
+the Python frame of the named tuple's ``__new__``. The payloads are cut
+back only at a torn tail. The bulk step keeps the order of a
+record-by-record scan: the first checksum failure is a torn tail and
+ends the stream, even when the walk met an implausible header after it,
+because a scan that checks each record as it goes never reaches that
+header.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import re
 import struct
 import zlib
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -200,9 +205,12 @@ class _PaddedScan:
             payloads = list(map(buf.__getitem__, map(slice, (start + HEADER_SIZE).tolist(), ends)))
             crcs = table[head + 1].tolist()
             got = list(map(zlib.crc32, payloads))
-            good = len(got) if got == crcs else next(i for i, crc in enumerate(crcs) if got[i] != crc)
-            self.records += map(LogRecord, payloads[:good], table[head[:good] + 2].tolist())
-            if good < len(got):
+            torn = got != crcs
+            if torn:
+                del payloads[next(i for i, crc in enumerate(crcs) if got[i] != crc):]
+            # tuple.__new__ builds the same LogRecord as its class call, in C
+            self.records += map(tuple.__new__, repeat(LogRecord), zip(payloads, table[head + 2].tolist()))
+            if torn:
                 return False  # torn tail
         offset = at * 4
         if bad is not None:

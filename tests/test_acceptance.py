@@ -294,7 +294,7 @@ def test_criterion_7_quorum_durability(tmp_path):
     for rid in held[1:]:
         backend2.replicas[rid].kill()
     backend2.replicas[held[0]].corrupt(sid)
-    with pytest.raises(IntegrityFailure):
+    with pytest.raises(IntegrityFailure, match=r"SegmentId\(fid="):
         backend2.recover()
     print("\n[PASS] criterion 7: 200 slots byte-exact after V_f kills; "
           "corrupted survivor raises IntegrityFailure")

@@ -150,6 +150,18 @@ class TestBench:
         assert code == 0
         assert json.loads(out)["ops"] == 200
 
+    @pytest.mark.parametrize("max_write, dist", [("640", "uniform"), ("512", "constant:100")])
+    def test_conc_worker_error_fails_the_run(self, capsys, tmp_path, max_write, dist):
+        # writes run up to 1000 bytes, past the largest flush (the max write
+        # size): a larger record makes its worker's append raise, and the
+        # run reports that error instead of a result
+        code, out, err = run_cli(
+            capsys, "bench", "conc", "--scheme", "quorum", "--max-write-size", max_write,
+            "--dist", dist, "--ops", "200", "--workers", "2", "--dir", str(tmp_path), "--out", "json",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestRecover:
     def test_recover_counts_records(self, capsys, tmp_path, monkeypatch):

@@ -377,7 +377,7 @@ class TestRecovery:
         for rid in held[1:]:
             backend.replicas[rid].kill()
         backend.replicas[survivor].corrupt(sid)
-        with pytest.raises(IntegrityFailure):
+        with pytest.raises(IntegrityFailure, match=r"SegmentId\(fid="):
             backend.recover()
 
     def test_corrupt_one_copy_falls_back_to_next(self, tmp_path, key):
@@ -402,7 +402,7 @@ class TestRecovery:
         assert len(held) >= 2
         for rid in held:
             backend.replicas[rid].truncate(sid, IV_SIZE + 127)
-        with pytest.raises(IntegrityFailure):
+        with pytest.raises(IntegrityFailure, match=r"SegmentId\(fid="):
             backend.recover()
 
     def test_all_recorded_replicas_dead_is_unrecoverable(self, tmp_path, key):
@@ -410,7 +410,7 @@ class TestRecovery:
         sid = SegmentId(backend.current_file_id, 0, 0)
         for rid in holders(backend.replicas, sid):
             backend.replicas[rid].kill()
-        with pytest.raises(UnrecoverableSegment):
+        with pytest.raises(UnrecoverableSegment, match=r"SegmentId\(fid="):
             backend.recover()
 
     def test_recovery_requests_do_not_depend_on_write_sizes(self, tmp_path, key):
