@@ -50,9 +50,10 @@ K. Per run, one ``decrypt_stream`` call decrypts every blob and one
 numpy view parses them, and one more decrypts every committed segment's
 copy; a blob whose ssn does not rise or whose triplets name no known
 replica is reported as corruption. A run's copies are picked and
-fetched at once, with no Python call per segment; only a segment whose
-picked copy is missing or not of unit size is picked again, replica by
-replica, so each takes the copy a segment-by-segment walk would.
+fetched at once, with no Python call per segment; a segment whose
+picked copy is missing, not of unit size or fails its digest is served
+by the walk over its recorded replicas that verifies each copy, so it
+takes the copy a segment-by-segment walk would.
 
 The metadata trace channel shows one fixed-size blob per slot and, at
 each checkpoint, the 20-byte sidecar write: the checkpoint cadence,
@@ -284,8 +285,11 @@ class QuorumBackend(JournalFiles):
     def _assemble_file(self, fid: int, chunks: Iterator[bytes]) -> Iterator[bytes]:
         """The plaintext runs of one metadata file, carrying the last ssn
         and the file offset from one run of blobs to the next, after one
-        READ per live replica (a dead one and SENTINEL hold nothing)."""
-        live = {rid: replica.segments(fid) for rid, replica in self.replicas.items() if replica.alive}
+        READ per live replica (a dead one and SENTINEL hold nothing).
+        ``assemble_stream`` looks copies up with ``dict.get``, so an answer
+        that is some other mapping is copied into a dict, once."""
+        answers = ((rid, replica.segments(fid)) for rid, replica in self.replicas.items() if replica.alive)
+        live = {rid: units if isinstance(units, dict) else dict(units) for rid, units in answers}
         self.trace.record(StorageTrace.REPLICA_READ, READ_FRAME_SIZE, len(live))
         held = {**dict.fromkeys([*self.replicas, SENTINEL], {}), **live}
         last_ssn, offset = -1, 0
@@ -320,25 +324,23 @@ def assemble_stream(
     the run's copies are decrypted in one call. The pick is made in bulk:
     one ``isin`` and one ``argmax`` over the triplets name, per segment,
     the first recorded replica that holds any unit of the file, and one
-    ``map`` fetches its copy. Where that copy is missing or not of unit
-    size, ``_first_copy`` picks again replica by replica, so the pick is
-    the first whole copy all the same. When every copy passes its digest,
-    that decrypted run is the result. A segment whose copy fails, or that
-    has none, goes through ``_fetch_verified``, in file order, so the
-    first such segment that no copy can serve decides the error. Both
-    take a real ``SegmentId``, which their messages name."""
+    ``map`` fetches its copy. The replicas before it hold nothing of the
+    file, so a whole copy it holds is the first whole copy. A copy that
+    is missing or not of unit size is replaced by a blank unit, which
+    fails its digest. When every copy passes its digest, that decrypted
+    run is the result. A segment whose copy fails goes through
+    ``_fetch_verified``, in file order, which walks its triplet again and
+    takes the first copy that passes; so the first segment that no copy
+    can serve decides the error, whose message names a real
+    ``SegmentId``."""
     seg, size = config.segment_size, serialized_size(config.k_max)
     arrays = np.frombuffer(crypto.decrypt_stream(key, blobs, size), array_dtype(config.k_max))
     ssns = arrays["ssn"].astype(np.int64)
-    # one copy out of the records: numpy takes about twice as long on the strided field
-    ids = np.ascontiguousarray(arrays["entries"]["ids"])
+    ids = arrays["entries"]["ids"]
     _check_arrays(ssns, ids, held, last_ssn, fid, offset, crypto.IV_SIZE + size)
 
-    # committed entries in file order: blob by blob, segment by segment. The
-    # acks are summed element by element: numpy reduces a last axis of three slowly
-    recorded = (ids != SENTINEL).view(np.int8)
-    acks = sum(recorded[..., element] for element in range(GROUP_SIZE))
-    blob_ix, sns = np.nonzero(acks >= config.write_quorum)
+    # committed entries in file order: blob by blob, segment by segment
+    blob_ix, sns = np.nonzero((ids != SENTINEL).sum(axis=2) >= config.write_quorum)
     triplets = ids[blob_ix, sns]
     wanted = arrays["entries"]["digest"][blob_ix, sns].tobytes()
     at_ssn, at_sn = ssns[blob_ix].tolist(), sns.tolist()
@@ -350,9 +352,9 @@ def assemble_stream(
     keys = zip(repeat(fid), at_ssn, at_sn, repeat(0))
     copies = list(map(dict.get, map(held.__getitem__, first), keys, repeat(b"")))
     unit_size = crypto.IV_SIZE + seg
-    blank = bytes(unit_size)  # stands in for a segment with no whole copy, and fails its digest
+    blank = bytes(unit_size)  # stands in for a missing or short copy, and fails its digest
     for j in np.flatnonzero(np.fromiter(map(len, copies), np.int64, len(copies)) != unit_size).tolist():
-        copies[j] = _first_copy(SegmentId(fid, at_ssn[j], at_sn[j]), triplets[j].tolist(), held, blank)
+        copies[j] = blank
     plain = crypto.decrypt_stream(key, b"".join(copies), seg)
     view = memoryview(plain)
     got = b"".join([crypto.digest_segment(view[i : i + seg]) for i in range(0, len(plain), seg)])
@@ -387,16 +389,6 @@ def _check_arrays(ssns, ids, held, last_ssn, fid, offset, blob_size) -> None:
                else f"unknown replica id {row[~np.isin(row, known)][0]}")
         raise RecoveryCorruption(f"corrupt metadata blob: {why} (was it written under another key?)",
                                  offset + i * blob_size, fid, prefix=QuorumBackend.PREFIX)
-
-
-def _first_copy(sid, triplet, held, blank) -> bytes:
-    """The first unit of ``blank``'s size held under ``sid`` among the
-    replicas ``triplet`` records, or ``blank`` when none holds one."""
-    for replica_id in triplet:
-        unit = held[replica_id].get(sid)
-        if unit is not None and len(unit) == len(blank):
-            return unit
-    return blank
 
 
 def _fetch_verified(sid, triplet, digest, key, held, segment_size) -> bytes:

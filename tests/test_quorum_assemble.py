@@ -39,6 +39,11 @@ RESTART = st.just(("restart",))
 # faults after the writes; a copy is picked by index among the held copies
 KILL = st.tuples(st.just("kill"), st.integers(0, REPLICAS - 1))
 COPY_FAULT = st.tuples(st.sampled_from(["corrupt", "truncate", "delete"]), st.integers(0, 10**6))
+# examples of the copy pick, with seed 1: each faults the copy that
+# recovery reads first for a committed segment, and a later recorded
+# replica serves it; the test checks both, under either scheme
+PICK_STEPS = [("write", 400), ("write", 300), ("write", 200)]
+PICK_FAULTS = [[("delete", 26)], [("truncate", 26)], [("corrupt", 26)]]
 
 
 def fetch_verified(sid, triplet, digest, key, replicas, segment_size) -> bytes:
@@ -83,6 +88,26 @@ def oracle_assemble(backend) -> bytes:
     return b"".join(parts)
 
 
+def first_picks(backend) -> set:
+    """(replica id, sid) of the copy that recovery reads first for each
+    committed segment: its first recorded replica that is live and holds
+    any unit of the segment's metadata file."""
+    cfg = backend.config
+    blob_size = IV_SIZE + serialized_size(cfg.k_max)
+    picks = set()
+    for fid, chunks in journal_files(backend.root, blob_size, "metadata"):
+        answered = {rid for rid, rep in backend.replicas.items() if rep.alive and rep.segments(fid)}
+        for blobs in chunks:
+            for off in range(0, len(blobs), blob_size):
+                array = MetadataArray.from_bytes(decrypt_segment(backend.key, blobs[off : off + blob_size]),
+                                                 cfg.k_max)
+                for sn, triplet in enumerate(array.ids.tolist()):
+                    if sum(rid != SENTINEL for rid in triplet) >= cfg.write_quorum:
+                        first = next((rid for rid in triplet if rid in answered), None)
+                        picks.add((first, SegmentId(fid, int(array.record["ssn"]), sn)))
+    return picks
+
+
 def outcome(assemble):
     try:
         return assemble()
@@ -90,18 +115,19 @@ def outcome(assemble):
         return type(exc)
 
 
-def apply_fault(replicas, fault, short) -> None:
-    """Apply ``fault``; ``short`` holds the (replica id, sid) of every copy
-    truncated so far."""
+def apply_fault(replicas, fault, short):
+    """Apply ``fault`` and return the (replica id, sid) of the copy it hit,
+    if any; ``short`` holds the (replica id, sid) of every copy truncated
+    so far."""
     kind, pick = fault
     if kind == "kill":
         replicas[pick].kill()
-        return
+        return None
     # each copy takes at most one corrupt or truncate fault
     held = sorted((rid, sid) for rid, rep in replicas.items() for sid in rep.segment_ids
                   if kind == "delete" or (rid, sid) not in short)
     if not held:
-        return
+        return None
     rid, sid = held[pick % len(held)]
     replica = replicas[rid]
     if kind == "corrupt":
@@ -111,6 +137,7 @@ def apply_fault(replicas, fault, short) -> None:
         short.add((rid, sid))
     else:
         replica.forget(sid)
+    return rid, sid
 
 
 @pytest.mark.parametrize("scheme", [SelectionScheme.VNOS, SelectionScheme.FNOS])
@@ -121,13 +148,9 @@ def apply_fault(replicas, fault, short) -> None:
     blobs_per_run=st.sampled_from([1, 2, 3, None]),
     seed=st.integers(0, 2**16),
 )
-# the bulk copy pick: under either scheme, fault pick 26 lands on the copy
-# of a committed segment held by the first replica its triplet records,
-# and that replica still holds other units of the file, so the bulk pick
-# chooses it; the next recorded replica holds a whole copy
-@example(steps=[("write", 400), ("write", 300), ("write", 200)], faults=[("delete", 26)], blobs_per_run=None, seed=1)
-@example(steps=[("write", 400), ("write", 300), ("write", 200)], faults=[("truncate", 26)], blobs_per_run=None, seed=1)
-@example(steps=[("write", 400), ("write", 300), ("write", 200)], faults=[("corrupt", 26)], blobs_per_run=None, seed=1)
+@example(steps=PICK_STEPS, faults=PICK_FAULTS[0], blobs_per_run=None, seed=1)
+@example(steps=PICK_STEPS, faults=PICK_FAULTS[1], blobs_per_run=None, seed=1)
+@example(steps=PICK_STEPS, faults=PICK_FAULTS[2], blobs_per_run=None, seed=1)
 def test_batched_recovery_matches_oracle(scheme, steps, faults, blobs_per_run, seed):
     rng = random.Random(seed)
     registry, replicas = build_cluster(REPLICAS)
@@ -151,9 +174,10 @@ def test_batched_recovery_matches_oracle(scheme, steps, faults, blobs_per_run, s
                 else:
                     backend = KINDS[f"quorum-{scheme.value}"].reopen(backend, seed=rng.randrange(2**16))
             short = set()
-            for fault in faults:
-                apply_fault(replicas, fault, short)
+            hits = [apply_fault(replicas, fault, short) for fault in faults]
             expected = outcome(lambda: scan_padded_stream([oracle_assemble(backend)]))
+            if (steps, faults, seed) in [(PICK_STEPS, pick, 1) for pick in PICK_FAULTS]:
+                assert hits[0] in first_picks(backend) and isinstance(expected, list)
             assert outcome(backend.recover) == expected
             backend.close()
     finally:

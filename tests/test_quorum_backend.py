@@ -6,6 +6,7 @@ in ``test_journal.py`` and ``test_engine.py``."""
 import hashlib
 import os
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -357,6 +358,24 @@ class TestRecovery:
         backend, payloads = self.commit_some(tmp_path, key)
         for group in backend.groups:
             backend.replicas[group[0]].kill()
+        assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
+
+    def test_dead_first_replicas_cost_no_refetch(self, tmp_path, key, monkeypatch):
+        # the bulk pick passes over a recorded replica that holds nothing of
+        # the file, so every copy it takes is whole and none is fetched again
+        backend, payloads = self.commit_some(tmp_path, key)
+        for group in backend.groups:
+            backend.replicas[group[0]].kill()
+        refetched, fetch = [], backend_module._fetch_verified
+        monkeypatch.setattr(backend_module, "_fetch_verified",
+                            lambda sid, *rest: refetched.append(sid) or fetch(sid, *rest))
+        assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
+        assert refetched == []
+
+    def test_a_read_answer_that_is_not_a_dict_serves_alike(self, tmp_path, key, monkeypatch):
+        backend, payloads = self.commit_some(tmp_path, key)
+        segments = Replica.segments
+        monkeypatch.setattr(Replica, "segments", lambda replica, fid: MappingProxyType(segments(replica, fid)))
         assert [r.payload for r in backend.recover()] == [pad4(p) for p in payloads]
 
     def test_fnos_recovery_ignores_fakes(self, tmp_path, key):
